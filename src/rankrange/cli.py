@@ -28,13 +28,23 @@ from .region import (BruteForceOracle, build_region, contains,
 from .spectra import DEFAULT_TOL
 
 
+def _checked_tol(value: float, source: str) -> float:
+    """A tolerance must be finite and >= 0: a negative or NaN one would
+    silently flip verdicts."""
+    if not np.isfinite(value) or value < 0:
+        raise io_mod.ParseError(
+            f"{source} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _default_tol() -> float:
     env = os.environ.get("RANKRANGE_TOL")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise io_mod.ParseError(f"bad RANKRANGE_TOL value: {env!r}")
+        return _checked_tol(value, "RANKRANGE_TOL")
     return DEFAULT_TOL
 
 
@@ -208,7 +218,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        tol = args.tol if getattr(args, "tol", None) else _default_tol()
+        tol = _default_tol() if getattr(args, "tol", None) is None \
+            else _checked_tol(args.tol, "--tol")
         return _HANDLERS[args.command](args, tol)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -265,32 +265,41 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
 # feasibility margins for sub-spectra
 
 
-def subspectrum_margin(phases, j: int, lam: complex) -> float:
-    """Signed margin of lam inside the rank-j region of the given phases."""
-    th = np.sort(np.asarray(phases, dtype=float))
-    n = th.size
+def subspectrum_margin(phases, j: int, lam: complex):
+    """Signed margin of lam inside the rank-j region of the given phases.
+
+    ``phases`` is one spectrum, or a (C, m) stack of spectra scored in one
+    call: a stack returns C margins, each ``==`` to the margin of its row
+    alone. Live chords contribute their signed distance to lam; a dead
+    chord (coincident endpoints) spanning a full turn pins the region to
+    its endpoint.
+    """
+    th = np.sort(np.asarray(phases, dtype=float), axis=-1)
+    single = th.ndim == 1
+    th = np.atleast_2d(th)
+    n = th.shape[1]
     if n == 0 or j > n:
-        return -np.inf
-    t0 = th
-    t1 = th[(np.arange(n) + j) % n] + TWO_PI * ((np.arange(n) + j) // n)
-    a = np.exp(1j * t0)
-    b = np.exp(1j * t1)
-    e = b - a
-    elen = np.abs(e)
-    live = elen > 1e-12
-    m = 1.0 - abs(lam)
-    if live.any():
+        out = np.full(th.shape[0], -np.inf)
+    else:
+        step = np.arange(n) + j
+        t0 = th
+        t1 = th[:, step % n] + TWO_PI * (step // n)
+        a = np.exp(1j * t0)
+        b = np.exp(1j * t1)
+        e = b - a
+        elen = np.abs(e)
+        live = elen > 1e-12
         mid = np.exp(1j * (t0 + t1 + TWO_PI) / 2.0)
         cr_mid = e.real * (mid - a).imag - e.imag * (mid - a).real
         cr_lam = e.real * (lam - a).imag - e.imag * (lam - a).real
         sign = np.where(cr_mid > 0, 1.0, -1.0)
-        m = min(m, float((sign[live] * cr_lam[live] / elen[live]).min()))
-    dead = ~live
-    if dead.any():
-        pinned = dead & (t1 - t0 > np.pi)
-        if pinned.any():
-            m = min(m, float(-np.abs(lam - a[pinned]).max()))
-    return float(m)
+        chord = np.where(live, sign * cr_lam / np.where(live, elen, 1.0),
+                         np.inf)
+        pinned = ~live & (t1 - t0 > np.pi)
+        point = np.where(pinned, -np.abs(lam - a), np.inf)
+        out = np.minimum(1.0 - abs(lam),
+                         np.minimum(chord.min(axis=1), point.min(axis=1)))
+    return float(out[0]) if single else out
 
 
 def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
@@ -365,68 +374,101 @@ def _try_pieces(es, lam, pieces, kk):
     return cols
 
 
-def _feasible_triples(es, active, lam):
-    """All index triples of ``active`` whose triangle holds lam, with their
-    smallest barycentric weight, by one batched Cramer solve."""
+def _feasible_triples(es, active, lam, limit=None):
+    """Index triples of ``active`` whose triangle holds lam, with their
+    smallest barycentric weight, by one batched Cramer solve: the ``limit``
+    best (all when None), largest weight first, ties in combination order.
+
+    Each Cramer term depends on at most two of a triple's vertices, so it
+    is tabulated once per vertex pair and gathered per triple."""
     act = np.asarray(active)
     pts = es.eigenvalues()[act - 1]
     n = act.size
     if n < 3:
         return []
-    trips = np.array(list(combinations(range(n), 3)))
-    xa, ya = pts[trips[:, 0]].real, pts[trips[:, 0]].imag
-    xb, yb = pts[trips[:, 1]].real, pts[trips[:, 1]].imag
-    xc, yc = pts[trips[:, 2]].real, pts[trips[:, 2]].imag
+    # every a < b < c in the order of combinations(range(n), 3): each pair
+    # a < b < n - 1 in order, repeated once for each c above b
+    a, b = np.triu_indices(n - 1, 1)
+    per_pair = n - 1 - b
+    ends = np.cumsum(per_pair)
+    a, b = np.repeat(a, per_pair), np.repeat(b, per_pair)
+    c = np.arange(ends[-1]) - np.repeat(ends - per_pair, per_pair) + b + 1
+    ab, ac, bc = a * n + b, a * n + c, b * n + c
+    x, y = pts.real, pts.imag
     X, Y = lam.real, lam.imag
-    det = (xb * yc - xc * yb) - (xa * yc - xc * ya) + (xa * yb - xb * ya)
-    da = (xb * yc - xc * yb) - (X * yc - xc * Y) + (X * yb - xb * Y)
-    db = (X * yc - xc * Y) - (xa * yc - xc * ya) + (xa * Y - X * ya)
-    dc = (xb * Y - X * yb) - (xa * Y - X * ya) + (xa * yb - xb * ya)
+    cross = x[:, None] * y[None, :] - x[None, :] * y[:, None]
+    to_lam = X * y - x * Y
+    from_lam = x * Y - X * y
+    num_a = ((cross - to_lam[None, :]) + to_lam[:, None]).ravel()
+    num_b = ((to_lam[None, :] - cross) + from_lam[:, None]).ravel()
+    num_c = ((from_lam[None, :] - from_lam[:, None]) + cross).ravel()
+    cross = cross.ravel()
+    det = (cross[bc] - cross[ac]) + cross[ab]
     ok = np.abs(det) > 1e-14
-    w = np.full((trips.shape[0], 3), -1.0)
-    w[ok] = np.stack([da[ok], db[ok], dc[ok]], axis=1) / det[ok, None]
-    min_w = w.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        min_w = np.minimum(np.minimum(num_a[bc] / det, num_b[ac] / det),
+                           num_c[ab] / det)
     feas = ok & (min_w >= -1e-12)
     order = np.argsort(-min_w[feas], kind="stable")
-    rows = np.nonzero(feas)[0][order]
-    return [(float(min_w[r]), tuple(int(act[c]) for c in trips[r]))
-            for r in rows]
+    rows = np.nonzero(feas)[0][order[:limit]]
+    verts = np.stack([a[rows], b[rows], c[rows]], axis=1)
+    return list(zip(min_w[rows].tolist(), map(tuple, act[verts].tolist())))
 
 
-def _block_candidates(es, active, lam, tri_feas, kk, floor):
+def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
+    """Positions 0..n-1 left after removing each row of ``chosen`` (distinct
+    positions per row), one ascending row per row of ``chosen``."""
+    keep = np.ones((chosen.shape[0], n), dtype=bool)
+    keep[np.arange(chosen.shape[0])[:, None], chosen] = False
+    return np.nonzero(keep)[1].reshape(chosen.shape[0], -1)
+
+
+def _block_candidates(act, ph, lam, tri_feas, kk, floor):
     """5-index blocks built from vertex-sharing feasible triangles, scored
-    by the weaker of the block's own rank-2 margin and the remainder's."""
-    top = tri_feas[:40]
-    seen = set()
-    cands = []
-    for i in range(len(top)):
-        for j in range(i + 1, len(top)):
-            t1, t2 = top[i][1], top[j][1]
-            if len(set(t1) & set(t2)) != 1:
-                continue
-            blk = tuple(sorted(set(t1) | set(t2)))
-            if blk in seen:
-                continue
-            seen.add(blk)
-            m_blk = _margin_of(es, blk, 2, lam)
-            if m_blk < floor:
-                continue
-            rest = tuple(x for x in active if x not in blk)
-            m_rest = _margin_of(es, rest, kk - 2, lam)
-            if m_rest < floor:
-                continue
-            cands.append((min(m_blk, m_rest), blk, rest))
+    by the weaker of the block's own rank-2 margin and the remainder's.
+    ``act`` holds the active indices ascending and ``ph`` their phases;
+    each candidate carries the positions of its remainder in ``act``."""
+    top = np.array([idx for _, idx in tri_feas[:40]]).reshape(-1, 3)
+    i, j = np.triu_indices(len(top), 1)
+    shared = (top[i][:, :, None] == top[j][:, None, :]).sum(axis=(1, 2))
+    i, j = i[shared == 1], j[shared == 1]
+    if i.size == 0:
+        return []
+    # the sorted six vertices of a pair hold its shared vertex twice, side
+    # by side: drop the second copy
+    six = np.sort(np.concatenate([top[i], top[j]], axis=1), axis=1)
+    keep = np.ones(six.shape, dtype=bool)
+    keep[:, 1:] = six[:, 1:] != six[:, :-1]
+    five = six[keep].reshape(-1, 5)
+    _, first = np.unique(five, axis=0, return_index=True)
+    five = five[np.sort(first)]     # distinct blocks, in order of first pair
+    blks = list(map(tuple, five.tolist()))
+    pos = np.searchsorted(act, five)
+    m_blk = subspectrum_margin(ph[pos], 2, lam)
+    good = np.nonzero(m_blk >= floor)[0]
+    if good.size == 0:
+        return []
+    rest = _remainders(act.size, pos[good])
+    m_rest = subspectrum_margin(ph[rest], kk - 2, lam)
+    cands = [(min(mb, mr), blks[g], r)
+             for g, mb, mr, r in zip(good.tolist(), m_blk[good].tolist(),
+                                     m_rest.tolist(), rest)
+             if mr >= floor]
     cands.sort(key=lambda c: (-c[0], c[1]))
     return cands
 
 
 def _search_pieces(es, kk, lam, active, depth=0):
     """Deterministic re-partition of ``active`` (sorted 1-based indices)
-    into feasible triangles and 5-index pair blocks for rank kk."""
+    into feasible triangles and 5-index pair blocks for rank kk.
+
+    A node scores its candidate moves in batched margin calls and tries
+    the children in the order of those scores, so the nodes visited, and
+    their order, depend only on the input."""
     active = tuple(sorted(active))
     n_act = len(active)
     if kk == 1:
-        feas = _feasible_triples(es, active, lam)
+        feas = _feasible_triples(es, active, lam, limit=1)
         if feas:
             return [("tri", feas[0][1])]
         return None
@@ -455,19 +497,24 @@ def _search_pieces(es, kk, lam, active, depth=0):
     blocks_required = 3 * kk - n_act  # 0, 1 or 2 pair blocks still needed
     current = _margin_of(es, active, kk, lam)
     threshold = max(FEASIBILITY_FLOOR, 0.25 * current)
-    tri_feas = _feasible_triples(es, active, lam)
+    tri_feas = _feasible_triples(es, active, lam, limit=60)
+    act = np.array(active)
+    ph = es.phases[act - 1]
 
     def triangle_moves():
-        scored = []
-        for _, idx in tri_feas[:60]:
-            rest = tuple(j for j in active if j not in idx)
-            m = _margin_of(es, rest, kk - 1, lam)
-            if m >= FEASIBILITY_FLOOR:
-                scored.append((m, idx, rest))
+        if not tri_feas:
+            return None
+        tris = [idx for _, idx in tri_feas]
+        rest = _remainders(n_act, np.searchsorted(act, tris))
+        margins = subspectrum_margin(ph[rest], kk - 1, lam)
+        scored = [(m, idx, r)
+                  for m, idx, r in zip(margins.tolist(), tris, rest)
+                  if m >= FEASIBILITY_FLOOR]
         scored.sort(key=lambda c: (-c[0], c[1]))
         ordered = [c for c in scored if c[0] >= threshold] or scored
-        for m, idx, rest in ordered[:12]:
-            tail = _search_pieces(es, kk - 1, lam, rest, depth + 1)
+        for m, idx, r in ordered[:12]:
+            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()),
+                                  depth + 1)
             if tail is not None:
                 return [("tri", idx)] + tail
         return None
@@ -475,9 +522,10 @@ def _search_pieces(es, kk, lam, active, depth=0):
     def block_moves():
         if blocks_required < 1 or kk < 3:
             return None
-        for m, blk, rest in _block_candidates(es, active, lam, tri_feas,
-                                              kk, FEASIBILITY_FLOOR)[:12]:
-            tail = _search_pieces(es, kk - 2, lam, rest, depth + 1)
+        for m, blk, r in _block_candidates(act, ph, lam, tri_feas, kk,
+                                           FEASIBILITY_FLOOR)[:12]:
+            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()),
+                                  depth + 1)
             if tail is not None:
                 return [("block", blk)] + tail
         return None

@@ -82,8 +82,9 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     Uses a complex Schur decomposition: for a unitary (normal) input the
     Schur factor is diagonal to machine precision and the Schur basis is
     orthonormal even across degenerate eigenvalues. Raises NotUnitary when
-    ||A^H A - I||_F > tol and EigensolveFailed if the per-column residual
-    contract ||A v - e^{i theta} v|| <= tol cannot be met.
+    an entry is not finite or ||A^H A - I||_F > tol, and EigensolveFailed
+    if the per-column residual contract ||A v - e^{i theta} v|| <= tol
+    cannot be met.
     """
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -91,6 +92,9 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     n = A.shape[0]
     if n < 1:
         raise EmptySpectrum("matrix must be at least 1x1")
+    if not np.isfinite(A).all():
+        # NaN would slip through the gate below: nan > tol is False
+        raise NotUnitary("matrix has non-finite entries")
     gram = A.conj().T @ A - np.eye(n)
     unit_res = float(np.linalg.norm(gram))
     if unit_res > tol:

@@ -1,10 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from rankrange import (LambdaOutsideRegion, UnsupportedDimension,
                        build_region, caratheodory_rank1, construct_projector,
-                       ingest_matrix, ingest_spectrum, interior_point, plan,
-                       solve_barycentric, three_k_minus_1_patterns,
+                       decomposition, ingest_matrix, ingest_spectrum,
+                       interior_point, plan, solve_barycentric,
+                       subspectrum_margin, three_k_minus_1_patterns,
                        three_k_minus_2_patterns, three_k_patterns, triangle,
                        validate_triangle, verify_projector)
 
@@ -279,3 +282,131 @@ def test_pipeline_closure_families():
             proj = construct_projector(es, k, lam)
             rep = verify_projector(proj.matrix, es.matrix, lam, k)
             assert rep.passed, (n, k, rep.residuals)
+
+
+# --- the re-partition search and its batched scoring -----------------------
+
+def reference_margin(phases, j, lam):
+    """The one-spectrum margin kernel as it stood before batching."""
+    th = np.sort(np.asarray(phases, dtype=float))
+    n = th.size
+    if n == 0 or j > n:
+        return -np.inf
+    t0 = th
+    t1 = th[(np.arange(n) + j) % n] + 2 * np.pi * ((np.arange(n) + j) // n)
+    a = np.exp(1j * t0)
+    e = np.exp(1j * t1) - a
+    elen = np.abs(e)
+    live = elen > 1e-12
+    m = 1.0 - abs(lam)
+    if live.any():
+        mid = np.exp(1j * (t0 + t1 + 2 * np.pi) / 2.0)
+        cr_mid = e.real * (mid - a).imag - e.imag * (mid - a).real
+        cr_lam = e.real * (lam - a).imag - e.imag * (lam - a).real
+        sign = np.where(cr_mid > 0, 1.0, -1.0)
+        m = min(m, float((sign[live] * cr_lam[live] / elen[live]).min()))
+    pinned = ~live & (t1 - t0 > np.pi)
+    if pinned.any():
+        m = min(m, float(-np.abs(lam - a[pinned]).max()))
+    return float(m)
+
+
+def test_subspectrum_margin_batched_equals_rows():
+    rng = np.random.default_rng(5)
+    for m in range(3, 61):
+        rows = np.sort(rng.uniform(0, 2 * np.pi, (3, m)), axis=1)
+        rows[1, 1] = rows[1, 0]    # one zero-span chord at every j < m
+        rows[2, :] = rows[2, 0]    # every chord dead; pinned when it wraps
+        for j in range(1, m + 1):
+            a = np.exp(1j * rows[0, 0])
+            b = np.exp(1j * rows[0, j % m])
+            # 1e-10 inside the midpoint of row 0's chord 1 -> 1+j
+            lam = complex((a + b) / 2 * (1 - 1e-10))
+            got = subspectrum_margin(rows, j, lam)
+            assert got.shape == (3,)
+            want = [reference_margin(r, j, lam) for r in rows]
+            assert got.tolist() == want, (m, j)
+            assert [subspectrum_margin(r, j, lam) for r in rows] == want
+    too_few = subspectrum_margin(np.zeros((2, 3)), 4, 0j)
+    assert too_few.tolist() == [-np.inf] * 2
+
+
+def reference_triples(es, active, lam):
+    """Feasible triples by the per-triple Cramer solve before tabulation."""
+    act = np.asarray(active)
+    pts = es.eigenvalues()[act - 1]
+    trips = np.array(list(combinations(range(act.size), 3)))
+    xa, ya = pts[trips[:, 0]].real, pts[trips[:, 0]].imag
+    xb, yb = pts[trips[:, 1]].real, pts[trips[:, 1]].imag
+    xc, yc = pts[trips[:, 2]].real, pts[trips[:, 2]].imag
+    X, Y = lam.real, lam.imag
+    det = (xb * yc - xc * yb) - (xa * yc - xc * ya) + (xa * yb - xb * ya)
+    da = (xb * yc - xc * yb) - (X * yc - xc * Y) + (X * yb - xb * Y)
+    db = (X * yc - xc * Y) - (xa * yc - xc * ya) + (xa * Y - X * ya)
+    dc = (xb * Y - X * yb) - (xa * Y - X * ya) + (xa * yb - xb * ya)
+    ok = np.abs(det) > 1e-14
+    w = np.full((trips.shape[0], 3), -1.0)
+    w[ok] = np.stack([da[ok], db[ok], dc[ok]], axis=1) / det[ok, None]
+    min_w = w.min(axis=1)
+    feas = ok & (min_w >= -1e-12)
+    rows = np.nonzero(feas)[0][np.argsort(-min_w[feas], kind="stable")]
+    return [(float(min_w[r]), tuple(int(act[c]) for c in trips[r]))
+            for r in rows]
+
+
+def test_feasible_triples_match_reference():
+    rng = np.random.default_rng(8)
+    # the regular 12-gon ties many weights exactly: order must hold too
+    cases = [(ingest_spectrum(2 * np.pi * np.arange(12) / 12), 0j)]
+    for n in (5, 8, 20, 70):
+        es = ingest_spectrum(rng.uniform(0, 2 * np.pi, n))
+        cases.append((es, complex(np.mean(es.eigenvalues()))))
+    for es, lam in cases:
+        for active in (tuple(range(1, es.dim + 1)),
+                       tuple(range(1, es.dim + 1, 2))):
+            want = reference_triples(es, active, lam)
+            assert decomposition._feasible_triples(es, active, lam) == want
+            assert decomposition._feasible_triples(
+                es, active, lam, limit=5) == want[:5]
+
+
+# (n, k, seed, target, search nodes, pieces), recorded before the scoring
+# was batched; spectra are default_rng(seed).uniform(0, 2pi, n)
+SEARCH_PINS = [
+    (13, 5, 0, 0.469036 - 0.473619j, 3,
+     [("block", (1, 4, 7, 9, 12)), ("tri", (2, 6, 10)),
+      ("block", (3, 5, 8, 11, 13))]),
+    (13, 5, 1, -0.225026 + 0.054522j, 3,
+     [("block", (1, 3, 6, 9, 11)), ("tri", (4, 8, 12)),
+      ("block", (2, 5, 7, 10, 13))]),
+    (28, 10, 0, 0.301995 - 0.262859j, 8,
+     [("block", (2, 7, 12, 19, 23)), ("tri", (1, 3, 16)),
+      ("tri", (4, 14, 20)), ("tri", (5, 13, 24)), ("tri", (8, 15, 25)),
+      ("tri", (9, 17, 27)), ("tri", (11, 21, 28)),
+      ("block", (6, 10, 18, 22, 26))]),
+    # backtracks: 11 nodes where the first choices would take 8
+    (28, 10, 9, 0.384148 - 0.555883j, 11,
+     [("block", (3, 11, 15, 20, 26)), ("tri", (10, 22, 23)),
+      ("tri", (1, 12, 16)), ("tri", (8, 19, 27)), ("tri", (4, 17, 28)),
+      ("tri", (5, 9, 21)), ("tri", (6, 13, 24)),
+      ("block", (2, 7, 14, 18, 25))]),
+]
+
+
+def test_search_tree_pinned(monkeypatch):
+    nodes = []
+    search = decomposition._search_pieces
+
+    def counted(*args, **kwargs):
+        nodes.append(args[3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_search_pieces", counted)
+    for n, k, seed, lam, want_nodes, want in SEARCH_PINS:
+        rng = np.random.default_rng(seed)
+        es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
+        nodes.clear()
+        got = decomposition._search_pieces(es, k, lam,
+                                           tuple(range(1, n + 1)))
+        assert got == want, (n, k, seed)
+        assert len(nodes) == want_nodes, (n, k, seed)

@@ -150,6 +150,34 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     assert run(["spectrum", str(path)]) == 0
 
 
+def test_cli_tol_zero_is_honoured(pentagon_file, capsys):
+    # 3e-10 inside the inner pentagon's edge: within the default 1e-9 of
+    # the boundary, strictly inside at tolerance 0
+    z = complex((1.0 - 1e-9) * (1.0 + np.exp(0.8j * np.pi)) / 2.0)
+    target = f"{z.real!r},{z.imag!r}"
+    assert run(["member", pentagon_file, "--k", "2",
+                "--lambda", target]) == 0
+    assert capsys.readouterr().out.strip() == "boundary"
+    assert run(["member", pentagon_file, "--k", "2", "--lambda", target,
+                "--tol", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "inside"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
+def test_cli_bad_tolerance_is_parse_error(pentagon_file, monkeypatch,
+                                          capsys, source, value):
+    argv = ["member", pentagon_file, "--k", "2", "--lambda", "0,0"]
+    if source == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        monkeypatch.setenv("RANKRANGE_TOL", value)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "ParseError" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_demo_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

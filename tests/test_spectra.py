@@ -65,6 +65,14 @@ def test_not_unitary_rejected():
         ingest_matrix(np.diag([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_matrix_rejected(bad):
+    mat = np.eye(3, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(NotUnitary, match="non-finite"):
+        ingest_matrix(mat)
+
+
 def test_ingest_spectrum_basic():
     es = ingest_spectrum([0.0])
     assert es.dim == 1 and es.phases[0] == 0.0
