@@ -15,9 +15,8 @@ from .errors import (BothHeavy, DegenerateDenominator, EigensolveFailed,
                      LambdaOutsideRegion, MathRejection, NoConvexSolution,
                      NoSolution, NotUnitary, RankRangeError, ShapeMismatch,
                      TooLarge, UnsupportedDimension)
-from .spectra import (CyclicIndex, EigenSystem, ReflectionMap,
-                      canonical_phase, ingest_matrix, ingest_spectrum,
-                      reflect_labels, resolve)
+from .spectra import (EigenSystem, ReflectionMap, canonical_phase,
+                      ingest_matrix, ingest_spectrum, reflect_labels)
 from .region import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                      ChordConstraint, OmegaRegion, boundary_samples,
                      brute_force_contains, build_region, constraint_margins,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDARY", "INSIDE", "OUTSIDE",
     "BarycentricWeights", "BothHeavy", "BruteForceOracle", "ChordConstraint",
-    "CyclicIndex", "DecompositionPlan", "DegenerateDenominator",
+    "DecompositionPlan", "DegenerateDenominator",
     "EigenSystem", "EigensolveFailed", "EmptyRegion", "EmptySpectrum",
     "GramFailure", "InternalInvariantError", "InvalidRank",
     "LambdaOutsideRegion", "MathRejection", "NoConvexSolution", "NoSolution",
@@ -54,7 +53,7 @@ __all__ = [
     "contains", "discriminant_coeffs", "gauge_parameters", "ingest_matrix",
     "ingest_spectrum", "interior_point", "isotropic_pair",
     "pair_isotropy_residual", "plan", "reflect_labels", "region_margin",
-    "resolve", "solve_barycentric", "solve_pair", "subspectrum_margin",
+    "solve_barycentric", "solve_pair", "subspectrum_margin",
     "three_k_minus_1_patterns", "three_k_minus_2_patterns",
     "three_k_patterns", "triangle", "validate_triangle",
     "vector_from_triangle", "verify_projector", "weak_vertices",

@@ -285,7 +285,8 @@ def subspectrum_margin(phases, j: int, lam: complex):
         t0 = th
         t1 = th[:, step % n] + TWO_PI * (step // n)
         a = np.exp(1j * t0)
-        b = np.exp(1j * t1)
+        # the first n - j ends do not wrap: they are starts j places on
+        b = np.concatenate([a[:, j:], np.exp(1j * t1[:, n - j:])], axis=1)
         e = b - a
         elen = np.abs(e)
         live = elen > 1e-12

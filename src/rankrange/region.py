@@ -14,15 +14,14 @@ chord semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .errors import EmptyRegion, InvalidRank, TooLarge
-from .geometry import clip_polygon, convex_hull, hull_signed_distance, \
-    line_margin, polygon_area
+from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
 from .spectra import TWO_PI, EigenSystem
 
 DEGENERATE_CHORD_TOL = 1e-9
@@ -31,6 +30,9 @@ MEMBERSHIP_TOL = 1e-9
 INSIDE = "inside"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
+
+#: chords x points evaluated at once by region_margin; bounds its temporaries
+_MARGIN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,25 @@ class ChordConstraint:
 
 
 @dataclass(frozen=True)
+class ChordTable:
+    """The N chords as arrays; entry i-1 belongs to start index i.
+
+    ``halfplanes`` holds one column per live chord: the x and y of
+    endpoint_a, the edge b - a times the inward sign, and the edge length.
+    Its margin at z is ``(ex * (y - ay) - ey * (x - ax)) / length``, the
+    same floating-point operations as ``ChordConstraint.margin``.
+    """
+    endpoint_a: np.ndarray
+    endpoint_b: np.ndarray
+    edge: np.ndarray
+    length: np.ndarray
+    inward_sign: np.ndarray
+    span: np.ndarray
+    live: np.ndarray
+    halfplanes: np.ndarray
+
+
+@dataclass(frozen=True)
 class OmegaRegion:
     """The full constraint set: N chords plus any point constraints."""
     k: int
@@ -64,6 +85,7 @@ class OmegaRegion:
     constraints: tuple
     point_constraints: tuple
     eigenvalues: np.ndarray
+    table: ChordTable = field(repr=False, compare=False)
 
     def halfplanes(self):
         return [c for c in self.constraints
@@ -75,38 +97,55 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     n = es.dim
     if k < 1 or k > n:
         raise InvalidRank(f"rank k={k} outside 1..{n}")
-    constraints = []
-    points = []
-    for i in range(1, n + 1):
-        t0 = es.phase_extended(i)
-        t1 = es.phase_extended(i + k)
-        a = complex(np.exp(1j * t0))
-        b = complex(np.exp(1j * t1))
-        span = t1 - t0
-        if abs(b - a) <= DEGENERATE_CHORD_TOL:
-            degenerate = True
-            sign = 1 if span > np.pi else -1
-            if span > np.pi:
-                # complementary eigenvalues coincide: region pinned to a
-                points.append(a)
-            constraints.append(ChordConstraint(
-                start_index=i, end_index=(i + k - 1) % n + 1,
-                endpoint_a=a, endpoint_b=b, inward_sign=sign,
-                degenerate=True, span=span))
-            continue
-        mid = complex(np.exp(1j * (t0 + t1 + TWO_PI) / 2.0))
-        sign = 1 if line_margin(a, b, mid) > 0 else -1
-        constraints.append(ChordConstraint(
-            start_index=i, end_index=(i + k - 1) % n + 1,
-            endpoint_a=a, endpoint_b=b, inward_sign=sign,
-            degenerate=False, span=span))
+    step = np.arange(n) + k
+    t0 = es.phases
+    t1 = es.phases[step % n] + TWO_PI * (step // n)
+    a = np.exp(1j * t0)
+    b = np.exp(1j * t1)
+    edge = b - a
+    # Python abs, as in line_margin: np.abs differs in the last bit
+    length = np.array([abs(e) for e in edge.tolist()])
+    span = t1 - t0
+    live = length > DEGENERATE_CHORD_TOL
+    safe = np.where(live, length, 1.0)
+    mid = np.exp(1j * (t0 + t1 + TWO_PI) / 2.0)
+    toward_mid = (edge.real * (mid - a).imag - edge.imag * (mid - a).real) \
+        / safe > 0
+    # a dead chord spanning more than half a turn means the complementary
+    # eigenvalues coincide: the region is pinned to its endpoint
+    sign = np.where(np.where(live, toward_mid, span > np.pi), 1, -1)
+    halfplanes = np.stack([a.real, a.imag, sign * edge.real,
+                           sign * edge.imag, length])[:, live]
+    table = ChordTable(endpoint_a=a, endpoint_b=b, edge=edge, length=length,
+                       inward_sign=sign, span=span, live=live,
+                       halfplanes=halfplanes)
+
+    constraints = tuple(
+        ChordConstraint(start_index=i + 1, end_index=(i + k) % n + 1,
+                        endpoint_a=ca, endpoint_b=cb, inward_sign=s,
+                        degenerate=not lv, span=sp)
+        for i, (ca, cb, s, lv, sp) in enumerate(zip(
+            table.endpoint_a.tolist(), table.endpoint_b.tolist(),
+            table.inward_sign.tolist(), table.live.tolist(),
+            table.span.tolist())))
     unique_points = []
-    for p in points:
+    for p in a[~live & (span > np.pi)].tolist():
         if all(abs(p - q) > 1e-12 for q in unique_points):
             unique_points.append(p)
-    return OmegaRegion(k=k, dim=n, constraints=tuple(constraints),
+    return OmegaRegion(k=k, dim=n, constraints=constraints,
                        point_constraints=tuple(unique_points),
-                       eigenvalues=es.eigenvalues())
+                       eigenvalues=es.eigenvalues(), table=table)
+
+
+def _chord_margins(halfplanes, x, y, out=None, work=None):
+    """Inward margins of the chords in ``halfplanes`` (a ChordTable column
+    slice whose trailing axes broadcast against x and y). ``out`` and
+    ``work``, when given, are filled instead of allocating; the result is
+    ``out``."""
+    ax, ay, ex, ey, length = halfplanes
+    out = np.multiply(ex, np.subtract(y, ay, out=out), out=out)
+    work = np.multiply(ey, np.subtract(x, ax, out=work), out=work)
+    return np.divide(np.subtract(out, work, out=out), length, out=out)
 
 
 def constraint_margins(region: OmegaRegion, z):
@@ -115,10 +154,10 @@ def constraint_margins(region: OmegaRegion, z):
     Returns an array of shape (#halfplanes,) + shape(z); empty first axis
     when every constraint is degenerate.
     """
-    hp = region.halfplanes()
-    if not hp:
-        return np.empty((0,) + np.shape(z))
-    return np.stack([c.margin(z) for c in hp])
+    z = np.asarray(z, dtype=complex)
+    hp = region.table.halfplanes
+    return _chord_margins(hp.reshape(hp.shape + (1,) * z.ndim), z.real,
+                          z.imag)
 
 
 def region_margin(region: OmegaRegion, z):
@@ -127,9 +166,19 @@ def region_margin(region: OmegaRegion, z):
     with room inside every constraint."""
     z = np.asarray(z, dtype=complex)
     m = 1.0 - np.abs(z)
-    hp = constraint_margins(region, z)
-    if hp.shape[0]:
-        m = np.minimum(m, hp.min(axis=0))
+    x = np.ascontiguousarray(z.real).reshape(-1)
+    y = np.ascontiguousarray(z.imag).reshape(-1)
+    hp = region.table.halfplanes
+    # a running minimum over blocks of chords: no (chords x points) array
+    block = max(1, min(hp.shape[1], _MARGIN_BLOCK // max(1, x.size)))
+    out, work = np.empty((2, block, x.size))
+    least = np.full(x.shape, np.inf)
+    for lo in range(0, hp.shape[1], block):
+        chunk = hp[:, lo:lo + block, None]
+        rows = chunk.shape[1]
+        margins = _chord_margins(chunk, x, y, out[:rows], work[:rows])
+        np.minimum(least, margins.min(axis=0), out=least)
+    m = np.minimum(m, least.reshape(z.shape))
     for p in region.point_constraints:
         m = np.minimum(m, -np.abs(z - p))
     return m
@@ -142,8 +191,8 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     every point constraint matched within tol. boundary: within tol of an
     active constraint while violating none by more than tol.
     """
-    hp = constraint_margins(region, z)
-    hp_min = float(hp.min()) if hp.shape[0] else np.inf
+    hp = _chord_margins(region.table.halfplanes, z.real, z.imag)
+    hp_min = float(hp.min()) if hp.size else np.inf
     disk = 1.0 - abs(z)
     pt_miss = max((abs(z - p) for p in region.point_constraints), default=None)
 
@@ -160,8 +209,12 @@ class BruteForceOracle:
     """Membership via the defining intersection of sub-multiset hulls.
 
     Enumerates every (N-k+1)-point subset of the (indexed) eigenvalues and
-    pre-extracts each subset's convex hull; a query point is inside iff it
-    is inside every hull.
+    extracts each subset's convex hull once, at construction; a query
+    point is inside iff it is inside every hull. The edges of all hulls
+    sit in one table, so a query is one vectorized pass: per hull, the
+    least edge margin when the point is inside it, else minus its distance
+    to the hull; then the least over hulls. A 2-point hull is one segment
+    and a 1-point hull a segment of length zero, both scored by distance.
     """
 
     #: enumeration guard
@@ -178,11 +231,40 @@ class BruteForceOracle:
         if count > 200_000:
             raise TooLarge(f"{count} subsets exceed enumeration budget")
         pts = es.eigenvalues()
-        self.hulls = [tuple(pts[list(sub)])
+        self.hulls = [tuple(convex_hull(pts[list(sub)]))
                       for sub in combinations(range(n), n - k + 1)]
+        starts, ends = [], []
+        for hull in self.hulls:
+            if len(hull) > 2:
+                starts.extend(hull)
+                ends.extend(hull[1:] + hull[:1])
+            else:
+                starts.append(hull[0])
+                ends.append(hull[-1])
+        sizes = np.array([len(h) if len(h) > 2 else 1 for h in self.hulls])
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self._solid = sizes > 2
+        a = np.array(starts, dtype=complex)
+        e = np.array(ends, dtype=complex) - a
+        # Python abs, as in line_margin, so inside margins match it exactly
+        length = np.array([abs(x) for x in e.tolist()])
+        moved = length > 0.0
+        self._edges = np.stack([a.real, a.imag, e.real, e.imag,
+                                np.where(moved, length, 1.0),
+                                np.where(moved, length ** 2, 1.0)])
 
     def margin(self, z: complex) -> float:
-        return min(hull_signed_distance(z, h) for h in self.hulls)
+        ax, ay, ex, ey, length, length2 = self._edges
+        dx = z.real - ax
+        dy = z.imag - ay
+        depth = np.minimum.reduceat((ex * dy - ey * dx) / length,
+                                    self._offsets)
+        t = np.clip((dx * ex + dy * ey) / length2, 0.0, 1.0)
+        dist = np.minimum.reduceat(
+            np.hypot(z.real - (ax + t * ex), z.imag - (ay + t * ey)),
+            self._offsets)
+        return float(np.where(self._solid & (depth >= 0.0), depth,
+                              -dist).min())
 
     def verdict(self, z: complex, tol: float = MEMBERSHIP_TOL) -> str:
         m = self.margin(z)

@@ -2,8 +2,7 @@
 
 The whole pipeline works with a validated :class:`EigenSystem`: unit-circle
 eigenphases sorted ascending in [0, 2pi), an orthonormal eigenvector basis,
-and 1-based indices extended cyclically (index N+1 is index 1 with an extra
-2pi of angle).
+and 1-based indices taken cyclically (index N+1 is index 1).
 """
 
 from __future__ import annotations
@@ -31,23 +30,6 @@ def canonical_phase(z) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CyclicIndex:
-    """A raw 1-based index over a cyclic range of size ``dim``."""
-    raw: int
-    dim: int
-
-    def resolve(self):
-        canonical = (self.raw - 1) % self.dim + 1
-        offset = TWO_PI * ((self.raw - 1) // self.dim)
-        return canonical, offset
-
-
-def resolve(index: CyclicIndex):
-    """Canonical index in 1..N plus the accumulated angular offset."""
-    return index.resolve()
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Sorted unit-circle spectrum with an orthonormal eigenbasis.
 
@@ -66,11 +48,6 @@ class EigenSystem:
         """Eigenvalue at raw cyclic index j (1-based, wrap allowed)."""
         canonical = (j - 1) % self.dim
         return complex(np.exp(1j * self.phases[canonical]))
-
-    def phase_extended(self, j: int) -> float:
-        """Phase at raw index j including 2pi per full wrap."""
-        canonical, offset = CyclicIndex(j, self.dim).resolve()
-        return float(self.phases[canonical - 1] + offset)
 
     def eigenvalues(self) -> np.ndarray:
         return np.exp(1j * self.phases)

@@ -1,0 +1,232 @@
+"""The chord table and the oracle's edge table against the per-chord and
+per-hull code they replace.
+
+Each ``_old_*`` function below is a copy of the earlier implementation,
+kept here as the reference: margins must be ``==`` to it, verdicts
+identical, and oracle margins within 1e-15.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from rankrange import (BruteForceOracle, build_region, constraint_margins,
+                       contains, ingest_spectrum, interior_point,
+                       region_margin)
+from rankrange.geometry import hull_signed_distance, line_margin
+from rankrange.region import (BOUNDARY, DEGENERATE_CHORD_TOL, INSIDE,
+                              MEMBERSHIP_TOL, OUTSIDE)
+from rankrange.spectra import TWO_PI
+
+# ---------------------------------------------------------------------------
+# the earlier per-chord and per-hull code
+
+
+def _old_phase_extended(es, j):
+    canonical = (j - 1) % es.dim + 1
+    offset = TWO_PI * ((j - 1) // es.dim)
+    return float(es.phases[canonical - 1] + offset)
+
+
+def _old_chords(es, k):
+    """(start, end, a, b, sign, degenerate, span) per chord, and the
+    deduplicated point constraints."""
+    n = es.dim
+    rows, points = [], []
+    for i in range(1, n + 1):
+        t0 = _old_phase_extended(es, i)
+        t1 = _old_phase_extended(es, i + k)
+        a = complex(np.exp(1j * t0))
+        b = complex(np.exp(1j * t1))
+        span = t1 - t0
+        if abs(b - a) <= DEGENERATE_CHORD_TOL:
+            sign = 1 if span > np.pi else -1
+            if span > np.pi:
+                points.append(a)
+            rows.append((i, (i + k - 1) % n + 1, a, b, sign, True, span))
+            continue
+        mid = complex(np.exp(1j * (t0 + t1 + TWO_PI) / 2.0))
+        sign = 1 if line_margin(a, b, mid) > 0 else -1
+        rows.append((i, (i + k - 1) % n + 1, a, b, sign, False, span))
+    unique = []
+    for p in points:
+        if all(abs(p - q) > 1e-12 for q in unique):
+            unique.append(p)
+    return rows, tuple(unique)
+
+
+def _old_constraint_margins(rows, z):
+    hp = [r for r in rows if not r[5]]
+    if not hp:
+        return np.empty((0,) + np.shape(z))
+    return np.stack([r[4] * line_margin(r[2], r[3], z) for r in hp])
+
+
+def _old_region_margin(rows, points, z):
+    z = np.asarray(z, dtype=complex)
+    m = 1.0 - np.abs(z)
+    hp = _old_constraint_margins(rows, z)
+    if hp.shape[0]:
+        m = np.minimum(m, hp.min(axis=0))
+    for p in points:
+        m = np.minimum(m, -np.abs(z - p))
+    return m
+
+
+def _old_contains(rows, points, z, tol=MEMBERSHIP_TOL):
+    hp = _old_constraint_margins(rows, z)
+    hp_min = float(hp.min()) if hp.shape[0] else np.inf
+    disk = 1.0 - abs(z)
+    pt_miss = max((abs(z - p) for p in points), default=None)
+    points_ok = pt_miss is None or pt_miss <= tol
+    weak_ok = hp_min >= -tol and disk >= -tol and points_ok
+    if weak_ok and hp_min > tol:
+        return INSIDE
+    if weak_ok:
+        return BOUNDARY
+    return OUTSIDE
+
+
+def _old_grid_best(rows, points, xs, ys):
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    Z = X + 1j * Y
+    M = _old_region_margin(rows, points, Z)
+    idx = np.unravel_index(np.argmax(M), M.shape)
+    return complex(Z[idx]), float(M[idx]), \
+        (xs[1] - xs[0] if len(xs) > 1 else 1.0)
+
+
+def _old_interior_point(rows, points, resolution=64):
+    xs = np.linspace(-1.0, 1.0, resolution)
+    best, margin, cell = _old_grid_best(rows, points, xs, xs)
+    for _ in range(2):
+        xs = np.linspace(best.real - cell, best.real + cell, resolution)
+        ys = np.linspace(best.imag - cell, best.imag + cell, resolution)
+        cand, m, cell = _old_grid_best(rows, points, xs, ys)
+        if m > margin:
+            best, margin = cand, m
+    if margin <= 0.0:
+        return None
+    return best
+
+
+def _old_oracle_margin(es, k, z):
+    pts = es.eigenvalues()
+    n = es.dim
+    return min(hull_signed_distance(z, tuple(pts[list(sub)]))
+               for sub in combinations(range(n), n - k + 1))
+
+
+def _old_verdict(m, tol=MEMBERSHIP_TOL):
+    if m > tol:
+        return INSIDE
+    if m >= -tol:
+        return BOUNDARY
+    return OUTSIDE
+
+
+# ---------------------------------------------------------------------------
+# spectra and query points
+
+# the degenerate and pinned spectra of tests/test_region.py, plus clusters
+SPECIAL = [
+    ([0.0, 0.0, 0.0, 0.0], 2),
+    ([0.0, 0.0, 1.3], 2),
+    (2 * np.pi * np.arange(5) / 5, 5),
+    (2 * np.pi * np.arange(5) / 5, 2),
+    ([0.0, 0.0, 0.0], 3),
+    ([0.0, 0.0, 0.0], 2),
+    ([0.0, np.pi], 1),
+    ([0.0, 2 * np.pi / 3, 4 * np.pi / 3], 2),
+    ([0.1, 1.0, 2.4, 4.0], 1),
+    ([0.5, 0.5, 0.5, 2.0, 2.0, 4.0, 4.0], 2),
+    ([1.0] * 5 + [3.0, 5.0], 3),
+    ([0.2, 0.2 + 1e-11, 2.0, 2.0, 4.5, 5.0, 5.0, 5.0, 6.0], 3),
+]
+
+
+def _random_spectra():
+    rng = np.random.default_rng(31)
+    out = []
+    for n in (5, 6, 7, 9, 12, 13, 29, 64, 150, 600):
+        phases = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        for k in sorted({1, 2, max(1, n // 3), n // 2, n - 1, n} - {0}):
+            out.append((phases, k))
+    return out
+
+
+CASES = SPECIAL + _random_spectra()
+
+
+def _queries(es, rng, count=120):
+    z = rng.uniform(-1.1, 1.1, count) + 1j * rng.uniform(-1.1, 1.1, count)
+    pts = es.eigenvalues()
+    mids = (pts + np.roll(pts, -1)) / 2
+    some = np.unique(np.linspace(0, es.dim - 1, 40).astype(int))
+    return np.concatenate([z, pts[some], mids[some], [0j, 1 + 0j, 1.2j]])
+
+
+# ---------------------------------------------------------------------------
+# the chord table
+
+
+@pytest.mark.parametrize("phases,k", CASES)
+def test_chord_constraints_equal_old(phases, k):
+    es = ingest_spectrum(phases)
+    region = build_region(es, k)
+    rows, points = _old_chords(es, k)
+    got = [(c.start_index, c.end_index, c.endpoint_a, c.endpoint_b,
+            c.inward_sign, c.degenerate, c.span) for c in region.constraints]
+    assert got == rows
+    assert [type(v) for v in got[0]] == [type(v) for v in rows[0]]
+    assert region.point_constraints == points
+    assert region.table.live.tolist() == [not r[5] for r in rows]
+
+
+@pytest.mark.parametrize("phases,k", CASES)
+def test_margins_and_verdicts_equal_old(phases, k):
+    es = ingest_spectrum(phases)
+    region = build_region(es, k)
+    rows, points = _old_chords(es, k)
+    rng = np.random.default_rng(es.dim * 100 + k)
+    zs = _queries(es, rng)
+    grid = zs[:100].reshape(10, 10)
+    for z in (zs, grid, zs[3]):
+        assert np.array_equal(constraint_margins(region, z),
+                              _old_constraint_margins(rows, z))
+        assert np.array_equal(region_margin(region, z),
+                              _old_region_margin(rows, points, z))
+    for z in zs.tolist():
+        assert contains(region, z) == _old_contains(rows, points, z), z
+
+
+@pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (64, 21), (600, 200)])
+def test_interior_point_equals_old(n, k):
+    rng = np.random.default_rng(n)
+    es = ingest_spectrum(np.sort(rng.uniform(0, 2 * np.pi, n)))
+    rows, points = _old_chords(es, k)
+    assert interior_point(build_region(es, k)) == \
+        _old_interior_point(rows, points)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+ORACLE_CASES = [case for case in SPECIAL if len(case[0]) <= 9] + [
+    (np.sort(np.random.default_rng(n).uniform(0, 2 * np.pi, n)), k)
+    for n, k in ((5, 2), (7, 2), (8, 3), (9, 3), (10, 4), (12, 4))]
+
+
+@pytest.mark.parametrize("phases,k", ORACLE_CASES)
+def test_oracle_equals_old_hull_loop(phases, k):
+    es = ingest_spectrum(phases)
+    oracle = BruteForceOracle(es, k)
+    assert len(oracle.hulls) == len(list(
+        combinations(range(es.dim), es.dim - k + 1)))
+    rng = np.random.default_rng(es.dim * 10 + k)
+    zs = _queries(es, rng, count=30)
+    for z in zs.tolist():
+        old = _old_oracle_margin(es, k, z)
+        assert abs(oracle.margin(z) - old) <= 1e-15, z
+        assert oracle.verdict(z) == _old_verdict(old), z

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankrange import (CyclicIndex, EmptySpectrum, NotUnitary, ingest_matrix,
-                       ingest_spectrum, reflect_labels, resolve)
+from rankrange import (EmptySpectrum, NotUnitary, ingest_matrix,
+                       ingest_spectrum, reflect_labels)
 
 
 def random_unitary(rng, n):
@@ -102,12 +102,6 @@ def test_spectrum_matrix_roundtrip_phases():
     es1 = ingest_spectrum(raw)
     es2 = ingest_matrix(np.diag(np.exp(1j * es1.phases)))
     np.testing.assert_array_max_ulp(es1.phases, es2.phases, maxulp=4)
-
-
-def test_resolve_examples():
-    assert resolve(CyclicIndex(6, 5)) == (1, 2 * np.pi)
-    assert resolve(CyclicIndex(1, 5)) == (1, 0.0)
-    assert resolve(CyclicIndex(0, 5)) == (5, -2 * np.pi)
 
 
 def test_reflect_examples_n13():
