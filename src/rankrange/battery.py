@@ -77,15 +77,12 @@ def random_instance(rng, n: int, conjugate: bool) -> EigenSystem:
 
 
 def pick_target(es: EigenSystem, k: int):
-    """Interior point of the rank-k region, or the point constraint when the
-    region is a single point, or None when the region has no usable target."""
+    """The point constraint when the rank-k region is pinned to a point,
+    else its deepest interior point, or None when it has no usable target."""
     region = build_region(es, k)
-    z = interior_point(region, resolution=64)
-    if z is not None:
-        return z
     if region.point_constraints:
         return region.point_constraints[0]
-    return None
+    return interior_point(region)
 
 
 def run_one(es: EigenSystem, k: int, case: str, conjugated: bool,

@@ -23,8 +23,7 @@ from . import io as io_mod
 from . import svgout
 from .decomposition import construct_projector, verify_projector
 from .errors import InternalInvariantError, MathRejection, RankRangeError
-from .region import (BruteForceOracle, build_region, contains,
-                     interior_point)
+from .region import BruteForceOracle, build_region, contains
 from .spectra import DEFAULT_TOL
 
 
@@ -150,10 +149,7 @@ def _cmd_project(args, tol):
     if args.target is not None:
         lam = _parse_complex(args.target)
     else:
-        region = build_region(es, args.k)
-        lam = interior_point(region)
-        if lam is None and region.point_constraints:
-            lam = region.point_constraints[0]
+        lam = battery_mod.pick_target(es, args.k)
         if lam is None:
             raise MathRejection("region has no usable interior target")
     proj = construct_projector(es, args.k, lam)

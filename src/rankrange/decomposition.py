@@ -81,20 +81,11 @@ class Projector:
     strategy: str
     plan: DecompositionPlan = field(default=None, repr=False)
 
-    @property
-    def passed(self) -> bool:
-        return projector_pass(self.residuals)
-
 
 def projector_thresholds(tol: float = MEMBERSHIP_TOL) -> dict:
     scale = tol / MEMBERSHIP_TOL
     return {"hermiticity": 1e-10 * scale, "idempotency": 1e-9 * scale,
             "trace": 1e-9 * scale, "compression": 1e-8 * scale}
-
-
-def projector_pass(residuals: dict, tol: float = MEMBERSHIP_TOL) -> bool:
-    th = projector_thresholds(tol)
-    return all(residuals[key] <= th[key] for key in th)
 
 
 # ---------------------------------------------------------------------------
@@ -605,17 +596,12 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
             cols.append(v)
         return _assemble(es, k, lam, cols, "eigenspace", None)
 
-    supported = (n == 3 * k or (n == 3 * k - 1 and k >= 2)
-                 or (n == 3 * k - 2 and k >= 5) or k == 1)
-    if not supported:
-        raise UnsupportedDimension(
-            f"no construction for N={n}, k={k}; supported: N=3k, N=3k-1 "
-            f"(k>=2), N=3k-2 (k>=5), k=1")
-
-    pl = plan(es, k, lam)
-    if pl.dimension_case == CASE_RANK_1:
+    if k == 1 and n != 3:
+        # plan's rank-1 case ((3, 1) is three_k): the plan is the
+        # Caratheodory support, so build it from a single scan
         return caratheodory_rank1(es, lam)
 
+    pl = plan(es, k, lam)
     pieces = _planned_pieces(pl)
     cols = _try_pieces(es, lam, pieces, k)
     if cols is not None:

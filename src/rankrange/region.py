@@ -19,6 +19,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import EmptyRegion, InvalidRank, TooLarge
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
@@ -30,9 +31,6 @@ MEMBERSHIP_TOL = 1e-9
 INSIDE = "inside"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
-
-#: chords x points evaluated at once by region_margin; bounds its temporaries
-_MARGIN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -137,15 +135,11 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
                        eigenvalues=es.eigenvalues(), table=table)
 
 
-def _chord_margins(halfplanes, x, y, out=None, work=None):
+def _chord_margins(halfplanes, x, y):
     """Inward margins of the chords in ``halfplanes`` (a ChordTable column
-    slice whose trailing axes broadcast against x and y). ``out`` and
-    ``work``, when given, are filled instead of allocating; the result is
-    ``out``."""
+    slice whose trailing axes broadcast against x and y)."""
     ax, ay, ex, ey, length = halfplanes
-    out = np.multiply(ex, np.subtract(y, ay, out=out), out=out)
-    work = np.multiply(ey, np.subtract(x, ax, out=work), out=work)
-    return np.divide(np.subtract(out, work, out=out), length, out=out)
+    return (ex * (y - ay) - ey * (x - ax)) / length
 
 
 def constraint_margins(region: OmegaRegion, z):
@@ -165,20 +159,8 @@ def region_margin(region: OmegaRegion, z):
     (negated) distance to any point constraint. Positive only for points
     with room inside every constraint."""
     z = np.asarray(z, dtype=complex)
-    m = 1.0 - np.abs(z)
-    x = np.ascontiguousarray(z.real).reshape(-1)
-    y = np.ascontiguousarray(z.imag).reshape(-1)
-    hp = region.table.halfplanes
-    # a running minimum over blocks of chords: no (chords x points) array
-    block = max(1, min(hp.shape[1], _MARGIN_BLOCK // max(1, x.size)))
-    out, work = np.empty((2, block, x.size))
-    least = np.full(x.shape, np.inf)
-    for lo in range(0, hp.shape[1], block):
-        chunk = hp[:, lo:lo + block, None]
-        rows = chunk.shape[1]
-        margins = _chord_margins(chunk, x, y, out[:rows], work[:rows])
-        np.minimum(least, margins.min(axis=0), out=least)
-    m = np.minimum(m, least.reshape(z.shape))
+    m = np.minimum(1.0 - np.abs(z),
+                   constraint_margins(region, z).min(axis=0, initial=np.inf))
     for p in region.point_constraints:
         m = np.minimum(m, -np.abs(z - p))
     return m
@@ -281,29 +263,26 @@ def brute_force_contains(es: EigenSystem, k: int, z: complex,
     return BruteForceOracle(es, k).verdict(z, tol)
 
 
-def _grid_best(region: OmegaRegion, xs, ys):
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = X + 1j * Y
-    M = region_margin(region, Z)
-    idx = np.unravel_index(np.argmax(M), M.shape)
-    return complex(Z[idx]), float(M[idx]), (xs[1] - xs[0] if len(xs) > 1 else 1.0)
-
-
-def interior_point(region: OmegaRegion, resolution: int = 64):
-    """Grid point of [-1,1]^2 maximizing the minimum constraint margin,
-    sharpened by two rounds of local grid refinement. Returns None when no
-    grid point achieves positive margin (e.g. point or empty regions)."""
-    if resolution < 8:
-        raise InvalidRank("resolution must be at least 8")
-    xs = np.linspace(-1.0, 1.0, resolution)
-    best, margin, cell = _grid_best(region, xs, xs)
-    for _ in range(2):
-        xs = np.linspace(best.real - cell, best.real + cell, resolution)
-        ys = np.linspace(best.imag - cell, best.imag + cell, resolution)
-        cand, m, cell = _grid_best(region, xs, ys)
-        if m > margin:
-            best, margin = cand, m
-    if margin <= 0.0:
+def interior_point(region: OmegaRegion):
+    """The deepest point of the region: the Chebyshev centre of its chord
+    half-planes, one linear program over (x, y, r) that maximizes the
+    radius r of a disk inside every half-plane. Returns None for a region
+    with point constraints, or when the solution has no positive margin
+    (empty, point or segment regions)."""
+    if region.point_constraints:
+        return None
+    ax, ay, ex, ey, length = region.table.halfplanes
+    # margin(x, y) >= r, rearranged into one row of A_ub @ (x, y, r) <= b_ub:
+    # (ey x - ex y) / length + r <= (ey ax - ex ay) / length
+    rows = np.stack([ey / length, -ex / length, np.ones_like(length)], axis=1)
+    res = linprog([0.0, 0.0, -1.0], A_ub=rows,
+                  b_ub=(ey * ax - ex * ay) / length,
+                  bounds=[(-1.0, 1.0), (-1.0, 1.0), (None, 1.0)],
+                  method="highs")
+    if res.status != 0:
+        return None
+    best = complex(res.x[0], res.x[1])
+    if not region_margin(region, best) > 0.0:
         return None
     return best
 

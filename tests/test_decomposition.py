@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rankrange import (LambdaOutsideRegion, UnsupportedDimension,
+from rankrange import (LambdaOutsideRegion, UnsupportedDimension, blocks,
                        build_region, caratheodory_rank1, construct_projector,
                        decomposition, ingest_matrix, ingest_spectrum,
                        interior_point, plan, solve_barycentric,
@@ -248,6 +248,36 @@ def test_caratheodory_examples():
     assert abs(np.trace(proj3.matrix) - 1) <= 1e-10
 
 
+def test_rank1_construct_scans_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, 40))
+    mid = (es.eigenvalue(1) + es.eigenvalue(2)) / 2
+    targets = (0.1 + 0.2j, -0.3 + 0.05j, mid)
+    wants = [(caratheodory_rank1(es, lam), plan(es, 1, lam))
+             for lam in targets]
+    scans = []
+    scan = decomposition._caratheodory_support
+
+    def counted(*args):
+        scans.append(args[1])
+        return scan(*args)
+
+    monkeypatch.setattr(decomposition, "_caratheodory_support", counted)
+    for lam, (want, want_plan) in zip(targets, wants):
+        scans.clear()
+        got = construct_projector(es, 1, lam)
+        assert len(scans) == 1, lam
+        assert got.strategy == "caratheodory"
+        assert got.plan == want.plan == want_plan
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.residuals == want.residuals
+    assert len(wants[2][1].rank1_support) == 2
+    # (3, 1) is N = 3k: it keeps the three_k route and never scans
+    scans.clear()
+    got = construct_projector(ingest_spectrum([0.0, 2.0, 4.0]), 1, 0j)
+    assert got.plan.dimension_case == "three_k" and scans == []
+
+
 def test_rank1_outside_rejected():
     with pytest.raises(LambdaOutsideRegion):
         caratheodory_rank1(PENTAGON, 1.2 + 0j)
@@ -410,3 +440,76 @@ def test_search_tree_pinned(monkeypatch):
                                            tuple(range(1, n + 1)))
         assert got == want, (n, k, seed)
         assert len(nodes) == want_nodes, (n, k, seed)
+
+
+# ---------------------------------------------------------------------------
+# the fallback rungs, each reached on a clustered spectrum
+
+
+def _three_clusters():
+    """Eight phases in three clusters of width ~1e-4 (default_rng(48))."""
+    rng = np.random.default_rng(48)
+    c = rng.uniform(0, 2 * np.pi, 3)
+    return ingest_spectrum(np.sort(np.mod(
+        c[rng.integers(0, 3, 8)] + 1e-4 * rng.standard_normal(8),
+        2 * np.pi)))
+
+
+def _count_rungs(monkeypatch):
+    """Record each _polish and frame_solve outcome (True when it returned a
+    frame) and each _global_fallback call."""
+    seen = {"polish": [], "frame_solve": [], "global": 0}
+    polish, frame_solve = blocks._polish, blocks.frame_solve
+    global_fallback = decomposition._global_fallback
+
+    def counted_polish(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        seen["polish"].append(out is not None)
+        return out
+
+    def counted_frame_solve(*args, **kwargs):
+        out = frame_solve(*args, **kwargs)
+        seen["frame_solve"].append(out is not None)
+        return out
+
+    def counted_global(*args, **kwargs):
+        seen["global"] += 1
+        return global_fallback(*args, **kwargs)
+
+    monkeypatch.setattr(blocks, "_polish", counted_polish)
+    monkeypatch.setattr(blocks, "frame_solve", counted_frame_solve)
+    monkeypatch.setattr(decomposition, "_global_fallback", counted_global)
+    return seen
+
+
+def test_polish_closes_pair_block(monkeypatch):
+    seen = _count_rungs(monkeypatch)
+    es = _three_clusters()
+    lam = -0.911163544 - 0.32391731j
+    proj = construct_projector(es, 3, lam)
+    assert seen == {"polish": [True], "frame_solve": [], "global": 0}
+    assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
+
+
+def test_frame_solve_closes_pair_block(monkeypatch):
+    seen = _count_rungs(monkeypatch)
+    es = _three_clusters()
+    lam = -0.911164 - 0.323917j
+    proj = construct_projector(es, 3, lam)
+    # isotropic_pair's own polish fails; its frame_solve closes the block
+    assert seen["polish"][0] is False
+    assert seen["frame_solve"] == [True] and seen["global"] == 0
+    assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
+
+
+def test_least_squares_closes_construction(monkeypatch):
+    seen = _count_rungs(monkeypatch)
+    phases = np.repeat([0.96099, 1.282885, 1.526565, 2.10249, 2.817509,
+                        4.643176], [5, 3, 2, 5, 4, 7])
+    es = ingest_spectrum(np.sort(
+        phases + 7e-6 * np.random.default_rng(0).standard_normal(26)))
+    lam = -0.051306 + 0.6964j
+    proj = construct_projector(es, 9, lam)
+    assert proj.strategy == "least_squares"
+    assert seen["global"] == 1 and seen["frame_solve"] == [True]
+    assert verify_projector(proj.matrix, es.matrix, lam, 9).passed

@@ -105,6 +105,30 @@ def test_cli_project_unsupported_dimension(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_cli_project_default_target_pinned(tmp_path, capsys):
+    # four coincident eigenvalues pin the rank-2 region to the point 1
+    path = tmp_path / "ident.json"
+    path.write_text(json.dumps({"phases": [0, 0, 0, 0]}))
+    out_path = tmp_path / "proj.json"
+    assert run(["project", str(path), "--k", "2",
+                "--out", str(out_path)]) == 0
+    _, k, lam, residuals = projector_from_doc(json.loads(out_path.read_text()))
+    assert k == 2 and lam == 1 + 0j
+    assert residuals["compression"] <= 1e-8
+
+
+def test_cli_project_no_default_target(tmp_path, capsys):
+    # the equilateral spectrum has an empty rank-2 region
+    path = tmp_path / "equilateral.json"
+    path.write_text(json.dumps(
+        {"phases": [0.0, 2 * np.pi / 3, 4 * np.pi / 3]}))
+    out_path = tmp_path / "proj.json"
+    code = run(["project", str(path), "--k", "2", "--out", str(out_path)])
+    assert code == 2
+    assert "no usable interior target" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_usage_error(tmp_path):
     assert run(["member", str(tmp_path / "nope.json"), "--k", "2",
                 "--lambda", "0,0"]) == 1

@@ -165,6 +165,15 @@ def test_interior_point_pentagon():
     assert z is not None and abs(z) <= 1e-2
 
 
+def test_interior_point_is_chebyshev_centre():
+    # the rank-2 pentagon region is a regular pentagon: its deepest point is
+    # the origin, at the chords' distance cos(2pi/5) from every chord
+    z = interior_point(pentagon_region())
+    assert abs(z) <= 1e-9
+    assert abs(region_margin(pentagon_region(), z)
+               - np.cos(2 * np.pi / 5)) <= 1e-9
+
+
 def test_interior_point_point_region_empty():
     es = ingest_spectrum([0.0, 0.0, 0.0])
     region = build_region(es, 2)

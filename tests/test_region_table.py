@@ -3,7 +3,8 @@ per-hull code they replace.
 
 Each ``_old_*`` function below is a copy of the earlier implementation,
 kept here as the reference: margins must be ``==`` to it, verdicts
-identical, and oracle margins within 1e-15.
+identical, and oracle margins within 1e-15. The interior point, now the
+exact Chebyshev centre, must be at least as deep as the old grid point.
 """
 
 from itertools import combinations
@@ -202,12 +203,15 @@ def test_margins_and_verdicts_equal_old(phases, k):
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (64, 21), (600, 200)])
-def test_interior_point_equals_old(n, k):
+def test_interior_point_as_deep_as_old(n, k):
     rng = np.random.default_rng(n)
     es = ingest_spectrum(np.sort(rng.uniform(0, 2 * np.pi, n)))
+    region = build_region(es, k)
     rows, points = _old_chords(es, k)
-    assert interior_point(build_region(es, k)) == \
-        _old_interior_point(rows, points)
+    z = interior_point(region)
+    assert contains(region, z) == INSIDE
+    assert region_margin(region, z) >= \
+        _old_region_margin(rows, points, _old_interior_point(rows, points))
 
 
 # ---------------------------------------------------------------------------
