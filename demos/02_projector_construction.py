@@ -35,13 +35,15 @@ print("triangles:", [t.indices for t in pl.triangles])
 print("pairings:", [(p.first, p.second, p.shared) for p in pl.pairings])
 
 proj = construct_projector(es, 5, lam)
-print(f"synthesis strategy: {proj.strategy}")
-for name, value in sorted(proj.residuals.items()):
-    print(f"  {name:12s} {value:.2e}")
+print(f"synthesis strategy: {proj.strategy}, frame {proj.frame.shape}")
 
-report = verify_projector(proj.matrix, sigma, lam, 5)
+# the result is the 13 x 5 frame W; P = W W^H is formed on demand
+P = proj.matrix
+report = verify_projector(P, sigma, lam, 5)
+for name, value in sorted(report.residuals.items()):
+    print(f"  {name:12s} {value:.2e}")
 print("verification:", "pass" if report.passed else "FAIL")
 
 # the compression really is scalar: P sigma P restricted to range(P)
-evals = np.linalg.eigvalsh(proj.matrix.conj().T @ proj.matrix)
+evals = np.linalg.eigvalsh(P.conj().T @ P)
 print(f"rank check: {np.sum(evals > 0.5)} (should be 5)")

@@ -32,6 +32,10 @@ import scipy.optimize
 from .errors import NoSolution
 
 BLOCK_RESIDUAL_GATE = 1e-10
+# the coarse grid of the root seed: GRID x GRID points of |Re t|, |Im t| <= SPAN
+GRID = 48
+SPAN = 6.0
+NEWTON_ITERS = 60
 
 
 def pair_isotropy_residual(V: np.ndarray, d: np.ndarray) -> float:
@@ -70,14 +74,14 @@ def _orthonormalize(Vz: np.ndarray) -> np.ndarray:
     return q
 
 
-def isotropic_pair(d: np.ndarray, grid: int = 48, span: float = 6.0):
+def isotropic_pair(d: np.ndarray):
     """Two orthonormal vectors V (n x 2) with conj(V)^T diag(d) V = 0.
 
     ``d`` holds the shifted eigenvalues (mu_m - lambda) of the block's
     support; feasibility requires 0 inside the rank-2 region of the
-    normalized points. Deterministic: fixed grid seeding, damped Newton
-    refinement, followed by a least-squares polish only if the closed
-    chain misses the residual gate.
+    normalized points. Deterministic: fixed grid seeding and damped Newton
+    refinement, followed only if the closed chain misses the residual gate
+    by a frame solve whose first seed is the best Newton frame.
     """
     d = np.asarray(d, dtype=complex)
     if d.size < 5:
@@ -92,7 +96,7 @@ def isotropic_pair(d: np.ndarray, grid: int = 48, span: float = 6.0):
 
     best_V, best_r = None, np.inf
     for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-        t0 = _grid_root(nu, b1, b2, grid, span)
+        t0 = _grid_root(nu, b1, b2)
         t = _newton_root(nu, b1, b2, t0)
         kap = b1 + t * b2
         try:
@@ -106,12 +110,10 @@ def isotropic_pair(d: np.ndarray, grid: int = 48, span: float = 6.0):
             best_V, best_r = V, r
         if best_r <= BLOCK_RESIDUAL_GATE:
             return best_V
-    polished = _polish(best_V, d)
-    if polished is not None:
-        return polished
     # the real-rows ansatz can run out of roots when points nearly
-    # coincide; the complex frame solve from fixed seeds still reaches the
-    # solutions guaranteed for strict interior targets
+    # coincide; the complex frame solve, which polishes the best Newton
+    # frame first and then fixed seeds, still reaches the solutions
+    # guaranteed for strict interior targets
     rng = np.random.default_rng(0x5eed)
     seeds = [] if best_V is None else [best_V]
     for _ in range(8):
@@ -125,8 +127,8 @@ def isotropic_pair(d: np.ndarray, grid: int = 48, span: float = 6.0):
     raise NoSolution(f"block pair residual stuck at {best_r:.2e}")
 
 
-def _grid_root(nu, b1, b2, grid, span):
-    xs = np.linspace(-span, span, grid)
+def _grid_root(nu, b1, b2):
+    xs = np.linspace(-SPAN, SPAN, GRID)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     T = X + 1j * Y
     kap = b1[:, None, None] + T[None, :, :] * b2[:, None, None]
@@ -136,11 +138,11 @@ def _grid_root(nu, b1, b2, grid, span):
     return complex(T[idx])
 
 
-def _newton_root(nu, b1, b2, t0, iters: int = 60):
+def _newton_root(nu, b1, b2, t0):
     t = t0
     f = _balance(nu, b1, b2, t)
     h = 1e-7
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         if abs(f) < 1e-16:
             break
         fx = (_balance(nu, b1, b2, t + h) - _balance(nu, b1, b2, t - h)) / (2 * h)
@@ -169,10 +171,8 @@ def _ortho_columns(W: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _polish(V0: np.ndarray, d: np.ndarray, gate: float = BLOCK_RESIDUAL_GATE):
+def _polish(V0: np.ndarray, d: np.ndarray):
     """Least-squares refinement of an isotropic frame seeded at V0."""
-    if V0 is None:
-        return None
     n, k = V0.shape
 
     def unpack(x):
@@ -188,19 +188,19 @@ def _polish(V0: np.ndarray, d: np.ndarray, gate: float = BLOCK_RESIDUAL_GATE):
                                        xtol=3e-16, ftol=3e-16, gtol=3e-16,
                                        max_nfev=400)
     V = _ortho_columns(unpack(sol.x))
-    if pair_isotropy_residual(V, d) <= gate:
+    if pair_isotropy_residual(V, d) <= BLOCK_RESIDUAL_GATE:
         return V
     return None
 
 
-def frame_solve(d: np.ndarray, k: int, seeds, gate: float = BLOCK_RESIDUAL_GATE):
+def frame_solve(d: np.ndarray, k: int, seeds):
     """Last-resort joint solve for k isotropic columns over all of d.
 
     Runs the least-squares polish from each seed (n x k isometries) in
     order and returns the first frame under the gate; None if all fail.
     """
     for V0 in seeds:
-        V = _polish(np.asarray(V0, dtype=complex), d, gate)
+        V = _polish(np.asarray(V0, dtype=complex), d)
         if V is not None:
             return V
     return None

@@ -153,7 +153,8 @@ def _cmd_project(args, tol):
         if lam is None:
             raise MathRejection("region has no usable interior target")
     proj = construct_projector(es, args.k, lam)
-    doc = io_mod.projector_to_doc(proj)
+    report = verify_projector(proj.matrix, es.matrix, lam, args.k, tol)
+    doc = io_mod.projector_to_doc(proj, report.residuals)
     text = io_mod.dump(doc, args.out)
     if args.out is None:
         print(text)
@@ -163,7 +164,7 @@ def _cmd_project(args, tol):
         else:
             io_mod.dump({"case": proj.strategy, "triangles": [],
                          "pairings": [], "reflected": False}, args.plan_out)
-    for key, value in sorted(proj.residuals.items()):
+    for key, value in sorted(report.residuals.items()):
         print(f"{key}: {value:.3e}", file=sys.stderr)
     return 0
 

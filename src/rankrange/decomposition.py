@@ -29,8 +29,8 @@ from .errors import (GramFailure, LambdaOutsideRegion, NoSolution,
                      ShapeMismatch, UnsupportedDimension)
 from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
 from .spectra import TWO_PI, EigenSystem, reflect_labels
-from .triangles import (BarycentricWeights, TriangleSpec, solve_barycentric,
-                        triangle, validate_triangle)
+from .triangles import (TriangleSpec, solve_barycentric, triangle,
+                        validate_triangle)
 
 GRAM_GATE = 1e-9
 COMPRESSION_GATE = 1e-9
@@ -74,12 +74,21 @@ class DecompositionPlan:
 
 @dataclass(frozen=True)
 class Projector:
-    matrix: np.ndarray
-    rank: int
+    """A constructed witness: ``frame`` is the N x k isometry W in the
+    caller's basis, and the projector is P = W W^H."""
+    frame: np.ndarray
     target: complex
-    residuals: dict
     strategy: str
     plan: DecompositionPlan = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N projector, formed on each access."""
+        return self.frame @ self.frame.conj().T
+
+    @property
+    def rank(self) -> int:
+        return self.frame.shape[1]
 
 
 def projector_thresholds(tol: float = MEMBERSHIP_TOL) -> dict:
@@ -226,28 +235,34 @@ def _plan_rank1(es: EigenSystem, lam: complex) -> DecompositionPlan:
 
 
 def _caratheodory_support(es: EigenSystem, lam: complex):
-    """Deterministic scan for at most three eigenvalues whose hull holds lam."""
+    """At most three eigenvalues whose hull holds lam, in O(N) steps.
+
+    The sorted eigenvalues lie on the circle in convex position, so lam is
+    an eigenvalue, on a cyclic hull edge (j, j+1), or in a triangle of the
+    fan (1, j, j+1), checked in that order."""
     lam = complex(lam)
     mu = es.eigenvalues()
-    for j in range(es.dim):
-        if abs(mu[j] - lam) <= MEMBERSHIP_TOL:
-            return (j + 1,), (1.0,)
-    for a, b in combinations(range(es.dim), 2):
-        e = mu[b] - mu[a]
-        L2 = abs(e) ** 2
-        if L2 == 0.0:
-            continue
-        t = ((lam - mu[a]).real * e.real + (lam - mu[a]).imag * e.imag) / L2
-        t = min(1.0, max(0.0, t))
-        if abs(mu[a] + t * e - lam) <= MEMBERSHIP_TOL:
-            return (a + 1, b + 1), (1.0 - t, t)
-    for idx in combinations(range(es.dim), 3):
-        t = triangle(*(j + 1 for j in idx), dim=es.dim)
-        try:
-            w = solve_barycentric(es, t, lam)
-        except Exception:
-            continue
-        return t.indices, w.weights
+    n = es.dim
+    hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
+    if hit.size:
+        return (int(hit[0]) + 1,), (1.0,)
+    e = np.roll(mu, -1) - mu        # edge j runs from mu[j] to mu[j+1]
+    L2 = e.real ** 2 + e.imag ** 2
+    d = lam - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((d.real * e.real + d.imag * e.imag) / L2, 0.0, 1.0)
+    on_edge = np.nonzero((L2 > 0.0)
+                         & (np.abs(mu + t * e - lam) <= MEMBERSHIP_TOL))[0]
+    if on_edge.size:
+        j = int(on_edge[0])
+        tj = float(t[j])
+        if j + 1 < n:
+            return (j + 1, j + 2), (1.0 - tj, tj)
+        return (1, n), (tj, 1.0 - tj)
+    for j in range(2, n):
+        w = _bary_or_none(es, (1, j, j + 1), lam)
+        if w is not None:
+            return w.triangle.indices, w.weights
     raise LambdaOutsideRegion(
         f"{lam} is not in the convex hull of the spectrum")
 
@@ -309,25 +324,6 @@ def _bary_or_none(es, idx, lam):
         return None
 
 
-def _triangle_column(es, w: BarycentricWeights, n: int) -> np.ndarray:
-    v = np.zeros(n, dtype=complex)
-    for j, wi in zip(w.triangle.indices, w.weights):
-        v[j - 1] = np.sqrt(max(0.0, wi))
-    return v
-
-
-def _block_columns(es, support, lam, n: int):
-    S = np.array(sorted(support)) - 1
-    d = es.eigenvalues()[S] - lam
-    V = blocks.isotropic_pair(d)
-    cols = []
-    for c in range(2):
-        v = np.zeros(n, dtype=complex)
-        v[S] = V[:, c]
-        cols.append(v)
-    return cols
-
-
 def _planned_pieces(pl: DecompositionPlan):
     """(kind, data) synthesis pieces for a plan: 'block' for each pairing's
     5-index union, 'tri' for every unpaired triangle."""
@@ -345,25 +341,31 @@ def _planned_pieces(pl: DecompositionPlan):
 
 
 def _try_pieces(es, lam, pieces, kk):
-    """Synthesize columns for explicit pieces; None when infeasible."""
-    n = es.dim
-    cols = []
+    """The N x kk frame of explicit pieces in the eigenbasis: one column
+    per triangle, two per pair block; None when infeasible."""
+    if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
+        return None
+    V = np.zeros((es.dim, kk), dtype=complex)
+    col = 0
     for kind, idx in pieces:
         if kind == "tri":
             w = _bary_or_none(es, idx, lam)
             if w is None:
                 return None
-            cols.append(_triangle_column(es, w, n))
+            rows = np.array(w.triangle.indices) - 1
+            V[rows, col] = np.sqrt(np.maximum(0.0, w.weights))
+            col += 1
         else:
             if _margin_of(es, idx, 2, lam) < FEASIBILITY_FLOOR:
                 return None
+            rows = np.array(sorted(idx)) - 1
             try:
-                cols.extend(_block_columns(es, idx, lam, n))
+                V[rows, col:col + 2] = blocks.isotropic_pair(
+                    es.eigenvalues()[rows] - lam)
             except NoSolution:
                 return None
-    if len(cols) != kk:
-        return None
-    return cols
+            col += 2
+    return V
 
 
 def _feasible_triples(es, active, lam, limit=None):
@@ -450,7 +452,7 @@ def _block_candidates(act, ph, lam, tri_feas, kk, floor):
     return cands
 
 
-def _search_pieces(es, kk, lam, active, depth=0):
+def _search_pieces(es, kk, lam, active):
     """Deterministic re-partition of ``active`` (sorted 1-based indices)
     into feasible triangles and 5-index pair blocks for rank kk.
 
@@ -505,8 +507,7 @@ def _search_pieces(es, kk, lam, active, depth=0):
         scored.sort(key=lambda c: (-c[0], c[1]))
         ordered = [c for c in scored if c[0] >= threshold] or scored
         for m, idx, r in ordered[:12]:
-            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()),
-                                  depth + 1)
+            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()))
             if tail is not None:
                 return [("tri", idx)] + tail
         return None
@@ -516,8 +517,7 @@ def _search_pieces(es, kk, lam, active, depth=0):
             return None
         for m, blk, r in _block_candidates(act, ph, lam, tri_feas, kk,
                                            FEASIBILITY_FLOOR)[:12]:
-            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()),
-                                  depth + 1)
+            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()))
             if tail is not None:
                 return [("block", blk)] + tail
         return None
@@ -531,9 +531,11 @@ def _search_pieces(es, kk, lam, active, depth=0):
     return None
 
 
-def _assemble(es: EigenSystem, k: int, lam: complex, cols, strategy: str,
+def _assemble(es: EigenSystem, k: int, lam: complex, V, strategy: str,
               pl: DecompositionPlan) -> Projector:
-    V = np.stack(cols, axis=1)
+    """Gate the N x k eigenbasis frame V and return it in the caller's
+    basis. For an orthonormal V, the compression residual of P = V V^H is
+    that of V^H D V, so no N x N product is needed."""
     gram = V.conj().T @ V
     if np.abs(gram - np.eye(k)).max() > GRAM_GATE:
         raise GramFailure(
@@ -546,12 +548,8 @@ def _assemble(es: EigenSystem, k: int, lam: complex, cols, strategy: str,
     if np.abs(comp).max() > COMPRESSION_GATE:
         raise GramFailure(
             f"off-diagonal compression residual {np.abs(comp).max():.2e}")
-    P_eig = V @ V.conj().T
-    B = es.basis
-    P = B @ P_eig @ B.conj().T
-    residuals = projector_residuals(P, es.matrix, lam, k)
-    return Projector(matrix=P, rank=k, target=lam, residuals=residuals,
-                     strategy=strategy, plan=pl)
+    return Projector(frame=es.basis @ V, target=lam, strategy=strategy,
+                     plan=pl)
 
 
 def projector_residuals(P, sigma, lam, k) -> dict:
@@ -589,12 +587,8 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
     # valid at any (N, k)
     close = [j for j in range(n) if abs(es.eigenvalue(j + 1) - lam) <= EIGEN_MATCH]
     if len(close) >= k:
-        cols = []
-        for j in close[:k]:
-            v = np.zeros(n, dtype=complex)
-            v[j] = 1.0
-            cols.append(v)
-        return _assemble(es, k, lam, cols, "eigenspace", None)
+        return _assemble(es, k, lam, np.eye(n, dtype=complex)[:, close[:k]],
+                         "eigenspace", None)
 
     if k == 1 and n != 3:
         # plan's rank-1 case ((3, 1) is three_k): the plan is the
@@ -603,19 +597,19 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
 
     pl = plan(es, k, lam)
     pieces = _planned_pieces(pl)
-    cols = _try_pieces(es, lam, pieces, k)
-    if cols is not None:
-        return _assemble(es, k, lam, cols, "planned", pl)
+    V = _try_pieces(es, lam, pieces, k)
+    if V is not None:
+        return _assemble(es, k, lam, V, "planned", pl)
 
     found = _search_pieces(es, k, lam, tuple(range(1, n + 1)))
     if found is not None:
-        cols = _try_pieces(es, lam, found, k)
-        if cols is not None:
-            return _assemble(es, k, lam, cols, "adaptive", pl)
+        V = _try_pieces(es, lam, found, k)
+        if V is not None:
+            return _assemble(es, k, lam, V, "adaptive", pl)
 
-    cols = _global_fallback(es, k, lam)
-    if cols is not None:
-        return _assemble(es, k, lam, cols, "least_squares", pl)
+    V = _global_fallback(es, k, lam)
+    if V is not None:
+        return _assemble(es, k, lam, V, "least_squares", pl)
     raise NoSolution(
         f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
 
@@ -629,23 +623,19 @@ def _global_fallback(es, k, lam):
         W = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         q, _ = np.linalg.qr(W)
         seeds.append(q)
-    V = blocks.frame_solve(d, k, seeds)
-    if V is None:
-        return None
-    return [V[:, c] for c in range(k)]
+    return blocks.frame_solve(d, k, seeds)
 
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:
     """Rank-1 witness: at most three eigenvalues whose hull carries lam."""
     lam = complex(lam)
     support, weights = _caratheodory_support(es, lam)
-    v = np.zeros(es.dim, dtype=complex)
-    for j, w in zip(support, weights):
-        v[j - 1] = np.sqrt(max(0.0, w))
-    v = v / np.linalg.norm(v)
+    V = np.zeros((es.dim, 1), dtype=complex)
+    V[np.array(support) - 1, 0] = np.sqrt(np.maximum(0.0, weights))
+    V = V / np.linalg.norm(V)
     pl = DecompositionPlan(CASE_RANK_1, 1, es.dim, (), (),
                            rank1_support=tuple(support))
-    return _assemble(es, 1, lam, [v], "caratheodory", pl)
+    return _assemble(es, 1, lam, V, "caratheodory", pl)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,9 @@ def region_to_doc(region: OmegaRegion) -> dict:
     return {"k": region.k, "constraints": constraints}
 
 
-def projector_to_doc(proj: Projector) -> dict:
+def projector_to_doc(proj: Projector, residuals: dict) -> dict:
+    """The projector document of ``proj``, with the residuals its dense
+    check reported (see ``verify_projector``)."""
     P = proj.matrix
     return {
         "n": P.shape[0],
@@ -84,7 +86,7 @@ def projector_to_doc(proj: Projector) -> dict:
         "lambda": [proj.target.real, proj.target.imag],
         "re": P.real.tolist(),
         "im": P.imag.tolist(),
-        "residuals": proj.residuals,
+        "residuals": residuals,
     }
 
 

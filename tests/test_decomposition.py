@@ -10,6 +10,7 @@ from rankrange import (LambdaOutsideRegion, UnsupportedDimension, blocks,
                        subspectrum_margin, three_k_minus_1_patterns,
                        three_k_minus_2_patterns, three_k_patterns, triangle,
                        validate_triangle, verify_projector)
+from rankrange.battery import pick_target, random_instance
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
@@ -270,7 +271,7 @@ def test_rank1_construct_scans_once(monkeypatch):
         assert got.strategy == "caratheodory"
         assert got.plan == want.plan == want_plan
         assert np.array_equal(got.matrix, want.matrix)
-        assert got.residuals == want.residuals
+        assert np.array_equal(got.frame, want.frame)
     assert len(wants[2][1].rank1_support) == 2
     # (3, 1) is N = 3k: it keeps the three_k route and never scans
     scans.clear()
@@ -281,6 +282,59 @@ def test_rank1_construct_scans_once(monkeypatch):
 def test_rank1_outside_rejected():
     with pytest.raises(LambdaOutsideRegion):
         caratheodory_rank1(PENTAGON, 1.2 + 0j)
+
+
+def test_rank1_scan_is_linear(monkeypatch):
+    # the deepest rank-1 target is in no hull edge, so the scan walks the
+    # fan (1, j, j+1): at most N - 2 triangle solves
+    n = 200
+    es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
+    lam = interior_point(build_region(es, 1))
+    calls = []
+    solve = decomposition.solve_barycentric
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
+    proj = construct_projector(es, 1, lam)
+    assert proj.strategy == "caratheodory"
+    assert 1 <= len(calls) <= n - 2
+    assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
+
+
+# --- the frame is the result -----------------------------------------------
+
+def _one_per_strategy():
+    """(es, k, lam, strategy) reaching each rung short of least_squares;
+    matrix inputs, so the frame is mapped out of the eigenbasis."""
+    cases = [(ingest_matrix(np.eye(5)), 2, 1.0 + 0j, "eigenspace")]
+    for n, k, strategy in ((9, 3, "planned"), (11, 4, "adaptive"),
+                           (7, 1, "caratheodory")):
+        es = random_instance(np.random.default_rng(1), n, True)
+        cases.append((es, k, pick_target(es, k), strategy))
+    return cases
+
+
+def test_frame_is_the_result():
+    for es, k, lam, strategy in _one_per_strategy():
+        proj = construct_projector(es, k, lam)
+        assert proj.strategy == strategy
+        W = proj.frame
+        assert W.shape == (es.dim, k) and proj.rank == k
+        assert np.abs(W.conj().T @ W - np.eye(k)).max() <= 1e-9, strategy
+        assert np.array_equal(proj.matrix, W @ W.conj().T)
+        assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
+def test_construct_runs_no_dense_check(monkeypatch):
+    def dense_check(*args):
+        raise AssertionError("construct_projector ran the dense residuals")
+
+    monkeypatch.setattr(decomposition, "projector_residuals", dense_check)
+    for es, k, lam, strategy in _one_per_strategy():
+        assert construct_projector(es, k, lam).strategy == strategy
 
 
 def test_verify_rejects_zero_matrix():
@@ -487,7 +541,7 @@ def test_polish_closes_pair_block(monkeypatch):
     es = _three_clusters()
     lam = -0.911163544 - 0.32391731j
     proj = construct_projector(es, 3, lam)
-    assert seen == {"polish": [True], "frame_solve": [], "global": 0}
+    assert seen == {"polish": [True], "frame_solve": [True], "global": 0}
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 
 
