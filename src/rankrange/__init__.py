@@ -21,9 +21,8 @@ from .region import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                      ChordConstraint, OmegaRegion, boundary_samples,
                      brute_force_contains, build_region, constraint_margins,
                      contains, interior_point, region_margin)
-from .triangles import (BarycentricWeights, TriangleSpec, containment_check,
-                        solve_barycentric, triangle, validate_triangle,
-                        weak_vertices)
+from .triangles import (BarycentricWeights, TriangleSpec, solve_barycentric,
+                        triangle, validate_triangle)
 from .pairing import (PairParameters, SharedVertexProblem,
                       VectorCoefficients, discriminant_coeffs,
                       gauge_parameters, solve_pair, vector_from_triangle)
@@ -49,12 +48,12 @@ __all__ = [
     "TooLarge", "TriangleSpec", "UnsupportedDimension", "VectorCoefficients",
     "VerificationReport", "boundary_samples", "brute_force_contains",
     "build_region", "canonical_phase", "caratheodory_rank1",
-    "constraint_margins", "containment_check", "construct_projector",
+    "constraint_margins", "construct_projector",
     "contains", "discriminant_coeffs", "gauge_parameters", "ingest_matrix",
     "ingest_spectrum", "interior_point", "isotropic_pair",
     "pair_isotropy_residual", "plan", "reflect_labels", "region_margin",
     "solve_barycentric", "solve_pair", "subspectrum_margin",
     "three_k_minus_1_patterns", "three_k_minus_2_patterns",
     "three_k_patterns", "triangle", "validate_triangle",
-    "vector_from_triangle", "verify_projector", "weak_vertices",
+    "vector_from_triangle", "verify_projector",
 ]

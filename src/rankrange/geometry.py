@@ -63,24 +63,6 @@ def point_segment_distance(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * e))
 
 
-def hull_signed_distance(z: complex, points) -> float:
-    """Signed distance of z to conv(points): positive depth when inside,
-    negative distance when outside. Handles degenerate hulls."""
-    hull = convex_hull(points)
-    if len(hull) == 1:
-        return -abs(z - hull[0])
-    if len(hull) == 2:
-        return -point_segment_distance(z, hull[0], hull[1])
-    margins = [line_margin(hull[i], hull[(i + 1) % len(hull)], z)
-               for i in range(len(hull))]
-    m = min(margins)
-    if m >= 0.0:
-        return float(m)
-    # outside: true distance to the polygon
-    return -min(point_segment_distance(z, hull[i], hull[(i + 1) % len(hull)])
-                for i in range(len(hull)))
-
-
 def clip_polygon(poly, a: complex, b: complex, sign: float):
     """Sutherland-Hodgman clip of a polygon (list of complex, ccw) against
     the half-plane sign * cross(b-a, z-a) >= 0."""

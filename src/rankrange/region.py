@@ -267,8 +267,9 @@ def interior_point(region: OmegaRegion):
     """The deepest point of the region: the Chebyshev centre of its chord
     half-planes, one linear program over (x, y, r) that maximizes the
     radius r of a disk inside every half-plane. Returns None for a region
-    with point constraints, or when the solution has no positive margin
-    (empty, point or segment regions)."""
+    with point constraints, or when the solution's margin is not above
+    MEMBERSHIP_TOL, so that ``contains`` calls the point inside (empty,
+    point or segment regions give None)."""
     if region.point_constraints:
         return None
     ax, ay, ex, ey, length = region.table.halfplanes
@@ -282,7 +283,7 @@ def interior_point(region: OmegaRegion):
     if res.status != 0:
         return None
     best = complex(res.x[0], res.x[1])
-    if not region_margin(region, best) > 0.0:
+    if not region_margin(region, best) > MEMBERSHIP_TOL:
         return None
     return best
 

@@ -1,4 +1,4 @@
-"""Triangles of eigenvalues: gap rules, barycentric weights, weak vertexes."""
+"""Triangles of eigenvalues: gap rules and barycentric weights."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, NoConvexSolution
-from .geometry import point_in_triangle
-from .region import boundary_samples, build_region
+from .errors import NoConvexSolution
 from .spectra import EigenSystem
 
 WEIGHT_FLOOR = -1e-12
@@ -47,8 +45,7 @@ def validate_triangle(t: TriangleSpec, k: int) -> bool:
     With sorted eigenvalues, a chord skipping at most k-1 indices supports
     a half-plane that contains the whole rank-k region, so a triangle whose
     three gaps are all <= k contains it; the inclusive threshold is
-    exercised by the standard constructions (gaps equal to k) and is
-    re-checked numerically by containment_check.
+    exercised by the standard constructions (gaps equal to k).
     """
     return t.max_gap() <= k
 
@@ -124,22 +121,3 @@ def solve_barycentric(es: EigenSystem, t: TriangleSpec, lam: complex) -> Barycen
 
     raise NoConvexSolution(
         f"no convex combination of triangle {t.indices} reaches {lam}")
-
-
-def weak_vertices(w: BarycentricWeights):
-    """Vertexes with weight <= 1/2 (inclusive); always at least two."""
-    return tuple(idx for idx, wi in zip(w.triangle.indices, w.weights)
-                 if wi <= 0.5)
-
-
-def containment_check(es: EigenSystem, t: TriangleSpec, k: int,
-                      samples: int = 64) -> bool:
-    """Numerical backstop for the gap rule: every sampled boundary point of
-    the rank-k region lies in the closed triangle (tolerance 1e-8)."""
-    region = build_region(es, k)
-    pts = [es.eigenvalue(j) for j in t.indices]
-    try:
-        boundary = boundary_samples(region, samples)
-    except EmptyRegion:
-        return True
-    return all(point_in_triangle(z, *pts, tol=1e-8) for z in boundary)

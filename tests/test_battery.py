@@ -1,7 +1,7 @@
 import numpy as np
 
 from rankrange.battery import branch_counts, demo_battery, pick_target
-from rankrange import ingest_spectrum
+from rankrange import build_region, ingest_spectrum, interior_point
 
 
 def test_battery_all_pass_and_covers_cases():
@@ -34,3 +34,14 @@ def test_pick_target_degenerate_point():
 def test_pick_target_empty():
     es = ingest_spectrum([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     assert pick_target(es, 2) is None
+
+
+def test_single_point_region_has_no_target():
+    # a (4,2) region is the crossing point of the two diagonals; the LP
+    # lands on it with margin ~1e-17 for spectra 0, 18 and 20 of this stream,
+    # a point ``contains`` calls boundary
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        es = ingest_spectrum(np.sort(rng.uniform(0, 2 * np.pi, 4)))
+        assert interior_point(build_region(es, 2)) is None
+        assert pick_target(es, 2) is None

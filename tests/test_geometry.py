@@ -1,7 +1,6 @@
 import numpy as np
 
-from rankrange.geometry import (clip_polygon, convex_hull,
-                                hull_signed_distance, line_margin,
+from rankrange.geometry import (clip_polygon, convex_hull, line_margin,
                                 point_in_triangle, point_segment_distance,
                                 polygon_area)
 
@@ -30,14 +29,6 @@ def test_point_segment_distance():
                                1.0)
     np.testing.assert_allclose(point_segment_distance(2 + 0j, -1 + 0j,
                                                       1 + 0j), 1.0)
-
-
-def test_hull_signed_distance():
-    square = [0j, 2 + 0j, 2 + 2j, 2j]
-    np.testing.assert_allclose(hull_signed_distance(1 + 1j, square), 1.0)
-    np.testing.assert_allclose(hull_signed_distance(3 + 1j, square), -1.0)
-    # degenerate: segment
-    assert hull_signed_distance(1j, [-1 + 0j, 1 + 0j]) == -1.0
 
 
 def test_clip_polygon_halves_square():

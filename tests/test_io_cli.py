@@ -129,6 +129,20 @@ def test_cli_project_no_default_target(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_cli_project_single_point_region(tmp_path, capsys):
+    # spectrum 0 of test_battery's (4,2) stream: the LP point has margin
+    # ~1e-17, which is not a usable interior target
+    rng = np.random.default_rng(0)
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(
+        {"phases": np.sort(rng.uniform(0, 2 * np.pi, 4)).tolist()}))
+    out_path = tmp_path / "proj.json"
+    code = run(["project", str(path), "--k", "2", "--out", str(out_path)])
+    assert code == 2
+    assert "no usable interior target" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_cli_usage_error(tmp_path):
     assert run(["member", str(tmp_path / "nope.json"), "--k", "2",
                 "--lambda", "0,0"]) == 1

@@ -15,7 +15,8 @@ import pytest
 from rankrange import (BruteForceOracle, build_region, constraint_margins,
                        contains, ingest_spectrum, interior_point,
                        region_margin)
-from rankrange.geometry import hull_signed_distance, line_margin
+from rankrange.geometry import (convex_hull, line_margin,
+                                point_segment_distance)
 from rankrange.region import (BOUNDARY, DEGENERATE_CHORD_TOL, INSIDE,
                               MEMBERSHIP_TOL, OUTSIDE)
 from rankrange.spectra import TWO_PI
@@ -112,10 +113,28 @@ def _old_interior_point(rows, points, resolution=64):
     return best
 
 
+def _old_hull_signed_distance(z, points):
+    """Signed distance of z to conv(points): positive depth when inside,
+    negative distance when outside. Handles degenerate hulls."""
+    hull = convex_hull(points)
+    if len(hull) == 1:
+        return -abs(z - hull[0])
+    if len(hull) == 2:
+        return -point_segment_distance(z, hull[0], hull[1])
+    margins = [line_margin(hull[i], hull[(i + 1) % len(hull)], z)
+               for i in range(len(hull))]
+    m = min(margins)
+    if m >= 0.0:
+        return float(m)
+    # outside: true distance to the polygon
+    return -min(point_segment_distance(z, hull[i], hull[(i + 1) % len(hull)])
+                for i in range(len(hull)))
+
+
 def _old_oracle_margin(es, k, z):
     pts = es.eigenvalues()
     n = es.dim
-    return min(hull_signed_distance(z, tuple(pts[list(sub)]))
+    return min(_old_hull_signed_distance(z, tuple(pts[list(sub)]))
                for sub in combinations(range(n), n - k + 1))
 
 
@@ -216,6 +235,15 @@ def test_interior_point_as_deep_as_old(n, k):
 
 # ---------------------------------------------------------------------------
 # the oracle
+
+
+def test_hull_signed_distance():
+    square = [0j, 2 + 0j, 2 + 2j, 2j]
+    np.testing.assert_allclose(_old_hull_signed_distance(1 + 1j, square), 1.0)
+    np.testing.assert_allclose(_old_hull_signed_distance(3 + 1j, square),
+                               -1.0)
+    # degenerate: segment
+    assert _old_hull_signed_distance(1j, [-1 + 0j, 1 + 0j]) == -1.0
 
 ORACLE_CASES = [case for case in SPECIAL if len(case[0]) <= 9] + [
     (np.sort(np.random.default_rng(n).uniform(0, 2 * np.pi, n)), k)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankrange import (EmptySpectrum, NotUnitary, ingest_matrix,
-                       ingest_spectrum, reflect_labels)
+from rankrange import (EigensolveFailed, EmptySpectrum, NotUnitary,
+                       canonical_phase, ingest_matrix, ingest_spectrum,
+                       reflect_labels)
+from rankrange.spectra import HERMITIAN_ROTATION
 
 
 def random_unitary(rng, n):
@@ -58,6 +61,97 @@ def test_degenerate_spectrum_basis_still_orthonormal():
     es = ingest_matrix(u)
     assert np.linalg.norm(es.basis.conj().T @ es.basis - np.eye(6)) <= 1e-10
     np.testing.assert_allclose(np.sort(es.phases), np.sort(phases), atol=1e-12)
+
+
+def schur_reference(A):
+    """Sorted phases from one complex Schur of the whole matrix: the
+    eigensolve the Hermitian-part ingest replaced."""
+    T, _ = scipy.linalg.schur(A, output="complex")
+    return np.sort(canonical_phase(np.diag(T)))
+
+
+def circle_distance(a, b):
+    """Largest distance on the unit circle between two sorted phase lists,
+    allowing one phase to sit across the cut at 0 in one list only."""
+    za, zb = np.exp(1j * a), np.exp(1j * b)
+    return min(np.abs(np.roll(za, s) - zb).max() for s in (-1, 0, 1))
+
+
+def clustered(rng, n, clusters, width):
+    centres = rng.uniform(0.0, 2 * np.pi, clusters)
+    return (np.repeat(centres, n // clusters)
+            + rng.uniform(0.0, width, n - n % clusters))
+
+
+ALPHA = HERMITIAN_ROTATION
+SPECTRA = {
+    "uniform-58": lambda rng: rng.uniform(0.0, 2 * np.pi, 58),
+    "uniform-300": lambda rng: rng.uniform(0.0, 2 * np.pi, 300),
+    "uniform-600": lambda rng: rng.uniform(0.0, 2 * np.pi, 600),
+    "clusters-1e-4": lambda rng: clustered(rng, 60, 5, 1e-4),
+    "clusters-7e-6": lambda rng: clustered(rng, 60, 5, 7e-6),
+    "multiplicities": lambda rng: np.repeat([0.3, 1.2, 2.5, 4.0, 5.9],
+                                            [4, 1, 3, 2, 6]),
+    "symmetric-about-alpha": lambda rng: ALPHA + np.r_[1, -1] * rng.uniform(
+        0.0, np.pi, 20)[:, None],
+    # pairs 1e-9 from symmetric share no H-eigenvalue, but eigh alone would
+    # mix them by ~1e-7
+    "nearly-symmetric-about-alpha": lambda rng: ALPHA + np.r_[1, -1] * (
+        rng.uniform(0.0, np.pi, 20)[:, None] + np.r_[0.0, 1e-9]),
+    "near-alpha": lambda rng: ALPHA + rng.uniform(-1e-3, 1e-3, 30),
+    "near-alpha-plus-pi": lambda rng: ALPHA + np.pi
+    + rng.uniform(-1e-3, 1e-3, 30),
+    "equally-spaced": lambda rng: 2 * np.pi * np.arange(48) / 48,
+    "two-point": lambda rng: np.repeat([ALPHA - 0.7, ALPHA + 0.7], 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_ingest_matches_schur_reference(name):
+    rng = np.random.default_rng(sorted(SPECTRA).index(name))
+    phases = np.ravel(SPECTRA[name](rng))
+    q = random_unitary(rng, phases.size)
+    u = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
+    es = ingest_matrix(u)
+    n = phases.size
+    assert circle_distance(es.phases, schur_reference(u)) <= 1e-12
+    res = np.abs(u @ es.basis - es.basis * np.exp(1j * es.phases)[None, :])
+    assert res.max() <= 1e-10 and es.eigen_residual <= 1e-10
+    assert np.linalg.norm(es.basis.conj().T @ es.basis - np.eye(n)) <= 1e-10
+
+
+def test_ingest_real_orthogonal():
+    # a real orthogonal matrix: the spectrum is symmetric about 0
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(0.1, np.pi - 0.1, 20)
+    rot = np.zeros((40, 40))
+    for j, t in enumerate(angles):
+        rot[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), -np.sin(t)],
+                                                 [np.sin(t), np.cos(t)]]
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    u = q @ rot @ q.T
+    es = ingest_matrix(u)
+    assert circle_distance(es.phases, schur_reference(u)) <= 1e-12
+    np.testing.assert_allclose(
+        es.phases, np.sort(np.r_[angles, 2 * np.pi - angles]), atol=1e-12)
+    res = np.abs(u @ es.basis - es.basis * np.exp(1j * es.phases)[None, :])
+    assert res.max() <= 1e-10
+    assert np.linalg.norm(es.basis.conj().T @ es.basis - np.eye(40)) <= 1e-10
+
+
+@pytest.mark.parametrize("solver", ["eigh", "schur"])
+def test_lapack_failure_raises_eigensolve_failed(monkeypatch, solver):
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(scipy.linalg, solver, fail)
+    rng = np.random.default_rng(4)
+    q = random_unitary(rng, 6)
+    # a double eigenvalue makes a two-column cluster, so a block Schur runs
+    u = q @ np.diag(np.exp(1j * np.array([0.3, 0.3, 1.2, 2.0, 3.1, 4.0]))) \
+        @ q.conj().T
+    with pytest.raises(EigensolveFailed, match="did not converge"):
+        ingest_matrix(u)
 
 
 def test_not_unitary_rejected():
