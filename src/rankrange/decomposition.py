@@ -14,7 +14,9 @@ pairs on the 5-index pairing blocks. Planned supports are checked for
 feasibility first (the target must lie in the rank-2 region of each
 block's own 5 eigenvalues); when a planned block is infeasible for the
 given target, a deterministic search re-partitions the indices among
-feasible triangles and blocks before anything heavier runs.
+feasible triangles and blocks before anything heavier runs. The search
+scores every triangle of the spectrum once per construction, and each of
+its steps keeps the rows of that table whose indices it still holds.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from . import blocks
-from .errors import (GramFailure, LambdaOutsideRegion, NoSolution,
-                     ShapeMismatch, UnsupportedDimension)
+from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
+                     NoSolution, ShapeMismatch, UnsupportedDimension)
 from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
 from .spectra import TWO_PI, EigenSystem, reflect_labels
 from .triangles import (TriangleSpec, solve_barycentric, triangle,
@@ -320,7 +322,7 @@ def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
 def _bary_or_none(es, idx, lam):
     try:
         return solve_barycentric(es, triangle(*idx, dim=es.dim), lam)
-    except Exception:
+    except NoConvexSolution:
         return None
 
 
@@ -368,18 +370,21 @@ def _try_pieces(es, lam, pieces, kk):
     return V
 
 
-def _feasible_triples(es, active, lam, limit=None):
-    """Index triples of ``active`` whose triangle holds lam, with their
-    smallest barycentric weight, by one batched Cramer solve: the ``limit``
-    best (all when None), largest weight first, ties in combination order.
+def _feasible_triples(es, active, lam):
+    """The triangle table of ``active``: the smallest barycentric weight of
+    each index triple whose triangle holds lam, shape (T,), and the triple's
+    1-based indices, shape (T, 3), largest weight first, ties in
+    combination order, by one batched Cramer solve.
 
     Each Cramer term depends on at most two of a triple's vertices, so it
-    is tabulated once per vertex pair and gathered per triple."""
+    is tabulated once per vertex pair and gathered per triple. A row's
+    weight therefore does not depend on the other active indices, and
+    ``_restrict`` of this table to a subset is the table of that subset."""
     act = np.asarray(active)
     pts = es.eigenvalues()[act - 1]
     n = act.size
     if n < 3:
-        return []
+        return np.empty(0), np.empty((0, 3), dtype=act.dtype)
     # every a < b < c in the order of combinations(range(n), 3): each pair
     # a < b < n - 1 in order, repeated once for each c above b
     a, b = np.triu_indices(n - 1, 1)
@@ -404,9 +409,19 @@ def _feasible_triples(es, active, lam, limit=None):
                            num_c[ab] / det)
     feas = ok & (min_w >= -1e-12)
     order = np.argsort(-min_w[feas], kind="stable")
-    rows = np.nonzero(feas)[0][order[:limit]]
-    verts = np.stack([a[rows], b[rows], c[rows]], axis=1)
-    return list(zip(min_w[rows].tolist(), map(tuple, act[verts].tolist())))
+    rows = np.nonzero(feas)[0][order]
+    return min_w[rows], act[np.stack([a[rows], b[rows], c[rows]], axis=1)]
+
+
+def _restrict(table, active, dim):
+    """The rows of a triangle table whose three indices are all in
+    ``active``, in the table's order."""
+    weights, tris = table
+    inside = np.zeros(dim + 1, dtype=bool)
+    inside[list(active)] = True
+    keep = inside[tris[:, 0]] & inside[tris[:, 1]] & inside[tris[:, 2]]
+    # compress copies rows several times faster than boolean indexing
+    return weights.compress(keep), tris.compress(keep, axis=0)
 
 
 def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
@@ -417,12 +432,14 @@ def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(chosen.shape[0], -1)
 
 
-def _block_candidates(act, ph, lam, tri_feas, kk, floor):
+def _block_candidates(act, ph, lam, tris, kk, floor):
     """5-index blocks built from vertex-sharing feasible triangles, scored
     by the weaker of the block's own rank-2 margin and the remainder's.
     ``act`` holds the active indices ascending and ``ph`` their phases;
-    each candidate carries the positions of its remainder in ``act``."""
-    top = np.array([idx for _, idx in tri_feas[:40]]).reshape(-1, 3)
+    ``tris`` holds the index rows of the best feasible triangles, best
+    first. Each candidate carries the positions of its remainder in
+    ``act``."""
+    top = tris[:40]
     i, j = np.triu_indices(len(top), 1)
     shared = (top[i][:, :, None] == top[j][:, None, :]).sum(axis=(1, 2))
     i, j = i[shared == 1], j[shared == 1]
@@ -452,19 +469,22 @@ def _block_candidates(act, ph, lam, tri_feas, kk, floor):
     return cands
 
 
-def _search_pieces(es, kk, lam, active):
+def _search_pieces(es, kk, lam, active, table):
     """Deterministic re-partition of ``active`` (sorted 1-based indices)
     into feasible triangles and 5-index pair blocks for rank kk.
 
-    A node scores its candidate moves in batched margin calls and tries
-    the children in the order of those scores, so the nodes visited, and
-    their order, depend only on the input."""
+    ``table`` is a ``_feasible_triples`` table over a superset of
+    ``active``: the search scores the triangles once, at its root, and each
+    node keeps the rows whose indices it still holds and hands them to its
+    children. A node scores its candidate moves in batched margin calls and
+    tries the children in the order of those scores, so the nodes visited,
+    and their order, depend only on the input."""
     active = tuple(sorted(active))
     n_act = len(active)
     if kk == 1:
-        feas = _feasible_triples(es, active, lam, limit=1)
-        if feas:
-            return [("tri", feas[0][1])]
+        _, tris = _restrict(table, active, es.dim)
+        if len(tris):
+            return [("tri", tuple(tris[0].tolist()))]
         return None
     if kk == 2:
         if n_act == 5:
@@ -491,23 +511,25 @@ def _search_pieces(es, kk, lam, active):
     blocks_required = 3 * kk - n_act  # 0, 1 or 2 pair blocks still needed
     current = _margin_of(es, active, kk, lam)
     threshold = max(FEASIBILITY_FLOOR, 0.25 * current)
-    tri_feas = _feasible_triples(es, active, lam, limit=60)
+    table = _restrict(table, active, es.dim)
+    tris = table[1][:60]
     act = np.array(active)
     ph = es.phases[act - 1]
 
     def triangle_moves():
-        if not tri_feas:
+        if not len(tris):
             return None
-        tris = [idx for _, idx in tri_feas]
         rest = _remainders(n_act, np.searchsorted(act, tris))
         margins = subspectrum_margin(ph[rest], kk - 1, lam)
         scored = [(m, idx, r)
-                  for m, idx, r in zip(margins.tolist(), tris, rest)
+                  for m, idx, r in zip(margins.tolist(),
+                                       map(tuple, tris.tolist()), rest)
                   if m >= FEASIBILITY_FLOOR]
         scored.sort(key=lambda c: (-c[0], c[1]))
         ordered = [c for c in scored if c[0] >= threshold] or scored
         for m, idx, r in ordered[:12]:
-            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()))
+            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()),
+                                  table)
             if tail is not None:
                 return [("tri", idx)] + tail
         return None
@@ -515,9 +537,10 @@ def _search_pieces(es, kk, lam, active):
     def block_moves():
         if blocks_required < 1 or kk < 3:
             return None
-        for m, blk, r in _block_candidates(act, ph, lam, tri_feas, kk,
+        for m, blk, r in _block_candidates(act, ph, lam, tris, kk,
                                            FEASIBILITY_FLOOR)[:12]:
-            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()))
+            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()),
+                                  table)
             if tail is not None:
                 return [("block", blk)] + tail
         return None
@@ -601,7 +624,9 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
     if V is not None:
         return _assemble(es, k, lam, V, "planned", pl)
 
-    found = _search_pieces(es, k, lam, tuple(range(1, n + 1)))
+    everything = tuple(range(1, n + 1))
+    found = _search_pieces(es, k, lam, everything,
+                           _feasible_triples(es, everything, lam))
     if found is not None:
         V = _try_pieces(es, lam, found, k)
         if V is not None:

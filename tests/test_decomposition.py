@@ -438,20 +438,49 @@ def reference_triples(es, active, lam):
             for r in rows]
 
 
-def test_feasible_triples_match_reference():
+def table_rows(table):
+    """A _feasible_triples table as reference_triples' list of rows."""
+    weights, tris = table
+    assert weights.shape == (len(tris),) and tris.shape == (len(tris), 3)
+    return list(zip(weights.tolist(), map(tuple, tris.tolist())))
+
+
+def triple_cases():
     rng = np.random.default_rng(8)
     # the regular 12-gon ties many weights exactly: order must hold too
     cases = [(ingest_spectrum(2 * np.pi * np.arange(12) / 12), 0j)]
     for n in (5, 8, 20, 70):
         es = ingest_spectrum(rng.uniform(0, 2 * np.pi, n))
         cases.append((es, complex(np.mean(es.eigenvalues()))))
-    for es, lam in cases:
+    return cases
+
+
+def test_feasible_triples_match_reference():
+    for es, lam in triple_cases():
         for active in (tuple(range(1, es.dim + 1)),
                        tuple(range(1, es.dim + 1, 2))):
             want = reference_triples(es, active, lam)
-            assert decomposition._feasible_triples(es, active, lam) == want
-            assert decomposition._feasible_triples(
-                es, active, lam, limit=5) == want[:5]
+            got = decomposition._feasible_triples(es, active, lam)
+            assert table_rows(got) == want
+
+
+def test_restricted_table_matches_reference():
+    # the cases above, restricted to random subsets, and restricted again
+    rng = np.random.default_rng(9)
+    for es, lam in triple_cases():
+        n = es.dim
+        table = decomposition._feasible_triples(es, tuple(range(1, n + 1)),
+                                                lam)
+        for _ in range(3):
+            outer = tuple(sorted(rng.choice(np.arange(1, n + 1),
+                                            rng.integers(3, n + 1),
+                                            replace=False).tolist()))
+            inner = tuple(sorted(rng.choice(
+                outer, rng.integers(3, len(outer) + 1), replace=False).tolist()))
+            once = decomposition._restrict(table, outer, n)
+            assert table_rows(once) == reference_triples(es, outer, lam)
+            twice = decomposition._restrict(once, inner, n)
+            assert table_rows(twice) == reference_triples(es, inner, lam)
 
 
 # (n, k, seed, target, search nodes, pieces), recorded before the scoring
@@ -490,10 +519,47 @@ def test_search_tree_pinned(monkeypatch):
         rng = np.random.default_rng(seed)
         es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
         nodes.clear()
-        got = decomposition._search_pieces(es, k, lam,
-                                           tuple(range(1, n + 1)))
+        everything = tuple(range(1, n + 1))
+        table = decomposition._feasible_triples(es, everything, lam)
+        got = decomposition._search_pieces(es, k, lam, everything, table)
         assert got == want, (n, k, seed)
         assert len(nodes) == want_nodes, (n, k, seed)
+
+
+def test_search_scores_triangles_once(monkeypatch):
+    calls, nodes = [], []
+    feasible, search = (decomposition._feasible_triples,
+                        decomposition._search_pieces)
+
+    def counted_feasible(*args, **kwargs):
+        calls.append(args[1])
+        return feasible(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        nodes.append(args[3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "_feasible_triples", counted_feasible)
+    monkeypatch.setattr(decomposition, "_search_pieces", counted_search)
+    n, k, seed, lam, want_nodes, _ = SEARCH_PINS[3]
+    rng = np.random.default_rng(seed)
+    es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
+    proj = construct_projector(es, k, lam)
+    assert proj.strategy == "adaptive"
+    assert len(nodes) == want_nodes > 1
+    assert calls == [tuple(range(1, n + 1))]
+
+
+def test_triangle_solve_errors_propagate(monkeypatch):
+    # only NoConvexSolution means "infeasible"; any other error is a fault
+    # and must not send the construction down to a fallback rung
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken triangle solve")
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", broken)
+    es = ingest_spectrum(2 * np.pi * np.arange(6) / 6)
+    with pytest.raises(RuntimeError, match="broken triangle solve"):
+        construct_projector(es, 2, 0.1 + 0.05j)
 
 
 # ---------------------------------------------------------------------------
