@@ -16,7 +16,9 @@ block's own 5 eigenvalues); when a planned block is infeasible for the
 given target, a deterministic search re-partitions the indices among
 feasible triangles and blocks before anything heavier runs. The search
 scores every triangle of the spectrum once per construction, and each of
-its steps keeps the rows of that table whose indices it still holds.
+its steps keeps the rows of that table whose indices it still holds. It
+scores sub-spectra by gathering their chord ends from the spectrum's own
+eigenvalues, and each step inherits the margin its parent scored for it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from . import blocks
-from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
-                     NoSolution, ShapeMismatch, UnsupportedDimension)
+from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
+                     NoConvexSolution, NoSolution, ShapeMismatch,
+                     UnsupportedDimension)
 from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
 from .spectra import TWO_PI, EigenSystem, reflect_labels
 from .triangles import (TriangleSpec, solve_barycentric, triangle,
@@ -273,46 +276,67 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
 # feasibility margins for sub-spectra
 
 
-def subspectrum_margin(phases, j: int, lam: complex):
-    """Signed margin of lam inside the rank-j region of the given phases.
+def subspectrum_margin(phases, j: int, lam: complex, rows=None):
+    """Signed margin of lam inside the rank-j region of sub-spectra.
 
-    ``phases`` is one spectrum, or a (C, m) stack of spectra scored in one
-    call: a stack returns C margins, each ``==`` to the margin of its row
-    alone. Live chords contribute their signed distance to lam; a dead
-    chord (coincident endpoints) spanning a full turn pins the region to
-    its endpoint.
+    Without ``rows``, ``phases`` is one spectrum, or a (C, m) stack of
+    spectra scored in one call, each sorted first. With ``rows``,
+    ``phases`` is a sorted spectrum (N,) and ``rows`` holds ascending
+    0-based positions into it, one row (m,) or a (C, m) stack, scoring the
+    sub-spectra ``phases[rows]``: their chord ends are gathered from the
+    eigenvalues ``exp(1j * phases)`` and, for the j ends that wrap past
+    2pi, ``exp(1j * (phases + 2pi))``, each taken once over the N phases.
+    A stack returns C margins, each ``==`` to the margin of its row alone,
+    and both forms give ``==`` margins for the same sub-spectra.
+
+    Live chords contribute their signed distance to lam. A live chord that
+    spans at most pi faces inward with sign +1: the midpoint of the
+    opposite arc lies 1 + cos(span/2) >= 1 from its line, so the sign
+    test's cross product is at least the chord length, above 1e-12, while
+    its rounding error is near 1e-15. Only wider chords evaluate that
+    midpoint. A dead chord (coincident endpoints) spanning a full turn pins
+    the region to its endpoint. A rank j above the sub-spectrum size gives
+    -inf; j < 1 raises InvalidRank.
     """
-    th = np.sort(np.asarray(phases, dtype=float), axis=-1)
-    single = th.ndim == 1
-    th = np.atleast_2d(th)
-    n = th.shape[1]
+    if j < 1:
+        raise InvalidRank(f"rank j={j} must be positive")
+    if rows is None:
+        th = np.sort(np.asarray(phases, dtype=float), axis=-1)
+        phases, rows = th.ravel(), np.arange(th.size).reshape(th.shape)
+    single = np.ndim(rows) == 1
+    rows = np.atleast_2d(rows)
+    n = rows.shape[1]
     if n == 0 or j > n:
-        out = np.full(th.shape[0], -np.inf)
+        out = np.full(rows.shape[0], -np.inf)
     else:
-        step = np.arange(n) + j
-        t0 = th
-        t1 = th[:, step % n] + TWO_PI * (step // n)
-        a = np.exp(1j * t0)
-        # the first n - j ends do not wrap: they are starts j places on
-        b = np.concatenate([a[:, j:], np.exp(1j * t1[:, n - j:])], axis=1)
+        phases = np.asarray(phases, dtype=float)
+        t0 = phases[rows]
+        # the first n - j ends are starts j places on; the last j wrap
+        t1 = np.concatenate([t0[:, j:], t0[:, :j] + TWO_PI], axis=1)
+        a = np.exp(1j * phases)[rows]
+        b = np.concatenate(
+            [a[:, j:], np.exp(1j * (phases + TWO_PI))[rows[:, :j]]], axis=1)
         e = b - a
+        d = lam - a
         elen = np.abs(e)
         live = elen > 1e-12
-        mid = np.exp(1j * (t0 + t1 + TWO_PI) / 2.0)
-        cr_mid = e.real * (mid - a).imag - e.imag * (mid - a).real
-        cr_lam = e.real * (lam - a).imag - e.imag * (lam - a).real
-        sign = np.where(cr_mid > 0, 1.0, -1.0)
-        chord = np.where(live, sign * cr_lam / np.where(live, elen, 1.0),
-                         np.inf)
-        pinned = ~live & (t1 - t0 > np.pi)
-        point = np.where(pinned, -np.abs(lam - a), np.inf)
-        out = np.minimum(1.0 - abs(lam),
-                         np.minimum(chord.min(axis=1), point.min(axis=1)))
+        wide = t1 - t0 > np.pi
+        chord = np.divide(e.real * d.imag - e.imag * d.real, elen,
+                          out=np.full(elen.shape, np.inf), where=live)
+        flip = live & wide
+        if flip.any():
+            mid = np.exp(1j * (t0[flip] + t1[flip] + TWO_PI) / 2.0)
+            to_mid = mid - a[flip]
+            cr_mid = e[flip].real * to_mid.imag - e[flip].imag * to_mid.real
+            chord[flip] *= np.where(cr_mid > 0, 1.0, -1.0)
+        pinned = ~live & wide
+        chord[pinned] = -np.abs(d[pinned])
+        out = np.minimum(1.0 - abs(lam), chord.min(axis=1))
     return float(out[0]) if single else out
 
 
 def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
-    return subspectrum_margin([es.phases[i - 1] for i in indices], j, lam)
+    return subspectrum_margin(es.phases, j, lam, np.sort(indices) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +456,13 @@ def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(chosen.shape[0], -1)
 
 
-def _block_candidates(act, ph, lam, tris, kk, floor):
+def _block_candidates(es, act, lam, tris, kk, floor):
     """5-index blocks built from vertex-sharing feasible triangles, scored
     by the weaker of the block's own rank-2 margin and the remainder's.
-    ``act`` holds the active indices ascending and ``ph`` their phases;
-    ``tris`` holds the index rows of the best feasible triangles, best
-    first. Each candidate carries the positions of its remainder in
-    ``act``."""
+    ``act`` holds the active indices ascending; ``tris`` holds the index
+    rows of the best feasible triangles, best first. Each candidate carries
+    the positions of its remainder in ``act`` and the remainder's rank
+    kk-2 margin."""
     top = tris[:40]
     i, j = np.triu_indices(len(top), 1)
     shared = (top[i][:, :, None] == top[j][:, None, :]).sum(axis=(1, 2))
@@ -454,14 +478,13 @@ def _block_candidates(act, ph, lam, tris, kk, floor):
     _, first = np.unique(five, axis=0, return_index=True)
     five = five[np.sort(first)]     # distinct blocks, in order of first pair
     blks = list(map(tuple, five.tolist()))
-    pos = np.searchsorted(act, five)
-    m_blk = subspectrum_margin(ph[pos], 2, lam)
+    m_blk = subspectrum_margin(es.phases, 2, lam, five - 1)
     good = np.nonzero(m_blk >= floor)[0]
     if good.size == 0:
         return []
-    rest = _remainders(act.size, pos[good])
-    m_rest = subspectrum_margin(ph[rest], kk - 2, lam)
-    cands = [(min(mb, mr), blks[g], r)
+    rest = _remainders(act.size, np.searchsorted(act, five[good]))
+    m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+    cands = [(min(mb, mr), blks[g], r, mr)
              for g, mb, mr, r in zip(good.tolist(), m_blk[good].tolist(),
                                      m_rest.tolist(), rest)
              if mr >= floor]
@@ -469,7 +492,7 @@ def _block_candidates(act, ph, lam, tris, kk, floor):
     return cands
 
 
-def _search_pieces(es, kk, lam, active, table):
+def _search_pieces(es, kk, lam, active, table, margin=None):
     """Deterministic re-partition of ``active`` (sorted 1-based indices)
     into feasible triangles and 5-index pair blocks for rank kk.
 
@@ -478,7 +501,9 @@ def _search_pieces(es, kk, lam, active, table):
     node keeps the rows whose indices it still holds and hands them to its
     children. A node scores its candidate moves in batched margin calls and
     tries the children in the order of those scores, so the nodes visited,
-    and their order, depend only on the input."""
+    and their order, depend only on the input. Each child receives as
+    ``margin`` the rank-kk margin of its ``active`` that its parent scored;
+    only the root, called without one, scores its own."""
     active = tuple(sorted(active))
     n_act = len(active)
     if kk == 1:
@@ -488,7 +513,9 @@ def _search_pieces(es, kk, lam, active, table):
         return None
     if kk == 2:
         if n_act == 5:
-            if _margin_of(es, active, 2, lam) >= FEASIBILITY_FLOOR:
+            if margin is None:
+                margin = _margin_of(es, active, 2, lam)
+            if margin >= FEASIBILITY_FLOOR:
                 return [("block", active)]
             return None
         if n_act == 6:
@@ -509,18 +536,18 @@ def _search_pieces(es, kk, lam, active, table):
         return None
 
     blocks_required = 3 * kk - n_act  # 0, 1 or 2 pair blocks still needed
-    current = _margin_of(es, active, kk, lam)
-    threshold = max(FEASIBILITY_FLOOR, 0.25 * current)
+    if margin is None:
+        margin = _margin_of(es, active, kk, lam)
+    threshold = max(FEASIBILITY_FLOOR, 0.25 * margin)
     table = _restrict(table, active, es.dim)
     tris = table[1][:60]
     act = np.array(active)
-    ph = es.phases[act - 1]
 
     def triangle_moves():
         if not len(tris):
             return None
         rest = _remainders(n_act, np.searchsorted(act, tris))
-        margins = subspectrum_margin(ph[rest], kk - 1, lam)
+        margins = subspectrum_margin(es.phases, kk - 1, lam, act[rest] - 1)
         scored = [(m, idx, r)
                   for m, idx, r in zip(margins.tolist(),
                                        map(tuple, tris.tolist()), rest)
@@ -529,7 +556,7 @@ def _search_pieces(es, kk, lam, active, table):
         ordered = [c for c in scored if c[0] >= threshold] or scored
         for m, idx, r in ordered[:12]:
             tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()),
-                                  table)
+                                  table, m)
             if tail is not None:
                 return [("tri", idx)] + tail
         return None
@@ -537,10 +564,10 @@ def _search_pieces(es, kk, lam, active, table):
     def block_moves():
         if blocks_required < 1 or kk < 3:
             return None
-        for m, blk, r in _block_candidates(act, ph, lam, tris, kk,
-                                           FEASIBILITY_FLOOR)[:12]:
+        for _, blk, r, m in _block_candidates(es, act, lam, tris, kk,
+                                              FEASIBILITY_FLOOR)[:12]:
             tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()),
-                                  table)
+                                  table, m)
             if tail is not None:
                 return [("block", blk)] + tail
         return None

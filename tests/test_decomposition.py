@@ -3,13 +3,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rankrange import (LambdaOutsideRegion, UnsupportedDimension, blocks,
-                       build_region, caratheodory_rank1, construct_projector,
-                       decomposition, ingest_matrix, ingest_spectrum,
-                       interior_point, plan, solve_barycentric,
-                       subspectrum_margin, three_k_minus_1_patterns,
-                       three_k_minus_2_patterns, three_k_patterns, triangle,
-                       validate_triangle, verify_projector)
+from rankrange import (InvalidRank, LambdaOutsideRegion, UnsupportedDimension,
+                       blocks, build_region, caratheodory_rank1,
+                       construct_projector, decomposition, ingest_matrix,
+                       ingest_spectrum, interior_point, plan,
+                       solve_barycentric, subspectrum_margin,
+                       three_k_minus_1_patterns, three_k_minus_2_patterns,
+                       three_k_patterns, triangle, validate_triangle,
+                       verify_projector)
 from rankrange.battery import pick_target, random_instance
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
@@ -395,24 +396,67 @@ def reference_margin(phases, j, lam):
     return float(m)
 
 
+def as_rows(stack):
+    """One sorted spectrum holding every row of ``stack``, and the ascending
+    positions of each row in it: ``phases[rows] == stack``."""
+    flat = stack.ravel()
+    order = np.argsort(flat, kind="stable")
+    rows = np.empty_like(order)
+    rows[order] = np.arange(flat.size)
+    return flat[order], rows.reshape(stack.shape)
+
+
 def test_subspectrum_margin_batched_equals_rows():
     rng = np.random.default_rng(5)
     for m in range(3, 61):
-        rows = np.sort(rng.uniform(0, 2 * np.pi, (3, m)), axis=1)
-        rows[1, 1] = rows[1, 0]    # one zero-span chord at every j < m
-        rows[2, :] = rows[2, 0]    # every chord dead; pinned when it wraps
+        stack = np.sort(rng.uniform(0, 2 * np.pi, (5, m)), axis=1)
+        stack[1, 1] = stack[1, 0]    # one zero-span chord at every j < m
+        stack[2, :] = stack[2, 0]    # every chord dead; pinned when it wraps
+        # three clusters of widths 1e-13 to 1e-6
+        width = 10.0 ** rng.uniform(-13, -6, m)
+        stack[3] = np.sort(rng.choice(stack[0, :3], m)
+                           + rng.uniform(0, 1, m) * width)
+        # inside an arc of 1e-12 to 1e-7: the wrapping chords span more than
+        # pi and leave that little, so their midpoint sign is computed
+        stack[4] = stack[0, 0] + np.sort(
+            rng.uniform(0, 10.0 ** rng.uniform(-12, -7), m))
+        phases, rows = as_rows(stack)
+        assert np.array_equal(phases[rows], stack)
         for j in range(1, m + 1):
-            a = np.exp(1j * rows[0, 0])
-            b = np.exp(1j * rows[0, j % m])
+            a = np.exp(1j * stack[0, 0])
+            b = np.exp(1j * stack[0, j % m])
             # 1e-10 inside the midpoint of row 0's chord 1 -> 1+j
             lam = complex((a + b) / 2 * (1 - 1e-10))
-            got = subspectrum_margin(rows, j, lam)
-            assert got.shape == (3,)
-            want = [reference_margin(r, j, lam) for r in rows]
+            want = [reference_margin(r, j, lam) for r in stack]
+            got = subspectrum_margin(stack, j, lam)
+            assert got.shape == (5,)
             assert got.tolist() == want, (m, j)
-            assert [subspectrum_margin(r, j, lam) for r in rows] == want
+            assert [subspectrum_margin(r, j, lam) for r in stack] == want
+            got = subspectrum_margin(phases, j, lam, rows)
+            assert got.shape == (5,)
+            assert got.tolist() == want, (m, j)
+            assert [subspectrum_margin(phases, j, lam, r)
+                    for r in rows] == want
     too_few = subspectrum_margin(np.zeros((2, 3)), 4, 0j)
     assert too_few.tolist() == [-np.inf] * 2
+    too_few = subspectrum_margin(np.zeros(6), 4, 0j, np.arange(6).reshape(2, 3))
+    assert too_few.tolist() == [-np.inf] * 2
+
+
+def test_subspectrum_margin_rejects_rank_below_one():
+    # through wrapped index arithmetic, j = 0 read 1.0 and j = -1 -0.0707
+    phases = np.array([0.0, 1.0, 2.0, 3.0])
+    for j in (0, -1):
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(phases, j, 0j)
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(np.stack([phases, phases]), j, 0j)
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(phases, j, 0j, np.arange(4))
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(phases, j, 0j, np.array([[0, 1, 2], [1, 2, 3]]))
+    assert subspectrum_margin(phases, 5, 0j) == -np.inf
+    assert subspectrum_margin(phases, 5, 0j, np.arange(4)) == -np.inf
 
 
 def reference_triples(es, active, lam):
@@ -548,6 +592,38 @@ def test_search_scores_triangles_once(monkeypatch):
     assert proj.strategy == "adaptive"
     assert len(nodes) == want_nodes > 1
     assert calls == [tuple(range(1, n + 1))]
+
+
+def test_search_inherits_node_margins(monkeypatch):
+    # the root scores its own margin; every other node receives the one its
+    # parent scored in a batch, == to scoring the node alone
+    single, inherited, nodes = [], [], []
+    margin, search = (decomposition.subspectrum_margin,
+                      decomposition._search_pieces)
+
+    def counted_margin(*args, **kwargs):
+        out = margin(*args, **kwargs)
+        if np.ndim(out) == 0:
+            single.append(args[1])
+        return out
+
+    def checked_search(es, kk, lam, active, table, *given):
+        nodes.append(active)
+        if given:
+            alone = margin(es.phases, kk, lam, np.array(active) - 1)
+            inherited.append(given[0] == alone)
+        return search(es, kk, lam, active, table, *given)
+
+    monkeypatch.setattr(decomposition, "subspectrum_margin", counted_margin)
+    monkeypatch.setattr(decomposition, "_search_pieces", checked_search)
+    n, k, seed, lam, want_nodes, want = SEARCH_PINS[3]
+    es = ingest_spectrum(np.random.default_rng(seed).uniform(0, 2 * np.pi, n))
+    everything = tuple(range(1, n + 1))
+    table = decomposition._feasible_triples(es, everything, lam)
+    assert decomposition._search_pieces(es, k, lam, everything, table) == want
+    assert len(nodes) == want_nodes == 11
+    assert single == [k]
+    assert inherited == [True] * (want_nodes - 1)
 
 
 def test_triangle_solve_errors_propagate(monkeypatch):

@@ -1,7 +1,6 @@
 import numpy as np
 
 from rankrange.geometry import (clip_polygon, convex_hull, line_margin,
-                                point_in_triangle, point_segment_distance,
                                 polygon_area)
 
 
@@ -24,13 +23,6 @@ def test_convex_hull_degenerate():
     assert len(seg) == 2
 
 
-def test_point_segment_distance():
-    np.testing.assert_allclose(point_segment_distance(1j, -1 + 0j, 1 + 0j),
-                               1.0)
-    np.testing.assert_allclose(point_segment_distance(2 + 0j, -1 + 0j,
-                                                      1 + 0j), 1.0)
-
-
 def test_clip_polygon_halves_square():
     square = [0j, 2 + 0j, 2 + 2j, 2j]
     # keep the half-plane left of the upward vertical line at x = 1
@@ -44,13 +36,3 @@ def test_clip_polygon_to_empty():
     square = [0j, 1 + 0j, 1 + 1j, 1j]
     # keep the right side of the upward vertical line at x = 5: nothing left
     assert clip_polygon(square, 5 + 0j, 5 + 1j, -1.0) == []
-
-
-def test_point_in_triangle():
-    a, b, c = 0j, 2 + 0j, 1 + 2j
-    assert point_in_triangle(1 + 0.5j, a, b, c)
-    assert not point_in_triangle(2 + 2j, a, b, c)
-    assert point_in_triangle(1 + 0j, a, b, c)  # on an edge
-    # degenerate triangle falls back to segment distance
-    assert point_in_triangle(0.5 + 0j, 0j, 1 + 0j, 2 + 0j, tol=1e-12)
-    assert not point_in_triangle(0.5 + 1j, 0j, 1 + 0j, 2 + 0j, tol=1e-3)

@@ -15,11 +15,12 @@ import pytest
 from rankrange import (BruteForceOracle, build_region, constraint_margins,
                        contains, ingest_spectrum, interior_point,
                        region_margin)
-from rankrange.geometry import (convex_hull, line_margin,
-                                point_segment_distance)
+from rankrange.geometry import convex_hull, line_margin
 from rankrange.region import (BOUNDARY, DEGENERATE_CHORD_TOL, INSIDE,
                               MEMBERSHIP_TOL, OUTSIDE)
 from rankrange.spectra import TWO_PI
+
+from planar import point_segment_distance
 
 # ---------------------------------------------------------------------------
 # the earlier per-chord and per-hull code

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from rankrange import (EmptyRegion, NoConvexSolution, boundary_samples,
                        build_region, ingest_spectrum, solve_barycentric,
                        triangle, validate_triangle)
-from rankrange.geometry import point_in_triangle
+
+from planar import point_in_triangle
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
