@@ -46,12 +46,14 @@ class ReportRecord:
     residuals: dict
     skipped: str = None
     wall_ms: float = 0.0
+    strategy: str = ""    # the construction rung that built the witness
 
     def to_doc(self) -> dict:
         doc = {
             "n": self.n, "k": self.k,
             "lambda": [self.target.real, self.target.imag],
             "case": self.case, "branch": self.branch,
+            "strategy": self.strategy,
             "conjugated": self.conjugated, "seed": self.seed,
             "pass": self.passed, "residuals": self.residuals,
             "wall_ms": round(self.wall_ms, 3),
@@ -102,7 +104,8 @@ def run_one(es: EigenSystem, k: int, case: str, conjugated: bool,
         return ReportRecord(es.dim, k, complex(target), case, branch,
                             conjugated, seed, passed=report.passed,
                             residuals=report.residuals,
-                            wall_ms=1e3 * (time.perf_counter() - start))
+                            wall_ms=1e3 * (time.perf_counter() - start),
+                            strategy=proj.strategy)
     except MathRejection as exc:
         return ReportRecord(es.dim, k, complex(target), case, "", conjugated,
                             seed, passed=True, residuals={},

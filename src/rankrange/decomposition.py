@@ -10,21 +10,33 @@ orientation-reversing relabeling and mapped back.
 ``construct_projector`` turns a plan into an orthonormal frame whose
 compression of the input matrix is the scalar target, assembling plain
 square-root-of-weight vectors on disjoint triangles and jointly solved
-pairs on the 5-index pairing blocks. Planned supports are checked for
-feasibility first (the target must lie in the rank-2 region of each
-block's own 5 eigenvalues); when a planned block is infeasible for the
-given target, a deterministic search re-partitions the indices among
-feasible triangles and blocks before anything heavier runs. The search
-scores every triangle of the spectrum once per construction, and each of
-its steps keeps the rows of that table whose indices it still holds. It
-scores sub-spectra by gathering their chord ends from the spectrum's own
-eigenvalues, and each step inherits the margin its parent scored for it.
+pairs on the 5-index pairing blocks. It climbs one ladder of strategies
+and returns the first frame that passes the Gram and compression gates:
+
+1. ``eigenspace``: k eigenvalues at the target are their own witness;
+2. ``caratheodory`` for k = 1, else ``planned``: the plan's own pieces,
+   each pair block first checked for feasibility (the target must lie in
+   the rank-2 region of the block's own 5 eigenvalues);
+3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
+   evenly spaced 5-index candidate with the best min of its own rank-2
+   margin and its remainder's margin, every candidate scored in one margin
+   call; the 3m indices left take the triangles (j, j+m, j+2m), which a
+   positive rank-m margin of the remainder makes feasible;
+4. ``adaptive``: a deterministic search re-partitions the indices among
+   feasible triangles and blocks. It scores every triangle of the spectrum
+   once per construction, and each of its steps keeps the rows of that
+   table whose indices it still holds. Each step inherits the margin its
+   parent scored for it;
+5. ``least_squares``: one joint frame solve over the whole spectrum.
+
+Margins of sub-spectra are scored by gathering their chord ends from the
+spectrum's own eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -44,6 +56,10 @@ COMPRESSION_GATE = 1e-9
 # the verification threshold
 EIGEN_MATCH = 1e-9
 FEASIBILITY_FLOOR = 1e-9
+# pair-block candidates whose remainders the block-first rung scores, best
+# block margins first; scoring all of them would take about 81 N rows of
+# length N - 5
+BLOCK_SHORTLIST = 64
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
@@ -456,6 +472,65 @@ def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(chosen.shape[0], -1)
 
 
+def _spaced_blocks(n: int) -> np.ndarray:
+    """Evenly spaced 5-position pair-block candidates on positions 0..n-1.
+
+    The rows are j + (0, g1, g2, g3, g4) mod n for every start j, with each
+    g_i within 1 of round(i*n/5) and 0 < g1 < g2 < g3 < g4 < n, each row
+    sorted; a row equal to an earlier one is dropped."""
+    near = np.rint(np.arange(1, 5) * n / 5).astype(int)
+    offs = near + np.array(list(product((-1, 0, 1), repeat=4)))
+    offs = offs[(offs[:, 0] > 0) & (offs[:, 3] < n)
+                & (np.diff(offs, axis=1) > 0).all(axis=1)]
+    offs = np.concatenate([np.zeros((len(offs), 1), dtype=int), offs], axis=1)
+    rows = np.sort((np.arange(n)[:, None, None] + offs) % n,
+                   axis=2).reshape(-1, 5)
+    # a sorted row is fixed by its first position and its four gaps; read
+    # as digits in base ``width`` (about 7, as every gap lies within a few
+    # of n/5) they make an exact key that stays far from overflow at any n
+    gaps = np.diff(rows, axis=1)
+    lo, width = gaps.min(), np.ptp(gaps) + 1
+    key = rows[:, 0] * width ** 4 + (gaps - lo) @ width ** np.arange(4)
+    _, first = np.unique(key, return_index=True)
+    return rows[np.sort(first)]
+
+
+def _blockwise_pieces(es, kk, lam):
+    """Block-first pieces for N = 3kk-1 (one pair block) or 3kk-2 (two),
+    or None.
+
+    Each block still needed is the evenly spaced candidate (``_spaced_blocks``
+    of the indices left) with the best min of its own rank-2 margin and its
+    remainder's rank kk-2 margin: one margin call scores every candidate,
+    and a second scores the remainders of the BLOCK_SHORTLIST best. The 3m
+    indices left then take the triangles (j, j+m, j+2m): the rank-m region
+    of 3m points is the intersection of those triangles (Li and Sze, Proc.
+    AMS 136, 2008), so the remainder's positive margin makes each feasible."""
+    act = np.arange(1, es.dim + 1)
+    pieces = []
+    while act.size < 3 * kk:
+        five = _spaced_blocks(act.size)
+        m_blk = subspectrum_margin(es.phases, 2, lam, act[five] - 1)
+        good = np.nonzero(m_blk >= FEASIBILITY_FLOOR)[0]
+        if good.size == 0:
+            return None
+        good = good[np.argsort(-m_blk[good], kind="stable")[:BLOCK_SHORTLIST]]
+        rest = _remainders(act.size, five[good])
+        if kk == 2:
+            m_rest = np.full(good.size, np.inf)    # nothing is left
+        else:
+            m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+        best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
+        if m_rest[best] < FEASIBILITY_FLOOR:
+            return None
+        pieces.append(("block", tuple(act[five[good[best]]].tolist())))
+        act = act[rest[best]]
+        kk -= 2
+    m = act.size // 3
+    return pieces + [("tri", tuple(act[[j, j + m, j + 2 * m]].tolist()))
+                     for j in range(m)]
+
+
 def _block_candidates(es, act, lam, tris, kk, floor):
     """5-index blocks built from vertex-sharing feasible triangles, scored
     by the weaker of the block's own rank-2 margin and the remainder's.
@@ -650,6 +725,13 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
     V = _try_pieces(es, lam, pieces, k)
     if V is not None:
         return _assemble(es, k, lam, V, "planned", pl)
+
+    if pl.pairings:
+        found = _blockwise_pieces(es, k, lam)
+        if found is not None:
+            V = _try_pieces(es, lam, found, k)
+            if V is not None:
+                return _assemble(es, k, lam, V, "blockwise", pl)
 
     everything = tuple(range(1, n + 1))
     found = _search_pieces(es, k, lam, everything,

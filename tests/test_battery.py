@@ -1,7 +1,8 @@
 import numpy as np
 
-from rankrange.battery import branch_counts, demo_battery, pick_target
-from rankrange import build_region, ingest_spectrum, interior_point
+from rankrange.battery import (branch_counts, demo_battery, pick_target,
+                               random_instance, run_one)
+from rankrange import build_region, ingest_spectrum, interior_point, plan
 
 
 def test_battery_all_pass_and_covers_cases():
@@ -45,3 +46,14 @@ def test_single_point_region_has_no_target():
         es = ingest_spectrum(np.sort(rng.uniform(0, 2 * np.pi, 4)))
         assert interior_point(build_region(es, 2)) is None
         assert pick_target(es, 2) is None
+
+
+def test_record_names_the_rung_that_built_it():
+    # the plan of this (11,4) instance fails, and the block-first rung
+    # builds the witness; ``branch`` stays the plan's branch
+    es = random_instance(np.random.default_rng(1), 11, True)
+    rec = run_one(es, 4, "three_k_minus_1", True, 1)
+    assert rec.passed and not rec.skipped
+    assert rec.strategy == rec.to_doc()["strategy"] == "blockwise"
+    assert rec.branch == plan(es, 4, pick_target(es, 4)).branch
+    assert rec.branch in ("vertex1", "reflected")

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -307,14 +307,38 @@ def test_rank1_scan_is_linear(monkeypatch):
 
 # --- the frame is the result -----------------------------------------------
 
+def clustered_phases(seed, count, n, width=1e-4):
+    """n sorted phases in ``count`` clusters of width ~``width``."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0, 2 * np.pi, count)
+    return np.sort(np.mod(c[rng.integers(0, count, n)]
+                          + width * rng.standard_normal(n), 2 * np.pi))
+
+
+# (16,6) targets near the region's boundary at which the block-first rung
+# gives up and the search closes: a uniform spectrum and one of five
+# clusters, each 0.99 of the way from the region's Chebyshev centre to its
+# boundary
+GIVES_UP = [
+    (np.sort(np.random.default_rng([3, 16, 0]).uniform(0, 2 * np.pi, 16)),
+     -0.20417225604445027 - 0.40022583722061833j),
+    (clustered_phases([2, 16, 2], 5, 16),
+     -0.6446254813463665 + 0.47143878660523464j),
+]
+
+
 def _one_per_strategy():
     """(es, k, lam, strategy) reaching each rung short of least_squares;
     matrix inputs, so the frame is mapped out of the eigenbasis."""
     cases = [(ingest_matrix(np.eye(5)), 2, 1.0 + 0j, "eigenspace")]
-    for n, k, strategy in ((9, 3, "planned"), (11, 4, "adaptive"),
+    for n, k, strategy in ((9, 3, "planned"), (11, 4, "blockwise"),
                            (7, 1, "caratheodory")):
         es = random_instance(np.random.default_rng(1), n, True)
         cases.append((es, k, pick_target(es, k), strategy))
+    phases, lam = GIVES_UP[0]
+    q = random_unitary(np.random.default_rng(0), 16)
+    es = ingest_matrix(q @ np.diag(np.exp(1j * phases)) @ q.conj().T)
+    cases.append((es, 6, lam, "adaptive"))
     return cases
 
 
@@ -585,13 +609,11 @@ def test_search_scores_triangles_once(monkeypatch):
 
     monkeypatch.setattr(decomposition, "_feasible_triples", counted_feasible)
     monkeypatch.setattr(decomposition, "_search_pieces", counted_search)
-    n, k, seed, lam, want_nodes, _ = SEARCH_PINS[3]
-    rng = np.random.default_rng(seed)
-    es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
-    proj = construct_projector(es, k, lam)
+    phases, lam = GIVES_UP[0]
+    proj = construct_projector(ingest_spectrum(phases), 6, lam)
     assert proj.strategy == "adaptive"
-    assert len(nodes) == want_nodes > 1
-    assert calls == [tuple(range(1, n + 1))]
+    assert len(nodes) == 4
+    assert calls == [tuple(range(1, 17))]
 
 
 def test_search_inherits_node_margins(monkeypatch):
@@ -644,11 +666,7 @@ def test_triangle_solve_errors_propagate(monkeypatch):
 
 def _three_clusters():
     """Eight phases in three clusters of width ~1e-4 (default_rng(48))."""
-    rng = np.random.default_rng(48)
-    c = rng.uniform(0, 2 * np.pi, 3)
-    return ingest_spectrum(np.sort(np.mod(
-        c[rng.integers(0, 3, 8)] + 1e-4 * rng.standard_normal(8),
-        2 * np.pi)))
+    return ingest_spectrum(clustered_phases(48, 3, 8))
 
 
 def _count_rungs(monkeypatch):
@@ -690,8 +708,10 @@ def test_polish_closes_pair_block(monkeypatch):
 def test_frame_solve_closes_pair_block(monkeypatch):
     seen = _count_rungs(monkeypatch)
     es = _three_clusters()
-    lam = -0.911164 - 0.323917j
+    # 0.9 of the way from the region's Chebyshev centre to its boundary
+    lam = -0.9111685132775665 - 0.32391754651223337j
     proj = construct_projector(es, 3, lam)
+    assert proj.strategy == "planned"
     # isotropic_pair's own polish fails; its frame_solve closes the block
     assert seen["polish"][0] is False
     assert seen["frame_solve"] == [True] and seen["global"] == 0
@@ -700,6 +720,11 @@ def test_frame_solve_closes_pair_block(monkeypatch):
 
 def test_least_squares_closes_construction(monkeypatch):
     seen = _count_rungs(monkeypatch)
+    # the block-first rung closes this target, and no natural target was
+    # found past it at which the search fails and least_squares closes;
+    # without that rung, the search finds no partition here
+    monkeypatch.setattr(decomposition, "_blockwise_pieces",
+                        lambda *args: None)
     phases = np.repeat([0.96099, 1.282885, 1.526565, 2.10249, 2.817509,
                         4.643176], [5, 3, 2, 5, 4, 7])
     es = ingest_spectrum(np.sort(
@@ -709,3 +734,95 @@ def test_least_squares_closes_construction(monkeypatch):
     assert proj.strategy == "least_squares"
     assert seen["global"] == 1 and seen["frame_solve"] == [True]
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
+
+
+# ---------------------------------------------------------------------------
+# the block-first rung
+
+
+def reference_spaced_blocks(n):
+    """_spaced_blocks by enumeration: every start, every offset pattern in
+    product order, each sorted row kept at its first occurrence."""
+    near = [round(i * n / 5) for i in range(1, 5)]
+    seen, out = set(), []
+    for j in range(n):
+        for delta in product((-1, 0, 1), repeat=4):
+            g = [a + b for a, b in zip(near, delta)]
+            if not 0 < g[0] < g[1] < g[2] < g[3] < n:
+                continue
+            row = tuple(sorted((j + x) % n for x in [0] + g))
+            if row not in seen:
+                seen.add(row)
+                out.append(row)
+    return out
+
+
+def test_spaced_blocks_rows():
+    for n in (5, 6, 8, 11, 13, 23, 29, 58, 148, 299):
+        rows = decomposition._spaced_blocks(n)
+        assert rows.shape[1] == 5
+        assert list(map(tuple, rows.tolist())) == reference_spaced_blocks(n)
+        assert len(set(map(tuple, rows.tolist()))) == len(rows)
+        assert (np.diff(rows, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < n
+    assert decomposition._spaced_blocks(5).tolist() == [[0, 1, 2, 3, 4]]
+
+
+def test_blockwise_pentagon_has_no_remainder(monkeypatch):
+    ranks = []
+    margin = decomposition.subspectrum_margin
+
+    def counted(*args, **kwargs):
+        ranks.append(args[1])
+        return margin(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "subspectrum_margin", counted)
+    pieces = decomposition._blockwise_pieces(PENTAGON, 2, 0j)
+    assert pieces == [("block", (1, 2, 3, 4, 5))]
+    # the empty remainder is not scored: rank 0 would raise InvalidRank
+    assert ranks == [2]
+    V = decomposition._try_pieces(PENTAGON, 0j, pieces, 2)
+    proj = decomposition._assemble(PENTAGON, 2, 0j, V, "blockwise", None)
+    assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
+
+
+def test_blockwise_is_deterministic():
+    for n, k in ((58, 20), (59, 20)):
+        es = random_instance(np.random.default_rng(2), n, False)
+        lam = pick_target(es, k)
+        first = decomposition._blockwise_pieces(es, k, lam)
+        assert first is not None
+        assert decomposition._blockwise_pieces(es, k, lam) == first
+        # 3k - n pair blocks and triangles that partition the indices
+        assert [kind for kind, _ in first].count("block") == 3 * k - n
+        assert sorted(j for _, idx in first for j in idx) == \
+            list(range(1, n + 1))
+
+
+def test_blockwise_closes_benchmark_streams(monkeypatch):
+    # these default_rng(1) streams hold the targets that the re-partition
+    # search cut off at its node budget; the search must not be reached
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search was reached")
+
+    monkeypatch.setattr(decomposition, "_search_pieces", no_search)
+    for n, k in ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20), (59, 20)):
+        rng = np.random.default_rng(1)
+        strategies = []
+        for i in range(20):
+            es = random_instance(rng, n, i % 2 == 1)
+            lam = pick_target(es, k)
+            proj = construct_projector(es, k, lam)
+            strategies.append(proj.strategy)
+            assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+        assert set(strategies) <= {"planned", "blockwise"}, (n, k)
+        assert "blockwise" in strategies, (n, k)
+
+
+def test_blockwise_gives_up_to_search():
+    for phases, lam in GIVES_UP:
+        es = ingest_spectrum(phases)
+        assert decomposition._blockwise_pieces(es, 6, lam) is None
+        proj = construct_projector(es, 6, lam)
+        assert proj.strategy == "adaptive"
+        assert verify_projector(proj.matrix, es.matrix, lam, 6).passed

@@ -1,0 +1,66 @@
+"""Inputs that once ran without bound: each must finish within its own
+deadline, built by the planned or block-first rung, never by the search.
+
+At the Chebyshev centre of uniform spectra, the re-partition search ran
+past 250 s at (148,50) and (299,100), and at (2999,1000) its root asked
+for every one of the C(N,3) triangles (33.5 GiB). The search is replaced
+by a function that raises, so a miss of the earlier rungs fails at once
+instead of allocating that table.
+"""
+
+import signal
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from rankrange import (build_region, construct_projector, decomposition,
+                       ingest_spectrum, interior_point, verify_projector)
+
+
+class Overtime(BaseException):
+    """Raised by the alarm; a BaseException, so that no ``except
+    Exception`` in the library can swallow it."""
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise Overtime(f"ran past {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except Overtime as exc:
+        pytest.fail(str(exc))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, k, seed, seconds", [
+    (148, 50, 0, 10.0),
+    (299, 100, 0, 10.0),
+    (2999, 1000, 3, 30.0),
+])
+def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the re-partition search was reached")
+
+    monkeypatch.setattr(decomposition, "_search_pieces", no_search)
+    with deadline(seconds):
+        es = ingest_spectrum(np.sort(
+            np.random.default_rng(seed).uniform(0, 2 * np.pi, n)))
+        lam = interior_point(build_region(es, k))
+        proj = construct_projector(es, k, lam)
+    assert proj.strategy in ("planned", "blockwise")
+    # the frame form of the check: for a spectrum input sigma is diagonal,
+    # so P sigma P = lam P reads W^H diag(mu) W = lam I on the frame W
+    W = proj.frame
+    assert W.shape == (n, k)
+    assert np.abs(W.conj().T @ W - np.eye(k)).max() <= 1e-9
+    comp = W.conj().T @ (es.eigenvalues()[:, None] * W) - lam * np.eye(k)
+    assert np.abs(comp).max() <= 1e-9
+    if n < 1000:
+        assert verify_projector(proj.matrix, es.matrix, lam, k).passed
