@@ -19,22 +19,28 @@ and returns the first frame that passes the Gram and compression gates:
    the rank-2 region of the block's own 5 eigenvalues);
 3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
    evenly spaced 5-index candidate with the best min of its own rank-2
-   margin and its remainder's margin, every candidate scored in one margin
-   call; the 3m indices left take the triangles (j, j+m, j+2m), which a
-   positive rank-m margin of the remainder makes feasible;
+   margin and its remainder's margin. Every candidate is scored from one
+   table of the chords the candidates share (n starts by the few spans
+   near 2n/5), and the layout of the candidates is built once per size
+   and cached; the 3m indices left take the triangles (j, j+m, j+2m),
+   which a positive rank-m margin of the remainder makes feasible;
 4. ``adaptive``: a deterministic search re-partitions the indices among
    feasible triangles and blocks. It scores every triangle of the spectrum
    once per construction, and each of its steps keeps the rows of that
    table whose indices it still holds. Each step inherits the margin its
    parent scored for it;
-5. ``least_squares``: one joint frame solve over the whole spectrum.
+5. ``least_squares``: one joint frame solve over the whole spectrum,
+   within LEAST_SQUARES_EVALS residual evaluations; past them the
+   construction raises NoSolution.
 
 Margins of sub-spectra are scored by gathering their chord ends from the
-spectrum's own eigenvalues.
+spectrum's own eigenvalues, and one kernel, ``_chord_margins``, holds the
+chord semantics for every scorer.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -60,6 +66,11 @@ FEASIBILITY_FLOOR = 1e-9
 # block margins first; scoring all of them would take about 81 N rows of
 # length N - 5
 BLOCK_SHORTLIST = 64
+# residual evaluations, finite-difference Jacobian columns included, that
+# the least_squares rung may spend over all its seeds before NoSolution:
+# a (26,9) construction that it closes spends about 12,000, and at (58,20)
+# one evaluation and its share of the solver's own work take about 0.6 ms
+LEAST_SQUARES_EVALS = 24_000
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
@@ -313,6 +324,9 @@ def subspectrum_margin(phases, j: int, lam: complex, rows=None):
     midpoint. A dead chord (coincident endpoints) spanning a full turn pins
     the region to its endpoint. A rank j above the sub-spectrum size gives
     -inf; j < 1 raises InvalidRank.
+
+    The per-chord kernel is ``_chord_margins``, which the pair-block scorer
+    ``_block_scores`` shares, so these semantics live in one place.
     """
     if j < 1:
         raise InvalidRank(f"rank j={j} must be positive")
@@ -332,23 +346,31 @@ def subspectrum_margin(phases, j: int, lam: complex, rows=None):
         a = np.exp(1j * phases)[rows]
         b = np.concatenate(
             [a[:, j:], np.exp(1j * (phases + TWO_PI))[rows[:, :j]]], axis=1)
-        e = b - a
-        d = lam - a
-        elen = np.abs(e)
-        live = elen > 1e-12
-        wide = t1 - t0 > np.pi
-        chord = np.divide(e.real * d.imag - e.imag * d.real, elen,
-                          out=np.full(elen.shape, np.inf), where=live)
-        flip = live & wide
-        if flip.any():
-            mid = np.exp(1j * (t0[flip] + t1[flip] + TWO_PI) / 2.0)
-            to_mid = mid - a[flip]
-            cr_mid = e[flip].real * to_mid.imag - e[flip].imag * to_mid.real
-            chord[flip] *= np.where(cr_mid > 0, 1.0, -1.0)
-        pinned = ~live & wide
-        chord[pinned] = -np.abs(d[pinned])
-        out = np.minimum(1.0 - abs(lam), chord.min(axis=1))
+        out = np.minimum(1.0 - abs(lam),
+                         _chord_margins(t0, t1, a, b, lam).min(axis=1))
     return float(out[0]) if single else out
+
+
+def _chord_margins(t0, t1, a, b, lam):
+    """Signed distance of lam from each chord a -> b, elementwise, where
+    a = exp(1j * t0) and b = exp(1j * t1) are gathered by the caller and
+    t1 > t0: the chord semantics ``subspectrum_margin`` documents."""
+    e = b - a
+    d = lam - a
+    elen = np.abs(e)
+    live = elen > 1e-12
+    wide = t1 - t0 > np.pi
+    chord = np.divide(e.real * d.imag - e.imag * d.real, elen,
+                      out=np.full(elen.shape, np.inf), where=live)
+    flip = live & wide
+    if flip.any():
+        mid = np.exp(1j * (t0[flip] + t1[flip] + TWO_PI) / 2.0)
+        to_mid = mid - a[flip]
+        cr_mid = e[flip].real * to_mid.imag - e[flip].imag * to_mid.real
+        chord[flip] *= np.where(cr_mid > 0, 1.0, -1.0)
+    pinned = ~live & wide
+    chord[pinned] = -np.abs(d[pinned])
+    return chord
 
 
 def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
@@ -495,22 +517,63 @@ def _spaced_blocks(n: int) -> np.ndarray:
     return rows[np.sort(first)]
 
 
+# one entry holds about 11 MB at n = 2,999
+@functools.lru_cache(maxsize=8)
+def _block_layout(n: int):
+    """Read-only layout of the pair-block candidates on n positions:
+    ``_spaced_blocks(n)``, the distinct spans S of their rank-2 chords,
+    ascending, and for each row the flat indices of its 5 chords in an
+    n x |S| table whose entry (s, i) is the chord from position s to
+    position s + S[i], wrapping past n - 1. Chord c of a row runs from its
+    position c to its position c + 2 (mod 5). It depends on n alone; a
+    3k-2 construction asks for two sizes, n and n - 5."""
+    five = _spaced_blocks(n)
+    spans = np.concatenate([five[:, 2:], five[:, :2] + n], axis=1) - five
+    lo = spans.min()
+    distinct = np.flatnonzero(np.bincount((spans - lo).ravel())) + lo
+    idx = five * distinct.size + np.searchsorted(distinct, spans)
+    for arr in (five, distinct, idx):
+        arr.setflags(write=False)
+    return five, distinct, idx
+
+
+def _block_scores(phases, act, lam):
+    """The ``_block_layout`` rows of the active indices ``act`` (1-based,
+    ascending) and their rank-2 margins, ``==`` to
+    ``subspectrum_margin(phases, 2, lam, act[rows] - 1)``: the n x |S|
+    chord table is scored once, and each row takes the min of its 5
+    entries. The chords that wrap past the last position end at
+    ``exp(1j * (phases + 2pi))``, as in ``subspectrum_margin``."""
+    n = act.size
+    five, spans, idx = _block_layout(n)
+    pos = act - 1
+    ends = np.arange(n)[:, None] + spans
+    wrap = ends >= n
+    start = np.broadcast_to(pos[:, None], ends.shape)
+    end = pos[ends % n]
+    t1 = phases[end] + TWO_PI * wrap
+    z = np.exp(1j * phases)
+    b = np.where(wrap, np.exp(1j * (phases + TWO_PI))[end], z[end])
+    table = _chord_margins(phases[start], t1, z[start], b, lam)
+    return five, np.minimum(1.0 - abs(lam), table.ravel()[idx].min(axis=1))
+
+
 def _blockwise_pieces(es, kk, lam):
     """Block-first pieces for N = 3kk-1 (one pair block) or 3kk-2 (two),
     or None.
 
     Each block still needed is the evenly spaced candidate (``_spaced_blocks``
     of the indices left) with the best min of its own rank-2 margin and its
-    remainder's rank kk-2 margin: one margin call scores every candidate,
-    and a second scores the remainders of the BLOCK_SHORTLIST best. The 3m
-    indices left then take the triangles (j, j+m, j+2m): the rank-m region
-    of 3m points is the intersection of those triangles (Li and Sze, Proc.
-    AMS 136, 2008), so the remainder's positive margin makes each feasible."""
+    remainder's rank kk-2 margin. ``_block_scores`` scores every candidate
+    from one table of the chords they share, and one margin call scores the
+    remainders of the BLOCK_SHORTLIST best. The 3m indices left then take
+    the triangles (j, j+m, j+2m): the rank-m region of 3m points is the
+    intersection of those triangles (Li and Sze, Proc. AMS 136, 2008), so
+    the remainder's positive margin makes each feasible."""
     act = np.arange(1, es.dim + 1)
     pieces = []
     while act.size < 3 * kk:
-        five = _spaced_blocks(act.size)
-        m_blk = subspectrum_margin(es.phases, 2, lam, act[five] - 1)
+        five, m_blk = _block_scores(es.phases, act, lam)
         good = np.nonzero(m_blk >= FEASIBILITY_FLOOR)[0]
         if good.size == 0:
             return None
@@ -757,7 +820,7 @@ def _global_fallback(es, k, lam):
         W = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         q, _ = np.linalg.qr(W)
         seeds.append(q)
-    return blocks.frame_solve(d, k, seeds)
+    return blocks.frame_solve(d, k, seeds, LEAST_SQUARES_EVALS)
 
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:

@@ -13,6 +13,8 @@ from rankrange import (InvalidRank, LambdaOutsideRegion, UnsupportedDimension,
                        verify_projector)
 from rankrange.battery import pick_target, random_instance
 
+from clustered import clustered_phases
+
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
 
@@ -307,14 +309,6 @@ def test_rank1_scan_is_linear(monkeypatch):
 
 # --- the frame is the result -----------------------------------------------
 
-def clustered_phases(seed, count, n, width=1e-4):
-    """n sorted phases in ``count`` clusters of width ~``width``."""
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(0, 2 * np.pi, count)
-    return np.sort(np.mod(c[rng.integers(0, count, n)]
-                          + width * rng.standard_normal(n), 2 * np.pi))
-
-
 # (16,6) targets near the region's boundary at which the block-first rung
 # gives up and the search closes: a uniform spectrum and one of five
 # clusters, each 0.99 of the way from the region's Chebyshev centre to its
@@ -325,6 +319,12 @@ GIVES_UP = [
     (clustered_phases([2, 16, 2], 5, 16),
      -0.6446254813463665 + 0.47143878660523464j),
 ]
+
+
+# sizes whose default_rng(1) random_instance streams hold the targets that
+# the re-partition search cut off at its node budget
+BENCHMARK_STREAMS = ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20),
+                     (59, 20))
 
 
 def _one_per_strategy():
@@ -768,19 +768,118 @@ def test_spaced_blocks_rows():
     assert decomposition._spaced_blocks(5).tolist() == [[0, 1, 2, 3, 4]]
 
 
+def test_block_layout_is_cached_and_read_only():
+    layout = decomposition._block_layout(58)
+    assert decomposition._block_layout(58) is layout
+    five, spans, idx = layout
+    assert np.array_equal(five, decomposition._spaced_blocks(58))
+    # each row's chord c runs from its position c to its position c + 2
+    ends = np.concatenate([five[:, 2:], five[:, :2] + 58], axis=1)
+    assert np.array_equal(idx // spans.size, five)
+    assert np.array_equal(spans[idx % spans.size], ends - five)
+    for arr in layout:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert decomposition._block_layout.cache_info().maxsize is not None
+
+
+def block_score_cases(n, rng):
+    """Spectra of n + 5 (odd n) or n eigenvalues, each with n ascending
+    active indices: uniform, 4 clusters of widths 1e-4, 1e-7 and 1e-12,
+    3 exact multiplicities, and one eigenvalue of multiplicity n + 3 or
+    n - 2, whose dead chords that wrap a full turn are pinned."""
+    full = n + 5 * (n % 2)
+    spectra = [np.sort(rng.uniform(0, 2 * np.pi, full))]
+    spectra += [clustered_phases([n, w], 4, full, width)
+                for w, width in enumerate((1e-4, 1e-7, 1e-12))]
+    spectra.append(np.sort(rng.choice(rng.uniform(0, 2 * np.pi, 3), full)))
+    spectra.append(np.sort(np.concatenate(
+        [np.full(full - 2, 1.0), rng.uniform(0, 2 * np.pi, 2)])))
+    for phases in spectra:
+        act = np.sort(rng.choice(np.arange(1, full + 1), n, replace=False))
+        yield ingest_spectrum(phases), act
+
+
+def test_block_scores_equal_row_form():
+    rng = np.random.default_rng(12)
+    signs = set()
+    for n in list(range(5, 61)) + list(range(67, 300, 29)):
+        rows = decomposition._spaced_blocks(n)
+        for es, act in block_score_cases(n, rng):
+            mu = es.eigenvalues()[act - 1]
+            # the centroid and 0 (mostly inside), the midpoint of a chord,
+            # a point just inside an eigenvalue and one outside the disk
+            for lam in (complex(mu.mean()), 0j, complex(mu[0] + mu[2]) / 2,
+                        complex(0.999 * mu[1]), 1.5 + 0j):
+                five, got = decomposition._block_scores(es.phases, act, lam)
+                want = subspectrum_margin(es.phases, 2, lam, act[rows] - 1)
+                assert np.array_equal(five, rows)
+                assert got.tolist() == want.tolist(), (n, lam)
+                signs.update(np.sign(want).tolist())
+    assert {-1.0, 1.0} <= signs
+
+
+def reference_blockwise_pieces(es, kk, lam):
+    """_blockwise_pieces with the row-form block scorer: one
+    subspectrum_margin call over every candidate row."""
+    act = np.arange(1, es.dim + 1)
+    pieces = []
+    while act.size < 3 * kk:
+        five = decomposition._spaced_blocks(act.size)
+        m_blk = subspectrum_margin(es.phases, 2, lam, act[five] - 1)
+        good = np.nonzero(m_blk >= decomposition.FEASIBILITY_FLOOR)[0]
+        if good.size == 0:
+            return None
+        good = good[np.argsort(-m_blk[good], kind="stable")
+                    [:decomposition.BLOCK_SHORTLIST]]
+        rest = decomposition._remainders(act.size, five[good])
+        if kk == 2:
+            m_rest = np.full(good.size, np.inf)
+        else:
+            m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+        best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
+        if m_rest[best] < decomposition.FEASIBILITY_FLOOR:
+            return None
+        pieces.append(("block", tuple(act[five[good[best]]].tolist())))
+        act = act[rest[best]]
+        kk -= 2
+    m = act.size // 3
+    return pieces + [("tri", tuple(act[[j, j + m, j + 2 * m]].tolist()))
+                     for j in range(m)]
+
+
+def test_blockwise_pieces_equal_row_form_scorer():
+    cases = [(ingest_spectrum(phases), 6, lam) for phases, lam in GIVES_UP]
+    for n, k in BENCHMARK_STREAMS:
+        rng = np.random.default_rng(1)
+        for i in range(20):
+            es = random_instance(rng, n, i % 2 == 1)
+            cases.append((es, k, pick_target(es, k)))
+    for es, k, lam in cases:
+        assert decomposition._blockwise_pieces(es, k, lam) == \
+            reference_blockwise_pieces(es, k, lam), (es.dim, k, lam)
+
+
 def test_blockwise_pentagon_has_no_remainder(monkeypatch):
-    ranks = []
-    margin = decomposition.subspectrum_margin
+    ranks, tables = [], []
+    margin, chords = decomposition.subspectrum_margin, \
+        decomposition._chord_margins
 
     def counted(*args, **kwargs):
         ranks.append(args[1])
         return margin(*args, **kwargs)
 
+    def counted_chords(*args):
+        tables.append(args[0].shape)
+        return chords(*args)
+
     monkeypatch.setattr(decomposition, "subspectrum_margin", counted)
+    monkeypatch.setattr(decomposition, "_chord_margins", counted_chords)
     pieces = decomposition._blockwise_pieces(PENTAGON, 2, 0j)
     assert pieces == [("block", (1, 2, 3, 4, 5))]
-    # the empty remainder is not scored: rank 0 would raise InvalidRank
-    assert ranks == [2]
+    # one rank-2 scoring, from the block's 5 x 1 chord table; the empty
+    # remainder is not scored: rank 0 would raise InvalidRank
+    assert ranks == [] and tables == [(5, 1)]
     V = decomposition._try_pieces(PENTAGON, 0j, pieces, 2)
     proj = decomposition._assemble(PENTAGON, 2, 0j, V, "blockwise", None)
     assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
@@ -800,13 +899,12 @@ def test_blockwise_is_deterministic():
 
 
 def test_blockwise_closes_benchmark_streams(monkeypatch):
-    # these default_rng(1) streams hold the targets that the re-partition
-    # search cut off at its node budget; the search must not be reached
+    # the search must not be reached
     def no_search(*args, **kwargs):
         raise AssertionError("the search was reached")
 
     monkeypatch.setattr(decomposition, "_search_pieces", no_search)
-    for n, k in ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20), (59, 20)):
+    for n, k in BENCHMARK_STREAMS:
         rng = np.random.default_rng(1)
         strategies = []
         for i in range(20):

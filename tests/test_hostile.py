@@ -1,11 +1,16 @@
 """Inputs that once ran without bound: each must finish within its own
-deadline, built by the planned or block-first rung, never by the search.
+deadline, with a witness or with a typed error.
 
 At the Chebyshev centre of uniform spectra, the re-partition search ran
 past 250 s at (148,50) and (299,100), and at (2999,1000) its root asked
-for every one of the C(N,3) triangles (33.5 GiB). The search is replaced
-by a function that raises, so a miss of the earlier rungs fails at once
+for every one of the C(N,3) triangles (33.5 GiB). Those three must be
+built by the planned or block-first rung. The search is replaced by a
+function that raises, so a miss of the earlier rungs fails at once
 instead of allocating that table.
+
+On a clustered (58,20) spectrum every rung before ``least_squares``
+fails, and that rung ran past 120 s before it had a budget. It must now
+end in ``NoSolution``.
 """
 
 import signal
@@ -14,8 +19,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from rankrange import (build_region, construct_projector, decomposition,
-                       ingest_spectrum, interior_point, verify_projector)
+from rankrange import (INSIDE, NoSolution, build_region, construct_projector,
+                       contains, decomposition, ingest_spectrum,
+                       interior_point, verify_projector)
+
+from clustered import clustered_phases
 
 
 class Overtime(BaseException):
@@ -64,3 +72,15 @@ def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
     assert np.abs(comp).max() <= 1e-9
     if n < 1000:
         assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
+def test_least_squares_budget_ends_in_no_solution():
+    # 4 clusters of width 1e-4: planned fails, the block-first rung gives
+    # up and the search returns None at its root, so every evaluation past
+    # the first 0.01 s is spent by the least_squares rung
+    es = ingest_spectrum(clustered_phases([2, 58, 1], 4, 58))
+    lam = 0.9185714874906576 + 0.17667316336147557j
+    with deadline(30.0):
+        assert contains(build_region(es, 20), lam) == INSIDE
+        with pytest.raises(NoSolution, match="budget"):
+            construct_projector(es, 20, lam)
