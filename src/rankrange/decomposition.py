@@ -7,16 +7,20 @@ decomposition for k = 1. Weak-vertex probes decide the branch; when the
 opening vertex is heavy the whole template is reflected through an
 orientation-reversing relabeling and mapped back.
 
-``construct_projector`` turns a plan into an orthonormal frame whose
-compression of the input matrix is the scalar target, assembling plain
-square-root-of-weight vectors on disjoint triangles and jointly solved
-pairs on the 5-index pairing blocks. It climbs one ladder of strategies
-and returns the first frame that passes the Gram and compression gates:
+``construct_projector`` builds a witness whose compression of the input
+matrix is the scalar target, and keeps it as its pieces: on each disjoint
+triangle, one column of square roots of barycentric weights, every
+triangle of a candidate solved in one stacked 3 x 3 solve; on each
+5-index pair block, two jointly solved columns. As the supports are
+disjoint, the Gram and compression gates run per piece, in O(k), and the
+N x k frame is formed from the pieces only when it is read. It climbs one
+ladder of strategies and returns the first witness that passes the gates:
 
 1. ``eigenspace``: k eigenvalues at the target are their own witness;
 2. ``caratheodory`` for k = 1, else ``planned``: the plan's own pieces,
-   each pair block first checked for feasibility (the target must lie in
-   the rank-2 region of the block's own 5 eigenvalues);
+   its pair blocks first checked for feasibility in one margin call (the
+   target must lie in the rank-2 region of each block's own 5
+   eigenvalues);
 3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
    evenly spaced 5-index candidate with the best min of its own rank-2
    margin and its remainder's margin. Every candidate is scored from one
@@ -35,7 +39,10 @@ and returns the first frame that passes the Gram and compression gates:
 
 Margins of sub-spectra are scored by gathering their chord ends from the
 spectrum's own eigenvalues, and one kernel, ``_chord_margins``, holds the
-chord semantics for every scorer.
+chord semantics for every scorer. Each pair block's rank-2 margin is
+scored once, by the rung that proposes it; every triangle of a candidate
+is solved before any of its blocks, so a candidate with an infeasible
+triangle never pays the pair solve.
 """
 
 from __future__ import annotations
@@ -52,8 +59,8 @@ from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
                      UnsupportedDimension)
 from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
 from .spectra import TWO_PI, EigenSystem, reflect_labels
-from .triangles import (TriangleSpec, solve_barycentric, triangle,
-                        validate_triangle)
+from .triangles import (SUM_TOL, VALUE_TOL, WEIGHT_FLOOR, TriangleSpec,
+                        solve_barycentric, triangle, validate_triangle)
 
 GRAM_GATE = 1e-9
 COMPRESSION_GATE = 1e-9
@@ -106,12 +113,30 @@ class DecompositionPlan:
 
 @dataclass(frozen=True)
 class Projector:
-    """A constructed witness: ``frame`` is the N x k isometry W in the
-    caller's basis, and the projector is P = W W^H."""
-    frame: np.ndarray
+    """A constructed witness, held as its pieces: P = W W^H.
+
+    ``pieces`` holds one stack per piece shape, ``(rows, coef)``: rows
+    (G, r) are the 0-based eigenbasis positions of G disjoint supports and
+    coef (G, r, c) their coefficient blocks. A triangle is one column on 3
+    rows, a pair block two columns on 5, and the ``eigenspace``,
+    ``caratheodory`` and ``least_squares`` witnesses are one piece each.
+    The frame W takes, stack after stack and piece after piece, the c
+    columns ``basis[:, rows[g]] @ coef[g]``."""
+    pieces: tuple = field(repr=False)
+    basis: np.ndarray = field(repr=False)
     target: complex
     strategy: str
     plan: DecompositionPlan = field(default=None, repr=False)
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        """The N x k isometry W in the caller's basis, formed from the
+        pieces on first access, in O(N k)."""
+        n = self.basis.shape[0]
+        return np.concatenate(
+            [np.matmul(np.take(self.basis, rows, axis=1).transpose(1, 0, 2),
+                       coef).transpose(1, 0, 2).reshape(n, -1)
+             for rows, coef in self.pieces], axis=1)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -120,7 +145,7 @@ class Projector:
 
     @property
     def rank(self) -> int:
-        return self.frame.shape[1]
+        return sum(coef.shape[0] * coef.shape[2] for _, coef in self.pieces)
 
 
 def projector_thresholds(tol: float = MEMBERSHIP_TOL) -> dict:
@@ -404,32 +429,84 @@ def _planned_pieces(pl: DecompositionPlan):
     return pieces
 
 
+def _triangle_weights(es, tris, lam):
+    """Barycentric weights (T, 3) of lam over the triangles ``tris`` (T, 3)
+    of ascending 1-based indices, each row ``==`` to ``solve_barycentric``'s
+    weights, or None when a triangle has no convex combination reaching lam.
+
+    One stacked 3 x 3 solve takes every row, under ``solve_barycentric``'s
+    gates for its full solve. A row that misses them, or that is exactly
+    singular (the stack then raises LinAlgError, and is solved again
+    without its rows of zero determinant), goes through
+    ``solve_barycentric`` itself, with its edge and vertex fallbacks; only
+    its NoConvexSolution means infeasible."""
+    pts = es.eigenvalues()[tris - 1]
+    A = np.ones((len(tris), 3, 3))
+    A[:, 1], A[:, 2] = pts.real, pts.imag
+    b = np.broadcast_to([1.0, lam.real, lam.imag], (len(tris), 3))[..., None]
+    try:
+        w = np.linalg.solve(A, b)[..., 0]
+    except np.linalg.LinAlgError:
+        w = np.full((len(tris), 3), np.nan)
+        live = np.linalg.det(A) != 0.0
+        try:
+            w[live] = np.linalg.solve(A[live], b[live])[..., 0]
+        except np.linalg.LinAlgError:
+            pass            # every row falls back
+    ok = (w > WEIGHT_FLOOR).all(axis=1)
+    w = np.clip(w, 0.0, 1.0)
+    resid = np.abs(w[:, 0] * pts[:, 0] + w[:, 1] * pts[:, 1]
+                   + w[:, 2] * pts[:, 2] - lam)
+    ok &= (resid <= VALUE_TOL) & (np.abs(w.sum(axis=1) - 1.0) <= SUM_TOL)
+    for i in np.flatnonzero(~ok):
+        try:
+            w[i] = solve_barycentric(es, triangle(*tris[i], dim=es.dim),
+                                     lam).weights
+        except NoConvexSolution:
+            return None
+    return w
+
+
 def _try_pieces(es, lam, pieces, kk):
-    """The N x kk frame of explicit pieces in the eigenbasis: one column
-    per triangle, two per pair block; None when infeasible."""
+    """The stacked pieces (see ``Projector``) of a candidate partition, or
+    None when one of them is infeasible: its pair blocks, rows (B, 5) and
+    isotropic pairs (B, 5, 2), then its triangles, rows (T, 3) and the
+    square roots of their barycentric weights (T, 3, 1).
+
+    Every triangle is solved first, in one stacked kernel
+    (``_triangle_weights``), so a candidate with an infeasible triangle
+    never pays ``isotropic_pair``. Each pair block arrives scored by the
+    rung that proposed it, at a rank-2 margin of at least
+    FEASIBILITY_FLOOR, and is not scored again here."""
     if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
         return None
-    V = np.zeros((es.dim, kk), dtype=complex)
-    col = 0
-    for kind, idx in pieces:
-        if kind == "tri":
-            w = _bary_or_none(es, idx, lam)
-            if w is None:
-                return None
-            rows = np.array(w.triangle.indices) - 1
-            V[rows, col] = np.sqrt(np.maximum(0.0, w.weights))
-            col += 1
-        else:
-            if _margin_of(es, idx, 2, lam) < FEASIBILITY_FLOOR:
-                return None
-            rows = np.array(sorted(idx)) - 1
-            try:
-                V[rows, col:col + 2] = blocks.isotropic_pair(
-                    es.eigenvalues()[rows] - lam)
-            except NoSolution:
-                return None
-            col += 2
-    return V
+    tris, blks = ([idx for kind, idx in pieces if kind == want]
+                  for want in ("tri", "block"))
+    out = []
+    if tris:
+        tris = np.sort(tris, axis=1)
+        w = _triangle_weights(es, tris, lam)
+        if w is None:
+            return None
+        out.append((tris - 1, np.sqrt(np.maximum(0.0, w))[:, :, None]
+                    .astype(complex)))
+    if blks:
+        rows = np.sort(blks, axis=1) - 1
+        mu = es.eigenvalues()
+        try:
+            coef = np.stack([blocks.isotropic_pair(mu[r] - lam) for r in rows])
+        except NoSolution:
+            return None
+        out.insert(0, (rows, coef))
+    return out
+
+
+def _blocks_feasible(es, pieces, lam) -> bool:
+    """Whether every pair block of ``pieces`` has a rank-2 margin of at least
+    FEASIBILITY_FLOOR, scored in one row-form call."""
+    blks = [idx for kind, idx in pieces if kind == "block"]
+    return not blks or subspectrum_margin(
+        es.phases, 2, lam, np.sort(blks, axis=1) - 1).min() >= FEASIBILITY_FLOOR
 
 
 def _feasible_triples(es, active, lam):
@@ -719,25 +796,44 @@ def _search_pieces(es, kk, lam, active, table, margin=None):
     return None
 
 
-def _assemble(es: EigenSystem, k: int, lam: complex, V, strategy: str,
-              pl: DecompositionPlan) -> Projector:
-    """Gate the N x k eigenbasis frame V and return it in the caller's
-    basis. For an orthonormal V, the compression residual of P = V V^H is
-    that of V^H D V, so no N x N product is needed."""
-    gram = V.conj().T @ V
-    if np.abs(gram - np.eye(k)).max() > GRAM_GATE:
-        raise GramFailure(
-            f"frame Gram deviates by {np.abs(gram - np.eye(k)).max():.2e}")
+def _piece_gates(es: EigenSystem, lam: complex, pieces):
+    """The largest Gram deviation |V^H V - I|, diagonal compression residual
+    and compression residual |V^H D V| of the stacked pieces, each piece's
+    c x c blocks computed alone."""
     d = es.eigenvalues() - lam
-    comp = V.conj().T @ (d[:, None] * V)
-    if np.abs(np.diag(comp)).max() > COMPRESSION_GATE:
-        raise GramFailure(
-            f"diagonal compression residual {np.abs(np.diag(comp)).max():.2e}")
-    if np.abs(comp).max() > COMPRESSION_GATE:
-        raise GramFailure(
-            f"off-diagonal compression residual {np.abs(comp).max():.2e}")
-    return Projector(frame=es.basis @ V, target=lam, strategy=strategy,
-                     plan=pl)
+    gram = diag = comp = 0.0
+    for rows, coef in pieces:
+        adj = coef.conj().transpose(0, 2, 1)
+        gram = max(gram, np.abs(adj @ coef - np.eye(coef.shape[2])).max())
+        c = adj @ (d[rows][:, :, None] * coef)
+        diag = max(diag, np.abs(np.diagonal(c, axis1=1, axis2=2)).max())
+        comp = max(comp, np.abs(c).max())
+    return gram, diag, comp
+
+
+def _assemble(es: EigenSystem, lam: complex, pieces, strategy: str,
+              pl: DecompositionPlan) -> Projector:
+    """Gate the stacked pieces of a witness and return its Projector.
+
+    The supports must be disjoint, else GramFailure. Then the Gram V^H V
+    and the compression V^H D V, D = diag(mu - lam), of the eigenbasis
+    frame V are block diagonal, one c x c block per piece and exactly zero
+    elsewhere, so each gate reads the pieces alone, stacked by shape: 1 x 1
+    per triangle and 2 x 2 per pair block. For an orthonormal V the
+    compression residual of P = V V^H is that of V^H D V, so no N x N
+    product is needed."""
+    rows = np.concatenate([r.ravel() for r, _ in pieces])
+    if np.bincount(rows, minlength=es.dim).max() > 1:
+        raise GramFailure("the supports of the pieces overlap")
+    gram, diag, comp = _piece_gates(es, lam, pieces)
+    if gram > GRAM_GATE:
+        raise GramFailure(f"frame Gram deviates by {gram:.2e}")
+    if diag > COMPRESSION_GATE:
+        raise GramFailure(f"diagonal compression residual {diag:.2e}")
+    if comp > COMPRESSION_GATE:
+        raise GramFailure(f"off-diagonal compression residual {comp:.2e}")
+    return Projector(pieces=tuple(pieces), basis=es.basis, target=lam,
+                     strategy=strategy, plan=pl)
 
 
 def projector_residuals(P, sigma, lam, k) -> dict:
@@ -775,7 +871,8 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
     # valid at any (N, k)
     close = [j for j in range(n) if abs(es.eigenvalue(j + 1) - lam) <= EIGEN_MATCH]
     if len(close) >= k:
-        return _assemble(es, k, lam, np.eye(n, dtype=complex)[:, close[:k]],
+        return _assemble(es, lam, [(np.array([close[:k]]),
+                                    np.eye(k, dtype=complex)[None])],
                          "eigenspace", None)
 
     if k == 1 and n != 3:
@@ -785,28 +882,30 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
 
     pl = plan(es, k, lam)
     pieces = _planned_pieces(pl)
-    V = _try_pieces(es, lam, pieces, k)
-    if V is not None:
-        return _assemble(es, k, lam, V, "planned", pl)
+    if _blocks_feasible(es, pieces, lam):
+        found = _try_pieces(es, lam, pieces, k)
+        if found is not None:
+            return _assemble(es, lam, found, "planned", pl)
 
     if pl.pairings:
-        found = _blockwise_pieces(es, k, lam)
-        if found is not None:
-            V = _try_pieces(es, lam, found, k)
-            if V is not None:
-                return _assemble(es, k, lam, V, "blockwise", pl)
+        pieces = _blockwise_pieces(es, k, lam)
+        if pieces is not None:
+            found = _try_pieces(es, lam, pieces, k)
+            if found is not None:
+                return _assemble(es, lam, found, "blockwise", pl)
 
     everything = tuple(range(1, n + 1))
-    found = _search_pieces(es, k, lam, everything,
-                           _feasible_triples(es, everything, lam))
-    if found is not None:
-        V = _try_pieces(es, lam, found, k)
-        if V is not None:
-            return _assemble(es, k, lam, V, "adaptive", pl)
+    pieces = _search_pieces(es, k, lam, everything,
+                            _feasible_triples(es, everything, lam))
+    if pieces is not None:
+        found = _try_pieces(es, lam, pieces, k)
+        if found is not None:
+            return _assemble(es, lam, found, "adaptive", pl)
 
     V = _global_fallback(es, k, lam)
     if V is not None:
-        return _assemble(es, k, lam, V, "least_squares", pl)
+        return _assemble(es, lam, [(np.arange(n)[None], V[None])],
+                         "least_squares", pl)
     raise NoSolution(
         f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
 
@@ -827,12 +926,12 @@ def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:
     """Rank-1 witness: at most three eigenvalues whose hull carries lam."""
     lam = complex(lam)
     support, weights = _caratheodory_support(es, lam)
-    V = np.zeros((es.dim, 1), dtype=complex)
-    V[np.array(support) - 1, 0] = np.sqrt(np.maximum(0.0, weights))
-    V = V / np.linalg.norm(V)
+    v = np.sqrt(np.maximum(0.0, weights)).astype(complex)
     pl = DecompositionPlan(CASE_RANK_1, 1, es.dim, (), (),
                            rank1_support=tuple(support))
-    return _assemble(es, 1, lam, V, "caratheodory", pl)
+    return _assemble(es, lam, [(np.array([support]) - 1,
+                                (v / np.linalg.norm(v))[None, :, None])],
+                     "caratheodory", pl)
 
 
 @dataclass(frozen=True)

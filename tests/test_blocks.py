@@ -7,6 +7,8 @@ from rankrange import (NoSolution, blocks, build_region, ingest_spectrum,
                        interior_point, isotropic_pair,
                        pair_isotropy_residual, subspectrum_margin)
 
+from clustered import clustered_phases
+
 
 def feasible_instance(rng):
     while True:
@@ -89,3 +91,99 @@ def test_frame_solve_budget_counts_jacobian_columns():
     for max_evals in (28, 200):
         with pytest.raises(NoSolution):
             blocks.frame_solve(d, 2, [q], max_evals)
+
+
+# --- the analytic-Jacobian Newton ------------------------------------------
+
+def fd_balance(nu, b1, b2, t):
+    kap = b1 + t * b2
+    scale = np.abs(kap).sum()
+    if scale == 0.0:
+        return complex(np.inf)
+    return complex((nu * np.abs(kap)).sum() / scale)
+
+
+def fd_newton_root(nu, b1, b2, t0):
+    """The damped Newton as it stood with a central-difference Jacobian
+    (step 1e-7, four extra balance calls per step)."""
+    t = t0
+    f = fd_balance(nu, b1, b2, t)
+    h = 1e-7
+    for _ in range(blocks.NEWTON_ITERS):
+        if abs(f) < 1e-16:
+            break
+        fx = (fd_balance(nu, b1, b2, t + h)
+              - fd_balance(nu, b1, b2, t - h)) / (2 * h)
+        fy = (fd_balance(nu, b1, b2, t + 1j * h)
+              - fd_balance(nu, b1, b2, t - 1j * h)) / (2 * h)
+        J = np.array([[fx.real, fy.real], [fx.imag, fy.imag]])
+        try:
+            step = np.linalg.solve(J, [-f.real, -f.imag])
+        except np.linalg.LinAlgError:
+            break
+        scale = 1.0
+        for _ in range(30):
+            cand = t + scale * (step[0] + 1j * step[1])
+            fc = fd_balance(nu, b1, b2, cand)
+            if abs(fc) < abs(f):
+                t, f = cand, fc
+                break
+            scale *= 0.5
+        else:
+            break
+    return t
+
+
+def newton_pairs(width, count, seed):
+    """(finite-difference root, analytic root, both balances) for both
+    kernel orderings of ``count`` blocks: uniform phases (width None) or
+    2 to 4 clusters of ``width``, each at the Chebyshev centre of its
+    rank-2 region."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        if width is None:
+            phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
+        else:
+            phases = clustered_phases([seed, i], 2 + i % 3, 5, width)
+        es = ingest_spectrum(phases)
+        lam = interior_point(build_region(es, 2))
+        if lam is None or subspectrum_margin(phases, 2, lam) < 1e-12:
+            continue
+        d = es.eigenvalues() - lam
+        nu = d / np.abs(d)
+        basis = blocks._kernel_basis(nu)
+        for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
+            t0 = blocks._grid_root(nu, b1, b2)
+            old = fd_newton_root(nu, b1, b2, t0)
+            new = blocks._newton_root(nu, b1, b2, t0)
+            out.append((old, new, abs(fd_balance(nu, b1, b2, old)),
+                        abs(fd_balance(nu, b1, b2, new))))
+    return out
+
+
+def test_newton_root_matches_finite_differences():
+    # a root is where the balance reaches rounding level; both versions
+    # reach one from the same grid seeds, and it is the same root. Where
+    # neither does (clustered blocks whose ordering has no root), the
+    # isotropic_pair gate rejects either end point
+    roots = 0
+    for width in (None, 1e-1, 1e-2, 1e-3):
+        for old, new, f_old, f_new in newton_pairs(width, 40, 7):
+            assert (f_old < 1e-15) == (f_new < 1e-15), (width, old, new)
+            if f_old < 1e-15:
+                roots += 1
+                assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), width
+    assert roots >= 200
+
+
+def test_newton_converges_with_finite_differences_on_tight_clusters():
+    # at width 1e-4 the balance is flat near its root (|f'| ~ 1e-5), so
+    # rounding moves either root by up to ~5e-12; both still converge on
+    # the same blocks
+    pairs = newton_pairs(1e-4, 40, 8)
+    assert sum(f < 1e-15 for _, _, f, _ in pairs) >= 10
+    for old, new, f_old, f_new in pairs:
+        assert (f_old < 1e-15) == (f_new < 1e-15), (old, new)
+        if f_old < 1e-15:
+            assert abs(new - old) <= 1e-9 * max(1.0, abs(old))

@@ -3,8 +3,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from rankrange import (InvalidRank, LambdaOutsideRegion, UnsupportedDimension,
-                       blocks, build_region, caratheodory_rank1,
+from rankrange import (GramFailure, InvalidRank, LambdaOutsideRegion,
+                       NoConvexSolution, UnsupportedDimension, blocks, build_region, caratheodory_rank1,
                        construct_projector, decomposition, ingest_matrix,
                        ingest_spectrum, interior_point, plan,
                        solve_barycentric, subspectrum_margin,
@@ -327,30 +327,97 @@ BENCHMARK_STREAMS = ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20),
                      (59, 20))
 
 
-def _one_per_strategy():
+def _one_per_strategy(conjugate=True):
     """(es, k, lam, strategy) reaching each rung short of least_squares;
-    matrix inputs, so the frame is mapped out of the eigenbasis."""
-    cases = [(ingest_matrix(np.eye(5)), 2, 1.0 + 0j, "eigenspace")]
+    matrix inputs by default, so the frame is mapped out of the eigenbasis,
+    else spectrum inputs of the same eigenvalues."""
+    if conjugate:
+        cases = [(ingest_matrix(np.eye(5)), 2, 1.0 + 0j, "eigenspace")]
+    else:
+        cases = [(ingest_spectrum(np.zeros(5)), 2, 1.0 + 0j, "eigenspace")]
     for n, k, strategy in ((9, 3, "planned"), (11, 4, "blockwise"),
                            (7, 1, "caratheodory")):
-        es = random_instance(np.random.default_rng(1), n, True)
+        es = random_instance(np.random.default_rng(1), n, conjugate)
         cases.append((es, k, pick_target(es, k), strategy))
     phases, lam = GIVES_UP[0]
-    q = random_unitary(np.random.default_rng(0), 16)
-    es = ingest_matrix(q @ np.diag(np.exp(1j * phases)) @ q.conj().T)
+    if conjugate:
+        q = random_unitary(np.random.default_rng(0), 16)
+        es = ingest_matrix(q @ np.diag(np.exp(1j * phases)) @ q.conj().T)
+    else:
+        es = ingest_spectrum(phases)
     cases.append((es, 6, lam, "adaptive"))
     return cases
 
 
 def test_frame_is_the_result():
-    for es, k, lam, strategy in _one_per_strategy():
-        proj = construct_projector(es, k, lam)
-        assert proj.strategy == strategy
-        W = proj.frame
-        assert W.shape == (es.dim, k) and proj.rank == k
-        assert np.abs(W.conj().T @ W - np.eye(k)).max() <= 1e-9, strategy
-        assert np.array_equal(proj.matrix, W @ W.conj().T)
-        assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+    for conjugate in (True, False):
+        for es, k, lam, strategy in _one_per_strategy(conjugate):
+            proj = construct_projector(es, k, lam)
+            assert proj.strategy == strategy
+            W = proj.frame
+            assert W.shape == (es.dim, k) and proj.rank == k
+            assert np.abs(W.conj().T @ W - np.eye(k)).max() <= 1e-9, strategy
+            assert np.array_equal(proj.matrix, W @ W.conj().T)
+            assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
+def eigenbasis_frame(proj, n):
+    """The N x k eigenbasis frame V of a projector's pieces, as the dense
+    assembly held it: each piece's coefficient block on its rows, in the
+    frame's column order."""
+    V = np.zeros((n, proj.rank), dtype=complex)
+    col = 0
+    for rows, coef in proj.pieces:
+        for r, c in zip(rows, coef):
+            V[r, col:col + c.shape[1]] = c
+            col += c.shape[1]
+    return V
+
+
+def dense_gates(es, lam, V):
+    """The dense gates of the eigenbasis frame V: its Gram deviation, and
+    its diagonal and full compression residuals."""
+    gram = np.abs(V.conj().T @ V - np.eye(V.shape[1])).max()
+    comp = V.conj().T @ ((es.eigenvalues() - lam)[:, None] * V)
+    return gram, np.abs(np.diag(comp)).max(), np.abs(comp).max()
+
+
+def test_piece_gates_equal_dense_gates():
+    for conjugate in (True, False):
+        for es, k, lam, strategy in _one_per_strategy(conjugate):
+            proj = construct_projector(es, k, lam)
+            want = dense_gates(es, lam, eigenbasis_frame(proj, es.dim))
+            got = decomposition._piece_gates(es, lam, proj.pieces)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-15, strategy
+
+
+def test_lazy_frame_equals_dense_product():
+    # a spectrum input's basis is the identity, so the pieces give the
+    # dense product exactly; a matrix input sums in another order
+    for conjugate in (True, False):
+        for es, k, lam, strategy in _one_per_strategy(conjugate):
+            proj = construct_projector(es, k, lam)
+            dense = es.basis @ eigenbasis_frame(proj, es.dim)
+            if conjugate:
+                assert np.allclose(proj.frame, dense, rtol=0, atol=1e-14)
+            else:
+                assert np.array_equal(proj.frame, dense), strategy
+
+
+def test_overlapping_pieces_raise_gram_failure():
+    found = decomposition._try_pieces(PENTAGON, 0j,
+                                      [("block", (1, 2, 3, 4, 5))], 2)
+    assert decomposition._assemble(PENTAGON, 0j, found, "blockwise",
+                                   None).rank == 2
+    # the same block twice, or a triangle on two of its rows: the gates of
+    # each piece alone would pass
+    rows, coef = found[0]
+    tri_rows = np.array([[0, 1, 2]])
+    tri_coef = np.full((1, 3, 1), 1 / np.sqrt(3), dtype=complex)
+    for pieces in ([(rows, coef), (rows, coef)],
+                   [(rows, coef), (tri_rows, tri_coef)]):
+        with pytest.raises(GramFailure, match="overlap"):
+            decomposition._assemble(PENTAGON, 0j, pieces, "blockwise", None)
 
 
 def test_construct_runs_no_dense_check(monkeypatch):
@@ -649,15 +716,124 @@ def test_search_inherits_node_margins(monkeypatch):
 
 
 def test_triangle_solve_errors_propagate(monkeypatch):
-    # only NoConvexSolution means "infeasible"; any other error is a fault
-    # and must not send the construction down to a fallback rung
+    # only NoConvexSolution means "infeasible"; any other error, from the
+    # stacked solve or from a row's fallback, is a fault and must not send
+    # the construction down to a fallback rung
+    solve = np.linalg.solve
+
+    def broken_stack(a, b):
+        if np.ndim(a) == 3:
+            raise RuntimeError("broken stacked solve")
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", broken_stack)
+        es = ingest_spectrum(2 * np.pi * np.arange(6) / 6)
+        with pytest.raises(RuntimeError, match="broken stacked solve"):
+            construct_projector(es, 2, 0.1 + 0.05j)
+
     def broken(*args, **kwargs):
         raise RuntimeError("broken triangle solve")
 
+    # two coincident eigenvalues make the one planned triangle singular, so
+    # its row falls back; the target is on its edge, a rank-1 boundary point
     monkeypatch.setattr(decomposition, "solve_barycentric", broken)
-    es = ingest_spectrum(2 * np.pi * np.arange(6) / 6)
+    es = ingest_spectrum([0.0, 0.0, np.pi / 2])
     with pytest.raises(RuntimeError, match="broken triangle solve"):
-        construct_projector(es, 2, 0.1 + 0.05j)
+        construct_projector(es, 1, 0.5 + 0.5j)
+
+
+# --- the stacked triangle kernel -------------------------------------------
+
+def assert_kernel_rows(es, tris, lam):
+    """_triangle_weights over the rows of ``tris`` that solve_barycentric
+    solves gives its weights, row by row and ``==``; a stack that adds any
+    row it rejects gives None."""
+    tris = np.array(tris)
+    want, feasible = [], []
+    for row in tris:
+        try:
+            want.append(solve_barycentric(
+                es, triangle(*row.tolist(), dim=es.dim), lam).weights)
+            feasible.append(True)
+        except NoConvexSolution:
+            feasible.append(False)
+    feasible = np.array(feasible)
+    if feasible.any():
+        got = decomposition._triangle_weights(es, tris[feasible], lam)
+        assert [tuple(w) for w in got.tolist()] == want
+    for row in np.flatnonzero(~feasible):
+        assert decomposition._triangle_weights(es, tris, lam) is None
+        assert decomposition._triangle_weights(es, tris[[row]], lam) is None
+    return int(feasible.sum())
+
+
+def test_triangle_kernel_clustered_points():
+    rng = np.random.default_rng(21)
+    solved = 0
+    for width in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        es = ingest_spectrum(clustered_phases([21, int(-np.log10(width))],
+                                              3, 9, width))
+        mu = es.eigenvalues()
+        tris = list(combinations(range(1, 10), 3))
+        # the centroid, a point inside a cluster's hull, the midpoint of a
+        # chord between clusters, an eigenvalue and a point outside
+        for lam in (complex(mu.mean()), complex(mu[:3].mean()),
+                    complex((mu[0] + mu[-1]) / 2), complex(mu[4]),
+                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1))):
+            solved += assert_kernel_rows(es, tris, lam)
+    assert solved > 0
+
+
+def test_triangle_kernel_degenerate_triples():
+    # exact multiplicities: triples with two coincident vertices are
+    # segments, with three they are points
+    es = ingest_spectrum([0.0, 0.0, 0.0, 2.0, 2.0, 4.0])
+    mu = es.eigenvalues()
+    tris = list(combinations(range(1, 7), 3))
+    edge = complex((mu[0] + mu[3]) / 2)           # on the segment 1 -> 4
+    inside = complex((mu[0] + mu[3] + mu[5]) / 3)
+    for lam in (edge, inside, complex(mu[0]), complex(mu[5]),
+                0.999 * edge, 1.2 + 0.1j):
+        assert_kernel_rows(es, tris, lam)
+
+
+def test_triangle_kernel_edge_vertex_outside():
+    es = ingest_spectrum(np.sort(np.random.default_rng(22).uniform(
+        0, 2 * np.pi, 7)))
+    mu = es.eigenvalues()
+    tris = list(combinations(range(1, 8), 3))
+    for lam in (complex((mu[1] + mu[4]) / 2), complex((mu[0] + mu[6]) / 2),
+                complex(mu[2]), complex(mu.mean()), 0.9 * complex(mu[3]),
+                1.1 * complex(mu[3])):
+        assert_kernel_rows(es, tris, lam)
+
+
+def test_triangle_kernel_falls_back_per_row(monkeypatch):
+    # (1, 2, 3) is exactly singular, so the stacked solve raises; only that
+    # row goes through solve_barycentric, and its edge solution holds
+    es = ingest_spectrum([0.0, 0.0, 2.0, 3.0, 4.0, 5.0])
+    mu = es.eigenvalues()
+    lam = complex((mu[0] + mu[2]) / 2)
+    tris = np.array([(1, 3, 5), (1, 2, 3), (2, 3, 6)])
+    calls = []
+    solve = decomposition.solve_barycentric
+
+    def counted(*args):
+        calls.append(args[1].indices)
+        return solve(*args)
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
+    got = decomposition._triangle_weights(es, tris, lam)
+    assert calls == [(1, 2, 3)]
+    want = [solve(es, triangle(*row, dim=6), lam).weights
+            for row in tris.tolist()]
+    assert [tuple(w) for w in got.tolist()] == want
+    # an infeasible singular row is the only one solved alone, and the
+    # stack is then infeasible
+    calls.clear()
+    assert decomposition._triangle_weights(es, tris, 0.99 * lam) is None
+    assert calls == [(1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +883,14 @@ def test_polish_closes_pair_block(monkeypatch):
 
 def test_frame_solve_closes_pair_block(monkeypatch):
     seen = _count_rungs(monkeypatch)
-    es = _three_clusters()
-    # 0.9 of the way from the region's Chebyshev centre to its boundary
-    lam = -0.9111685132775665 - 0.32391754651223337j
+    # three clusters of width ~1e-4; the target is 0.9 of the way from the
+    # region's Chebyshev centre to its boundary, in the +imaginary direction
+    es = ingest_spectrum(clustered_phases(44, 3, 8))
+    lam = -0.22069262232778145 + 0.6124527386670806j
     proj = construct_projector(es, 3, lam)
     assert proj.strategy == "planned"
-    # isotropic_pair's own polish fails; its frame_solve closes the block
+    # Newton misses, the polish of the best Newton frame fails, and a later
+    # seed of isotropic_pair's own frame_solve closes the block
     assert seen["polish"][0] is False
     assert seen["frame_solve"] == [True] and seen["global"] == 0
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
@@ -734,6 +912,9 @@ def test_least_squares_closes_construction(monkeypatch):
     assert proj.strategy == "least_squares"
     assert seen["global"] == 1 and seen["frame_solve"] == [True]
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
+    # one piece on every row: the frame is the solved V itself
+    assert [rows.shape for rows, _ in proj.pieces] == [(1, 26)]
+    assert np.array_equal(proj.frame, proj.pieces[0][1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +1061,8 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
     # one rank-2 scoring, from the block's 5 x 1 chord table; the empty
     # remainder is not scored: rank 0 would raise InvalidRank
     assert ranks == [] and tables == [(5, 1)]
-    V = decomposition._try_pieces(PENTAGON, 0j, pieces, 2)
-    proj = decomposition._assemble(PENTAGON, 2, 0j, V, "blockwise", None)
+    found = decomposition._try_pieces(PENTAGON, 0j, pieces, 2)
+    proj = decomposition._assemble(PENTAGON, 0j, found, "blockwise", None)
     assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
 
 
