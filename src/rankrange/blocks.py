@@ -21,9 +21,12 @@ kernel of the rows {Re nu, Im nu, 1} and sum_m nu_m |kappa_m| = 0. The
 kernel is the complexification of a real 2-dimensional kernel for five
 points, so a single complex parameter t in kappa = b1 + t b2 remains and
 the scalar balance condition is a two-real-unknown root find, solved by a
-coarse grid plus damped Newton. Newton's 2 x 2 Jacobian is analytic,
-from d|kappa_m|/dt = conj(kappa_m) b2_m / |kappa_m|, and the iteration
-runs in plain complex arithmetic over the points.
+coarse grid plus damped Newton. The grid's coordinates are a module
+constant; as b1 and b2 are real, kappa and the balance on the grid are
+formed in real arithmetic, rounded as the complex products would be, and
+each modulus is taken once. Newton's 2 x 2 Jacobian is analytic, from
+d|kappa_m|/dt = conj(kappa_m) b2_m / |kappa_m|, and the iteration runs in
+plain complex arithmetic over the points.
 """
 
 from __future__ import annotations
@@ -34,9 +37,12 @@ import scipy.optimize
 from .errors import NoSolution
 
 BLOCK_RESIDUAL_GATE = 1e-10
-# the coarse grid of the root seed: GRID x GRID points of |Re t|, |Im t| <= SPAN
+# the coarse grid of the root seed: GRID x GRID points of |Re t|, |Im t| <= SPAN,
+# each coordinate taken from _GRID_XS
 GRID = 48
 SPAN = 6.0
+_GRID_XS = np.linspace(-SPAN, SPAN, GRID)
+_GRID_XS.setflags(write=False)
 NEWTON_ITERS = 60
 
 
@@ -124,14 +130,23 @@ def isotropic_pair(d: np.ndarray):
 
 
 def _grid_root(nu, b1, b2):
-    xs = np.linspace(-SPAN, SPAN, GRID)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    T = X + 1j * Y
-    kap = b1[:, None, None] + T[None, :, :] * b2[:, None, None]
-    scale = np.abs(kap).sum(axis=0)
-    vals = np.abs((nu[:, None, None] * np.abs(kap)).sum(axis=0)) / scale
-    idx = np.unravel_index(np.argmin(vals), vals.shape)
-    return complex(T[idx])
+    """The grid point t = x + iy, x and y from ``_GRID_XS``, of least
+    relative balance |sum nu_m |kappa_m|| / sum |kappa_m|, kappa = b1 + t b2.
+
+    As b1 and b2 are real, kappa's parts b1 + x b2 and y b2, and the
+    balance's parts, are formed in real arithmetic, which rounds them as
+    complex arithmetic does. Both moduli are numpy's complex ``abs``:
+    ``np.hypot`` rounds differently and can move the argmin."""
+    n = nu.size
+    kap = np.empty((n, GRID, GRID), dtype=complex)
+    kap.real = (b1[:, None] + _GRID_XS * b2[:, None])[:, :, None]
+    kap.imag = (_GRID_XS * b2[:, None])[:, None, :]
+    mags = np.abs(kap)
+    bal = np.empty((GRID, GRID), dtype=complex)
+    bal.real = (nu.real[:, None, None] * mags).sum(axis=0)
+    bal.imag = (nu.imag[:, None, None] * mags).sum(axis=0)
+    i, j = divmod(int(np.argmin(np.abs(bal) / mags.sum(axis=0))), GRID)
+    return complex(_GRID_XS[i], _GRID_XS[j])
 
 
 def _newton_root(nu, b1, b2, t0):

@@ -5,7 +5,8 @@ family: k disjoint triangles for N = 3k, one shared-vertex pairing for
 N = 3k-1, two pairings for N = 3k-2 (k >= 5), and a direct convex
 decomposition for k = 1. Weak-vertex probes decide the branch; when the
 opening vertex is heavy the whole template is reflected through an
-orientation-reversing relabeling and mapped back.
+orientation-reversing relabeling and mapped back. The probes run on every
+call; each template is built and checked once per shape and shared.
 
 ``construct_projector`` builds a witness whose compression of the input
 matrix is the scalar target, and keeps it as its pieces: on each disjoint
@@ -26,8 +27,11 @@ ladder of strategies and returns the first witness that passes the gates:
    margin and its remainder's margin. Every candidate is scored from one
    table of the chords the candidates share (n starts by the few spans
    near 2n/5), and the layout of the candidates is built once per size
-   and cached; the 3m indices left take the triangles (j, j+m, j+2m),
-   which a positive rank-m margin of the remainder makes feasible;
+   and cached, stored by chord so that each candidate's min is 5
+   contiguous gathers; a partition picks the BLOCK_SHORTLIST best blocks,
+   whose remainders are scored. The 3m indices left take the triangles
+   (j, j+m, j+2m), which a positive rank-m margin of the remainder makes
+   feasible;
 4. ``adaptive``: a deterministic search re-partitions the indices among
    feasible triangles and blocks. It scores every triangle of the spectrum
    once per construction, and each of its steps keeps the rows of that
@@ -58,7 +62,7 @@ from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
                      NoConvexSolution, NoSolution, ShapeMismatch,
                      UnsupportedDimension)
 from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
-from .spectra import TWO_PI, EigenSystem, reflect_labels
+from .spectra import TWO_PI, EigenSystem, ReflectionMap, reflect_labels
 from .triangles import (SUM_TOL, VALUE_TOL, WEIGHT_FLOOR, TriangleSpec,
                         solve_barycentric, triangle, validate_triangle)
 
@@ -222,44 +226,60 @@ def _check_plan(plan: DecompositionPlan):
 
 
 def plan(es: EigenSystem, k: int, lam: complex) -> DecompositionPlan:
-    """Dimension dispatch and weak-vertex branching (pure combinatorics)."""
+    """Dimension dispatch and weak-vertex branching (pure combinatorics).
+
+    The probes run on every call; the plan they select is built and
+    checked once per shape (``_plan_template``) and shared."""
     n = es.dim
     lam = complex(lam)
     if k < 1:
         raise UnsupportedDimension(f"rank k={k} must be positive")
     if n == 3 * k:
-        tris = tuple(triangle(*t, dim=n) for t in three_k_patterns(k))
-        out = DecompositionPlan(CASE_THREE_K, k, n, tris, ())
-    elif n == 3 * k - 1 and k >= 2:
-        out = _plan_three_k_minus_1(es, k, lam)
-    elif n == 3 * k - 2 and k >= 5:
-        out = _plan_three_k_minus_2(es, k, lam)
-    elif k == 1:
+        return _plan_template(CASE_THREE_K, k, n, None)
+    if n == 3 * k - 1 and k >= 2:
+        return _plan_three_k_minus_1(es, k, lam)
+    if n == 3 * k - 2 and k >= 5:
+        return _plan_three_k_minus_2(es, k, lam)
+    if k == 1:
         return _plan_rank1(es, lam)
+    raise UnsupportedDimension(
+        f"no construction for N={n}, k={k}; supported: N=3k, N=3k-1 "
+        f"(k>=2), N=3k-2 (k>=5), k=1")
+
+
+# one plan per (case, k, N, pivot); a 3k-2 size has 4 shapes
+@functools.lru_cache(maxsize=64)
+def _plan_template(case: str, k: int, n: int, pivot) -> DecompositionPlan:
+    """The plan of one shape, its triangles relabeled through the
+    reflection about ``pivot`` (None: not reflected), checked by
+    ``_check_plan`` once; NoSolution, which is not cached, if the check
+    fails."""
+    refl = None if pivot is None else ReflectionMap(pivot=pivot, dim=n)
+    if case == CASE_THREE_K:
+        patterns, shared, branch = three_k_patterns(k), (), None
+    elif case == CASE_THREE_K_MINUS_1:
+        patterns, one = three_k_minus_1_patterns(k)
+        shared, branch = (one,), "vertex1" if refl is None else "reflected"
     else:
-        raise UnsupportedDimension(
-            f"no construction for N={n}, k={k}; supported: N=3k, N=3k-1 "
-            f"(k>=2), N=3k-2 (k>=5), k=1")
+        case_no = 1 if case == CASE_THREE_K_MINUS_2_C1 else 2
+        patterns, shared = three_k_minus_2_patterns(k, case_no)
+        branch = f"case{case_no}"
+    out = DecompositionPlan(
+        case, k, n, tuple(_tri(t, refl, n) for t in patterns),
+        tuple(Pairing(2 * i, 2 * i + 1, j if refl is None else refl(j))
+              for i, j in enumerate(shared)),
+        reflection_pivot=pivot, branch=branch)
     _check_plan(out)
     return out
 
 
 def _plan_three_k_minus_1(es: EigenSystem, k: int, lam: complex):
-    n = es.dim
-    probe = triangle(1, k + 1, 2 * k + 1, dim=n)
-    refl = None
-    branch = "vertex1"
+    probe = triangle(1, k + 1, 2 * k + 1, dim=es.dim)
+    pivot = None
     if _weight(es, probe, lam, 1) > 0.5:
         # vertex 2k+1 is necessarily weak; renumber so it plays vertex 1
-        refl = reflect_labels(es, 2 * k + 1)
-        branch = "reflected"
-    patterns, shared = three_k_minus_1_patterns(k)
-    tris = [_tri(t, refl, n) for t in patterns]
-    shared = shared if refl is None else refl(shared)
-    return DecompositionPlan(CASE_THREE_K_MINUS_1, k, n, tuple(tris),
-                             (Pairing(0, 1, shared),),
-                             reflection_pivot=None if refl is None else refl.pivot,
-                             branch=branch)
+        pivot = 2 * k + 1
+    return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim, pivot)
 
 
 def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
@@ -271,18 +291,10 @@ def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
         refl = reflect_labels(es, k - 1)
     probe2 = _tri((k - 2, 2 * k - 2, 3 * k - 3), refl, n)
     probe2_vertex = (2 * k - 2) if refl is None else refl(2 * k - 2)
-    if _weight(es, probe2, lam, probe2_vertex) <= 0.5:
-        case, case_no = CASE_THREE_K_MINUS_2_C1, 1
-    else:
-        case, case_no = CASE_THREE_K_MINUS_2_C2, 2
-    patterns, (shared1, shared2) = three_k_minus_2_patterns(k, case_no)
-    tris = [_tri(t, refl, n) for t in patterns]
-    shared1 = shared1 if refl is None else refl(shared1)
-    shared2 = shared2 if refl is None else refl(shared2)
-    return DecompositionPlan(case, k, n, tuple(tris),
-                             (Pairing(0, 1, shared1), Pairing(2, 3, shared2)),
-                             reflection_pivot=None if refl is None else refl.pivot,
-                             branch="case1" if case_no == 1 else "case2")
+    case = CASE_THREE_K_MINUS_2_C1 \
+        if _weight(es, probe2, lam, probe2_vertex) <= 0.5 \
+        else CASE_THREE_K_MINUS_2_C2
+    return _plan_template(case, k, n, None if refl is None else refl.pivot)
 
 
 def _plan_rank1(es: EigenSystem, lam: complex) -> DecompositionPlan:
@@ -598,17 +610,20 @@ def _spaced_blocks(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _block_layout(n: int):
     """Read-only layout of the pair-block candidates on n positions:
-    ``_spaced_blocks(n)``, the distinct spans S of their rank-2 chords,
-    ascending, and for each row the flat indices of its 5 chords in an
-    n x |S| table whose entry (s, i) is the chord from position s to
-    position s + S[i], wrapping past n - 1. Chord c of a row runs from its
-    position c to its position c + 2 (mod 5). It depends on n alone; a
-    3k-2 construction asks for two sizes, n and n - 5."""
+    ``_spaced_blocks(n)``, rows (C, 5), the distinct spans S of their
+    rank-2 chords, ascending, and the flat indices, shape (5, C), of each
+    row's 5 chords in an n x |S| table whose entry (s, i) is the chord from
+    position s to position s + S[i], wrapping past n - 1. Column r of the
+    indices belongs to row r, and its entry c to the row's chord c, which
+    runs from its position c to its position c + 2 (mod 5); stored by
+    chord, each of the 5 is one contiguous gather. It depends on n alone;
+    a 3k-2 construction asks for two sizes, n and n - 5."""
     five = _spaced_blocks(n)
     spans = np.concatenate([five[:, 2:], five[:, :2] + n], axis=1) - five
     lo = spans.min()
     distinct = np.flatnonzero(np.bincount((spans - lo).ravel())) + lo
-    idx = five * distinct.size + np.searchsorted(distinct, spans)
+    idx = np.ascontiguousarray(
+        (five * distinct.size + np.searchsorted(distinct, spans)).T)
     for arr in (five, distinct, idx):
         arr.setflags(write=False)
     return five, distinct, idx
@@ -619,7 +634,8 @@ def _block_scores(phases, act, lam):
     ascending) and their rank-2 margins, ``==`` to
     ``subspectrum_margin(phases, 2, lam, act[rows] - 1)``: the n x |S|
     chord table is scored once, and each row takes the min of its 5
-    entries. The chords that wrap past the last position end at
+    entries, as the running ``np.minimum`` of the layout's 5 gathers. The
+    chords that wrap past the last position end at
     ``exp(1j * (phases + 2pi))``, as in ``subspectrum_margin``."""
     n = act.size
     five, spans, idx = _block_layout(n)
@@ -631,8 +647,24 @@ def _block_scores(phases, act, lam):
     t1 = phases[end] + TWO_PI * wrap
     z = np.exp(1j * phases)
     b = np.where(wrap, np.exp(1j * (phases + TWO_PI))[end], z[end])
-    table = _chord_margins(phases[start], t1, z[start], b, lam)
-    return five, np.minimum(1.0 - abs(lam), table.ravel()[idx].min(axis=1))
+    table = _chord_margins(phases[start], t1, z[start], b, lam).ravel()
+    out = np.minimum(table[idx[0]], 1.0 - abs(lam))
+    for chord in idx[1:]:
+        np.minimum(out, table[chord], out=out)
+    return five, out
+
+
+def _shortlist(good, m):
+    """The BLOCK_SHORTLIST entries of ``good`` of largest margin ``m``,
+    largest first, ties in the order of ``good``: ``==`` to
+    ``good[np.argsort(-m, kind="stable")[:BLOCK_SHORTLIST]]``. A partition
+    keeps every margin at least the BLOCK_SHORTLIST-th largest, ties
+    included, and only those are sorted."""
+    cut = m.size - BLOCK_SHORTLIST
+    if cut > 0:
+        keep = m >= np.partition(m, cut)[cut]
+        good, m = good[keep], m[keep]
+    return good[np.argsort(-m, kind="stable")[:BLOCK_SHORTLIST]]
 
 
 def _blockwise_pieces(es, kk, lam):
@@ -654,7 +686,7 @@ def _blockwise_pieces(es, kk, lam):
         good = np.nonzero(m_blk >= FEASIBILITY_FLOOR)[0]
         if good.size == 0:
             return None
-        good = good[np.argsort(-m_blk[good], kind="stable")[:BLOCK_SHORTLIST]]
+        good = _shortlist(good, m_blk[good])
         rest = _remainders(act.size, five[good])
         if kk == 2:
             m_rest = np.full(good.size, np.inf)    # nothing is left
@@ -847,6 +879,14 @@ def projector_residuals(P, sigma, lam, k) -> dict:
     }
 
 
+def _eigen_matches(es: EigenSystem, lam: complex) -> list:
+    """0-based positions of the eigenvalues within EIGEN_MATCH of lam, from
+    one array of eigenvalues; Python ``abs`` of each difference, as
+    ``abs(es.eigenvalue(j + 1) - lam)`` rounds it."""
+    return [j for j, z in enumerate((es.eigenvalues() - lam).tolist())
+            if abs(z) <= EIGEN_MATCH]
+
+
 def construct_projector(es: EigenSystem, k: int, lam: complex,
                         tol: float = MEMBERSHIP_TOL) -> Projector:
     """Rank-k projector P with P sigma P = lam P, built constructively.
@@ -869,7 +909,7 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
 
     # eigenspace shortcut: a k-fold eigenvalue at lam is its own witness,
     # valid at any (N, k)
-    close = [j for j in range(n) if abs(es.eigenvalue(j + 1) - lam) <= EIGEN_MATCH]
+    close = _eigen_matches(es, lam)
     if len(close) >= k:
         return _assemble(es, lam, [(np.array([close[:k]]),
                                     np.eye(k, dtype=complex)[None])],

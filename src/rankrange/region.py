@@ -14,6 +14,7 @@ chord semantics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -77,13 +78,28 @@ class ChordTable:
 
 @dataclass(frozen=True)
 class OmegaRegion:
-    """The full constraint set: N chords plus any point constraints."""
+    """The full constraint set: N chords plus any point constraints.
+
+    Membership, margins and the interior point read the chords from
+    ``table``; the per-chord ``constraints`` are built from it only when
+    first read."""
     k: int
     dim: int
-    constraints: tuple
     point_constraints: tuple
     eigenvalues: np.ndarray
     table: ChordTable = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def constraints(self) -> tuple:
+        """One ChordConstraint per start index i = 1..N, from ``table``."""
+        t, n = self.table, self.dim
+        return tuple(
+            ChordConstraint(start_index=i + 1, end_index=(i + self.k) % n + 1,
+                            endpoint_a=ca, endpoint_b=cb, inward_sign=s,
+                            degenerate=not lv, span=sp)
+            for i, (ca, cb, s, lv, sp) in enumerate(zip(
+                t.endpoint_a.tolist(), t.endpoint_b.tolist(),
+                t.inward_sign.tolist(), t.live.tolist(), t.span.tolist())))
 
     def halfplanes(self):
         return [c for c in self.constraints
@@ -91,7 +107,8 @@ class OmegaRegion:
 
 
 def build_region(es: EigenSystem, k: int) -> OmegaRegion:
-    """One constraint per start index i = 1..N with end index i+k cyclic."""
+    """The chord table, one chord per start index i = 1..N with end index
+    i+k cyclic, and the point constraints of its dead chords."""
     n = es.dim
     if k < 1 or k > n:
         raise InvalidRank(f"rank k={k} outside 1..{n}")
@@ -117,21 +134,11 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     table = ChordTable(endpoint_a=a, endpoint_b=b, edge=edge, length=length,
                        inward_sign=sign, span=span, live=live,
                        halfplanes=halfplanes)
-
-    constraints = tuple(
-        ChordConstraint(start_index=i + 1, end_index=(i + k) % n + 1,
-                        endpoint_a=ca, endpoint_b=cb, inward_sign=s,
-                        degenerate=not lv, span=sp)
-        for i, (ca, cb, s, lv, sp) in enumerate(zip(
-            table.endpoint_a.tolist(), table.endpoint_b.tolist(),
-            table.inward_sign.tolist(), table.live.tolist(),
-            table.span.tolist())))
     unique_points = []
     for p in a[~live & (span > np.pi)].tolist():
         if all(abs(p - q) > 1e-12 for q in unique_points):
             unique_points.append(p)
-    return OmegaRegion(k=k, dim=n, constraints=constraints,
-                       point_constraints=tuple(unique_points),
+    return OmegaRegion(k=k, dim=n, point_constraints=tuple(unique_points),
                        eigenvalues=es.eigenvalues(), table=table)
 
 

@@ -187,3 +187,44 @@ def test_newton_converges_with_finite_differences_on_tight_clusters():
         assert (f_old < 1e-15) == (f_new < 1e-15), (old, new)
         if f_old < 1e-15:
             assert abs(new - old) <= 1e-9 * max(1.0, abs(old))
+
+
+def reference_grid_root(nu, b1, b2):
+    """_grid_root as it stood: the grid rebuilt as a complex meshgrid on
+    every call, and |kappa| taken twice."""
+    xs = np.linspace(-blocks.SPAN, blocks.SPAN, blocks.GRID)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    T = X + 1j * Y
+    kap = b1[:, None, None] + T[None, :, :] * b2[:, None, None]
+    scale = np.abs(kap).sum(axis=0)
+    vals = np.abs((nu[:, None, None] * np.abs(kap)).sum(axis=0)) / scale
+    idx = np.unravel_index(np.argmin(vals), vals.shape)
+    return complex(T[idx])
+
+
+def test_grid_root_matches_reference():
+    # uniform blocks and clusters of width 1e-1 to 1e-6, both kernel
+    # orderings, each at the Chebyshev centre of its rank-2 region (or the
+    # eigenvalues' mean when the region has none): the same grid point
+    rng = np.random.default_rng(15)
+    count = 0
+    for width in (None, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for i in range(40):
+            if width is None:
+                phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
+            else:
+                phases = clustered_phases([15, i], 2 + i % 3, 5, width)
+            es = ingest_spectrum(phases)
+            lam = interior_point(build_region(es, 2))
+            if lam is None:
+                lam = complex(es.eigenvalues().mean())
+            d = es.eigenvalues() - lam
+            if np.abs(d).min() < 1e-14:
+                continue
+            nu = d / np.abs(d)
+            basis = blocks._kernel_basis(nu)
+            for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
+                assert blocks._grid_root(nu, b1, b2) == \
+                    reference_grid_root(nu, b1, b2), (width, i)
+                count += 1
+    assert count >= 500

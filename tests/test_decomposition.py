@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rankrange import (GramFailure, InvalidRank, LambdaOutsideRegion,
-                       NoConvexSolution, UnsupportedDimension, blocks, build_region, caratheodory_rank1,
+                       NoConvexSolution, NoSolution, UnsupportedDimension,
+                       blocks, build_region, caratheodory_rank1,
                        construct_projector, decomposition, ingest_matrix,
                        ingest_spectrum, interior_point, plan,
                        solve_barycentric, subspectrum_margin,
@@ -151,6 +152,50 @@ def test_plan_reflected_instances_still_cover():
     assert seen_reflected > 0
 
 
+def test_plan_template_is_shared(monkeypatch):
+    # the weak-vertex probe runs on every call; the plan it selects is
+    # built and checked once per shape and returned again
+    probes = []
+    solve = decomposition.solve_barycentric
+
+    def counted(*args):
+        probes.append(args[1].indices)
+        return solve(*args)
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
+    first = plan(PENTAGON, 2, 0j)
+    again = plan(PENTAGON, 2, 0.01 + 0.02j)
+    assert again is first and len(probes) == 2
+    other = ingest_spectrum(np.sort(np.random.default_rng(3).uniform(
+        0, 2 * np.pi, 5)))
+    lam = interior_point(build_region(other, 2))
+    pl = plan(other, 2, lam)
+    assert len(probes) == 3
+    assert (pl is first) == (pl.branch == first.branch)
+    assert decomposition._plan_template.cache_info().maxsize is not None
+
+
+def test_plan_template_rejects_broken_pattern(monkeypatch):
+    # the printed remainder (k-m, 2k-m, 3k-m-1) collides with vertex 2k+1
+    # at m = k-2 and never covers index 3k-1
+    def broken(k):
+        tris, shared = three_k_minus_1_patterns(k)
+        return tris[:2] + [(k - m, 2 * k - m, 3 * k - m - 1)
+                           for m in range(1, k - 1)], shared
+
+    es = ingest_spectrum(np.sort(np.random.default_rng(6).uniform(
+        0, 2 * np.pi, 11)))
+    lam = interior_point(build_region(es, 4))
+    decomposition._plan_template.cache_clear()
+    monkeypatch.setattr(decomposition, "three_k_minus_1_patterns", broken)
+    try:
+        for _ in range(2):      # a failed check is not cached
+            with pytest.raises(NoSolution, match="covers index"):
+                plan(es, 4, lam)
+    finally:
+        decomposition._plan_template.cache_clear()
+
+
 def test_plan_unsupported_dimensions():
     for (n, k) in ((7, 3), (10, 4), (4, 2), (12, 5)):
         es = ingest_spectrum(np.linspace(0.1, 6.0, n))
@@ -159,6 +204,40 @@ def test_plan_unsupported_dimensions():
 
 
 # --- construction ----------------------------------------------------------
+
+def test_eigen_matches_equal_scalar_loop():
+    # eigenvalues near 1 whose distance from the target 1 is their phase,
+    # exactly: a few ulps either side of EIGEN_MATCH, and the threshold
+    # itself; then targets near the eigenvalue 1 itself whose distance from
+    # it falls within a few ulps of EIGEN_MATCH, among them distances that
+    # numpy's complex abs and Python's abs round to opposite sides of it
+    match = decomposition.EIGEN_MATCH
+    near = [match]
+    for _ in range(4):
+        near = [np.nextafter(near[0], 0.0)] + near + \
+            [np.nextafter(near[-1], 1.0)]
+    es = ingest_spectrum([0.0] + near + [0.5, 2.0, 4.0])
+    rng = np.random.default_rng(8)
+    targets = [1 + 0j, complex(np.nextafter(1.0, 2.0)), 1 + 1e-9j,
+               complex(es.eigenvalue(10)) + match * np.exp(2j)]
+    targets += list(es.eigenvalues()[rng.integers(0, es.dim, 8)]
+                    + match * np.exp(1j * rng.uniform(0, 7, 8))
+                    * rng.uniform(0.999999, 1.000001, 8))
+    for m in (13, 1000):
+        dx = m * 2.0 ** -53
+        ys = np.sqrt(match ** 2 - dx ** 2) \
+            + np.spacing(match) * np.arange(-30, 31)
+        targets += list((1.0 - dx) - 1j * ys)
+    hits = set()
+    for lam in targets:
+        want = [j for j in range(es.dim)
+                if abs(es.eigenvalue(j + 1) - lam) <= match]
+        assert decomposition._eigen_matches(es, lam) == want, lam
+        hits.add(len(want))
+    # at the target 1 the threshold splits the near eigenvalues
+    assert decomposition._eigen_matches(es, 1 + 0j) == list(range(6))
+    assert hits >= {0, 1}
+
 
 def test_identity_any_rank():
     es = ingest_matrix(np.eye(5))
@@ -954,14 +1033,54 @@ def test_block_layout_is_cached_and_read_only():
     assert decomposition._block_layout(58) is layout
     five, spans, idx = layout
     assert np.array_equal(five, decomposition._spaced_blocks(58))
-    # each row's chord c runs from its position c to its position c + 2
+    # stored by chord: column r holds row r's 5 chords, each chord's
+    # indices one contiguous gather; a row's chord c runs from its position
+    # c to its position c + 2
+    assert idx.shape == (5, len(five)) and idx.flags.c_contiguous
     ends = np.concatenate([five[:, 2:], five[:, :2] + 58], axis=1)
-    assert np.array_equal(idx // spans.size, five)
-    assert np.array_equal(spans[idx % spans.size], ends - five)
+    assert np.array_equal(idx.T // spans.size, five)
+    assert np.array_equal(spans[idx.T % spans.size], ends - five)
     for arr in layout:
         with pytest.raises(ValueError):
             arr[0] = 0
     assert decomposition._block_layout.cache_info().maxsize is not None
+
+
+def full_sort_shortlist(good, m):
+    return good[np.argsort(-m, kind="stable")[:decomposition.BLOCK_SHORTLIST]]
+
+
+def test_block_shortlist_equals_full_sort():
+    size = decomposition.BLOCK_SHORTLIST
+    cut_ties = 0
+    cases = []
+    # block margins of equally spaced spectra, whose rotations tie, and of
+    # spectra of 3 to 5 exact multiplicities
+    rng = np.random.default_rng(21)
+    for n in (13, 28, 29, 43, 44, 58, 59, 88):
+        spectra = [2 * np.pi * np.arange(n) / n]
+        spectra += [np.sort(rng.choice(2 * np.pi * np.arange(m) / m, n))
+                    for m in (3, 4, 5)]
+        for phases in spectra:
+            es = ingest_spectrum(phases)
+            act = np.arange(1, n + 1)
+            for lam in (0j, 0.1 + 0.05j, complex(es.eigenvalues()[:3].mean())):
+                _, m = decomposition._block_scores(es.phases, act, lam)
+                cases.append(m)
+    # synthetic margins made of a few values, each repeated, so that the
+    # cut falls inside a run of ties
+    for reps in (1, 7, 30, 64, 65, 100):
+        m = np.repeat(rng.uniform(0.1, 1.0, 300 // reps + 2), reps)
+        cases.append(rng.permutation(m))
+    cases.append(np.full(200, 0.5))
+    for m in cases:
+        good = np.nonzero(m >= decomposition.FEASIBILITY_FLOOR)[0]
+        want = full_sort_shortlist(good, m[good])
+        assert np.array_equal(decomposition._shortlist(good, m[good]), want)
+        ordered = np.sort(m[good])[::-1]
+        if ordered.size > size and ordered[size - 1] == ordered[size]:
+            cut_ties += 1
+    assert cut_ties >= 10
 
 
 def block_score_cases(n, rng):

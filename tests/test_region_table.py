@@ -263,3 +263,34 @@ def test_oracle_equals_old_hull_loop(phases, k):
         old = _old_oracle_margin(es, k, z)
         assert abs(oracle.margin(z) - old) <= 1e-15, z
         assert oracle.verdict(z) == _old_verdict(old), z
+
+
+# ---------------------------------------------------------------------------
+# the per-chord constraints are built on demand
+
+
+def test_constraints_built_only_when_read(monkeypatch):
+    from rankrange import construct_projector, decomposition
+
+    built = []
+
+    def kept(es, k):
+        built.append(build_region(es, k))
+        return built[-1]
+
+    monkeypatch.setattr(decomposition, "build_region", kept)
+    es = ingest_spectrum(np.sort(np.random.default_rng(5).uniform(
+        0, 2 * np.pi, 14)))
+    region = build_region(es, 5)
+    lam = interior_point(region)
+    assert contains(region, lam) == INSIDE
+    construct_projector(es, 5, lam)
+    assert len(built) == 1
+    for r in (region, built[0]):
+        assert "constraints" not in vars(r)
+    # the first read builds them once, equal to the earlier per-chord code
+    first = region.constraints
+    assert region.constraints is first
+    rows, _ = _old_chords(es, 5)
+    assert [(c.start_index, c.end_index, c.endpoint_a, c.endpoint_b,
+             c.inward_sign, c.degenerate, c.span) for c in first] == rows
