@@ -42,11 +42,11 @@ ladder of strategies and returns the first witness that passes the gates:
    construction raises NoSolution.
 
 Margins of sub-spectra are scored by gathering their chord ends from the
-spectrum's own eigenvalues, and one kernel, ``_chord_margins``, holds the
-chord semantics for every scorer. Each pair block's rank-2 margin is
-scored once, by the rung that proposes it; every triangle of a candidate
-is solved before any of its blocks, so a candidate with an infeasible
-triangle never pays the pair solve.
+spectrum's own eigenvalues and scoring them with ``region.chord_margins``,
+so the region and every scorer share one chord rule. Each pair block's
+rank-2 margin is scored once, by the rung that proposes it; every triangle
+of a candidate is solved before any of its blocks, so a candidate with an
+infeasible triangle never pays the pair solve.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from . import blocks
 from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
                      NoConvexSolution, NoSolution, ShapeMismatch,
                      UnsupportedDimension)
-from .region import BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region, contains
+from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
+                     chord_margins, contains)
 from .spectra import TWO_PI, EigenSystem, ReflectionMap, reflect_labels
 from .triangles import (SUM_TOL, VALUE_TOL, WEIGHT_FLOOR, TriangleSpec,
                         solve_barycentric, triangle, validate_triangle)
@@ -353,17 +354,11 @@ def subspectrum_margin(phases, j: int, lam: complex, rows=None):
     A stack returns C margins, each ``==`` to the margin of its row alone,
     and both forms give ``==`` margins for the same sub-spectra.
 
-    Live chords contribute their signed distance to lam. A live chord that
-    spans at most pi faces inward with sign +1: the midpoint of the
-    opposite arc lies 1 + cos(span/2) >= 1 from its line, so the sign
-    test's cross product is at least the chord length, above 1e-12, while
-    its rounding error is near 1e-15. Only wider chords evaluate that
-    midpoint. A dead chord (coincident endpoints) spanning a full turn pins
-    the region to its endpoint. A rank j above the sub-spectrum size gives
+    The chords follow ``region.chord_rule`` and are scored by
+    ``region.chord_margins``, which the pair-block scorer ``_block_scores``
+    shares, so a sub-spectrum's margin is ``==`` to ``region_margin`` of
+    the region built on it. A rank j above the sub-spectrum size gives
     -inf; j < 1 raises InvalidRank.
-
-    The per-chord kernel is ``_chord_margins``, which the pair-block scorer
-    ``_block_scores`` shares, so these semantics live in one place.
     """
     if j < 1:
         raise InvalidRank(f"rank j={j} must be positive")
@@ -383,31 +378,9 @@ def subspectrum_margin(phases, j: int, lam: complex, rows=None):
         a = np.exp(1j * phases)[rows]
         b = np.concatenate(
             [a[:, j:], np.exp(1j * (phases + TWO_PI))[rows[:, :j]]], axis=1)
-        out = np.minimum(1.0 - abs(lam),
-                         _chord_margins(t0, t1, a, b, lam).min(axis=1))
+        out = np.minimum(1.0 - np.abs(lam),
+                         chord_margins(t0, t1, a, b, lam).min(axis=1))
     return float(out[0]) if single else out
-
-
-def _chord_margins(t0, t1, a, b, lam):
-    """Signed distance of lam from each chord a -> b, elementwise, where
-    a = exp(1j * t0) and b = exp(1j * t1) are gathered by the caller and
-    t1 > t0: the chord semantics ``subspectrum_margin`` documents."""
-    e = b - a
-    d = lam - a
-    elen = np.abs(e)
-    live = elen > 1e-12
-    wide = t1 - t0 > np.pi
-    chord = np.divide(e.real * d.imag - e.imag * d.real, elen,
-                      out=np.full(elen.shape, np.inf), where=live)
-    flip = live & wide
-    if flip.any():
-        mid = np.exp(1j * (t0[flip] + t1[flip] + TWO_PI) / 2.0)
-        to_mid = mid - a[flip]
-        cr_mid = e[flip].real * to_mid.imag - e[flip].imag * to_mid.real
-        chord[flip] *= np.where(cr_mid > 0, 1.0, -1.0)
-    pinned = ~live & wide
-    chord[pinned] = -np.abs(d[pinned])
-    return chord
 
 
 def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
@@ -647,8 +620,8 @@ def _block_scores(phases, act, lam):
     t1 = phases[end] + TWO_PI * wrap
     z = np.exp(1j * phases)
     b = np.where(wrap, np.exp(1j * (phases + TWO_PI))[end], z[end])
-    table = _chord_margins(phases[start], t1, z[start], b, lam).ravel()
-    out = np.minimum(table[idx[0]], 1.0 - abs(lam))
+    table = chord_margins(phases[start], t1, z[start], b, lam).ravel()
+    out = np.minimum(table[idx[0]], 1.0 - np.abs(lam))
     for chord in idx[1:]:
         np.minimum(out, table[chord], out=out)
     return five, out

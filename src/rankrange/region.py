@@ -2,14 +2,19 @@
 
 For a unitary spectrum sorted counterclockwise, the region is the
 intersection of N disk segments: for each i the segment bounded by the
-chord from eigenvalue i to eigenvalue i+k (cyclic) and the long
-counterclockwise arc back. A degenerate chord (coincident endpoints)
-carries either no constraint (the k-step angular span is 0, i.e. k+1
-coincident eigenvalues) or pins the region to a single point (the span is
-a full turn, i.e. the complementary N-k+1 eigenvalues coincide). The
-brute-force oracle below implements the defining intersection of convex
-hulls of (N-k+1)-point sub-multisets and is used to cross-validate the
-chord semantics.
+chord from eigenvalue i to eigenvalue i+k (cyclic) and the
+counterclockwise arc from eigenvalue i+k back to eigenvalue i (Li & Sze,
+Proc. AMS 136, 2008). ``chord_rule`` holds the chord semantics for the
+region and for every sub-spectrum scorer. A chord is live when its length
+exceeds DEGENERATE_CHORD_TOL, and a live chord always faces inward with
+sign +1: the circle runs counterclockwise, so the arc from b back to a
+lies to the left of a -> b. A dead chord (endpoints within
+DEGENERATE_CHORD_TOL) carries no constraint when its k-step angular span
+is at most pi (k+1 coincident eigenvalues), and pins the region to its
+endpoint when the span is wider (the complementary N-k+1 eigenvalues
+coincide). The brute-force oracle below implements the defining
+intersection of convex hulls of (N-k+1)-point sub-multisets and is used
+to cross-validate the chord semantics.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ class ChordConstraint:
     """Half-plane (or point) constraint cut by one chord.
 
     ``span`` is the ccw angle from endpoint_a to endpoint_b (sum of k
-    consecutive gaps, in [0, 2pi]). ``inward_sign`` orients the half-plane
-    so that the midpoint of the ccw arc from endpoint_b back to endpoint_a
-    has positive margin.
+    consecutive gaps, in [0, 2pi]). ``inward_sign`` is +1 for every live
+    chord: the ccw arc from endpoint_b back to endpoint_a lies to the left
+    of endpoint_a -> endpoint_b. A dead chord reads +1 when it pins the
+    region and -1 when it adds no constraint.
     """
     start_index: int
     end_index: int
@@ -62,9 +68,9 @@ class ChordTable:
     """The N chords as arrays; entry i-1 belongs to start index i.
 
     ``halfplanes`` holds one column per live chord: the x and y of
-    endpoint_a, the edge b - a times the inward sign, and the edge length.
-    Its margin at z is ``(ex * (y - ay) - ey * (x - ax)) / length``, the
-    same floating-point operations as ``ChordConstraint.margin``.
+    endpoint_a, the edge b - a, and the edge length. Its margin at z is
+    ``(ex * (y - ay) - ey * (x - ax)) / length``, the same floating-point
+    operations as ``ChordConstraint.margin``.
     """
     endpoint_a: np.ndarray
     endpoint_b: np.ndarray
@@ -106,9 +112,22 @@ class OmegaRegion:
                 if not c.degenerate]
 
 
+def chord_rule(t0, t1, a, b):
+    """The chord rule for chords a = exp(1j * t0) -> b = exp(1j * t1),
+    t1 >= t0, elementwise: the edge b - a, its length, whether the chord is
+    live (longer than DEGENERATE_CHORD_TOL), and whether a dead chord pins
+    the region to a (its span exceeds pi). A live chord faces inward with
+    sign +1; a dead chord that does not pin adds no constraint."""
+    edge = b - a
+    length = np.hypot(edge.real, edge.imag)
+    live = length > DEGENERATE_CHORD_TOL
+    return edge, length, live, ~live & (t1 - t0 > np.pi)
+
+
 def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     """The chord table, one chord per start index i = 1..N with end index
-    i+k cyclic, and the point constraints of its dead chords."""
+    i+k cyclic, and the point constraints of its pinning chords, each
+    distinct endpoint once."""
     n = es.dim
     if k < 1 or k > n:
         raise InvalidRank(f"rank k={k} outside 1..{n}")
@@ -117,36 +136,37 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     t1 = es.phases[step % n] + TWO_PI * (step // n)
     a = np.exp(1j * t0)
     b = np.exp(1j * t1)
-    edge = b - a
-    # Python abs, as in line_margin: np.abs differs in the last bit
-    length = np.array([abs(e) for e in edge.tolist()])
-    span = t1 - t0
-    live = length > DEGENERATE_CHORD_TOL
-    safe = np.where(live, length, 1.0)
-    mid = np.exp(1j * (t0 + t1 + TWO_PI) / 2.0)
-    toward_mid = (edge.real * (mid - a).imag - edge.imag * (mid - a).real) \
-        / safe > 0
-    # a dead chord spanning more than half a turn means the complementary
-    # eigenvalues coincide: the region is pinned to its endpoint
-    sign = np.where(np.where(live, toward_mid, span > np.pi), 1, -1)
-    halfplanes = np.stack([a.real, a.imag, sign * edge.real,
-                           sign * edge.imag, length])[:, live]
+    edge, length, live, pinned = chord_rule(t0, t1, a, b)
+    halfplanes = np.stack([a.real, a.imag, edge.real, edge.imag,
+                           length])[:, live]
     table = ChordTable(endpoint_a=a, endpoint_b=b, edge=edge, length=length,
-                       inward_sign=sign, span=span, live=live,
-                       halfplanes=halfplanes)
-    unique_points = []
-    for p in a[~live & (span > np.pi)].tolist():
-        if all(abs(p - q) > 1e-12 for q in unique_points):
-            unique_points.append(p)
-    return OmegaRegion(k=k, dim=n, point_constraints=tuple(unique_points),
+                       inward_sign=np.where(live | pinned, 1, -1),
+                       span=t1 - t0, live=live, halfplanes=halfplanes)
+    return OmegaRegion(k=k, dim=n,
+                       point_constraints=tuple(dict.fromkeys(
+                           a[pinned].tolist())),
                        eigenvalues=es.eigenvalues(), table=table)
 
 
-def _chord_margins(halfplanes, x, y):
+def _halfplane_margins(halfplanes, x, y):
     """Inward margins of the chords in ``halfplanes`` (a ChordTable column
     slice whose trailing axes broadcast against x and y)."""
     ax, ay, ex, ey, length = halfplanes
     return (ex * (y - ay) - ey * (x - ax)) / length
+
+
+def chord_margins(t0, t1, a, b, z):
+    """Margin of the point z from each chord a -> b under ``chord_rule``,
+    elementwise, with a, b gathered by the caller: ``_halfplane_margins``
+    for a live chord, -|z - a| for a pinning one and +inf for any other dead
+    chord. The min over a spectrum's chords and its disk term is
+    ``region_margin`` of the region built on it."""
+    edge, length, live, pinned = chord_rule(t0, t1, a, b)
+    m = _halfplane_margins((a.real, a.imag, edge.real, edge.imag,
+                            np.where(live, length, 1.0)), z.real, z.imag)
+    m[~live] = np.inf
+    m[pinned] = -np.abs(z - a[pinned])
+    return m
 
 
 def constraint_margins(region: OmegaRegion, z):
@@ -157,8 +177,8 @@ def constraint_margins(region: OmegaRegion, z):
     """
     z = np.asarray(z, dtype=complex)
     hp = region.table.halfplanes
-    return _chord_margins(hp.reshape(hp.shape + (1,) * z.ndim), z.real,
-                          z.imag)
+    return _halfplane_margins(hp.reshape(hp.shape + (1,) * z.ndim), z.real,
+                              z.imag)
 
 
 def region_margin(region: OmegaRegion, z):
@@ -180,7 +200,7 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     every point constraint matched within tol. boundary: within tol of an
     active constraint while violating none by more than tol.
     """
-    hp = _chord_margins(region.table.halfplanes, z.real, z.imag)
+    hp = _halfplane_margins(region.table.halfplanes, z.real, z.imag)
     hp_min = float(hp.min()) if hp.size else np.inf
     disk = 1.0 - abs(z)
     pt_miss = max((abs(z - p) for p in region.point_constraints), default=None)
@@ -235,8 +255,7 @@ class BruteForceOracle:
         self._solid = sizes > 2
         a = np.array(starts, dtype=complex)
         e = np.array(ends, dtype=complex) - a
-        # Python abs, as in line_margin, so inside margins match it exactly
-        length = np.array([abs(x) for x in e.tolist()])
+        length = np.hypot(e.real, e.imag)
         moved = length > 0.0
         self._edges = np.stack([a.real, a.imag, e.real, e.imag,
                                 np.where(moved, length, 1.0),

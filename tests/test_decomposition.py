@@ -3,11 +3,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from rankrange import (GramFailure, InvalidRank, LambdaOutsideRegion,
-                       NoConvexSolution, NoSolution, UnsupportedDimension,
-                       blocks, build_region, caratheodory_rank1,
-                       construct_projector, decomposition, ingest_matrix,
-                       ingest_spectrum, interior_point, plan,
+from rankrange import (EigenSystem, GramFailure, InvalidRank,
+                       LambdaOutsideRegion, NoConvexSolution, NoSolution,
+                       UnsupportedDimension, blocks, build_region,
+                       caratheodory_rank1, construct_projector,
+                       decomposition, ingest_matrix, ingest_spectrum,
+                       interior_point, plan, region_margin,
                        solve_barycentric, subspectrum_margin,
                        three_k_minus_1_patterns, three_k_minus_2_patterns,
                        three_k_patterns, triangle, validate_triangle,
@@ -542,28 +543,12 @@ def test_pipeline_closure_families():
 # --- the re-partition search and its batched scoring -----------------------
 
 def reference_margin(phases, j, lam):
-    """The one-spectrum margin kernel as it stood before batching."""
+    """The margin of lam in the rank-j region built on exactly ``phases``
+    (sorted)."""
     th = np.sort(np.asarray(phases, dtype=float))
-    n = th.size
-    if n == 0 or j > n:
-        return -np.inf
-    t0 = th
-    t1 = th[(np.arange(n) + j) % n] + 2 * np.pi * ((np.arange(n) + j) // n)
-    a = np.exp(1j * t0)
-    e = np.exp(1j * t1) - a
-    elen = np.abs(e)
-    live = elen > 1e-12
-    m = 1.0 - abs(lam)
-    if live.any():
-        mid = np.exp(1j * (t0 + t1 + 2 * np.pi) / 2.0)
-        cr_mid = e.real * (mid - a).imag - e.imag * (mid - a).real
-        cr_lam = e.real * (lam - a).imag - e.imag * (lam - a).real
-        sign = np.where(cr_mid > 0, 1.0, -1.0)
-        m = min(m, float((sign[live] * cr_lam[live] / elen[live]).min()))
-    pinned = ~live & (t1 - t0 > np.pi)
-    if pinned.any():
-        m = min(m, float(-np.abs(lam - a[pinned]).max()))
-    return float(m)
+    es = EigenSystem(dim=th.size, phases=th, basis=None,
+                     unitarity_residual=0.0, eigen_residual=0.0)
+    return float(region_margin(build_region(es, j), lam))
 
 
 def as_rows(stack):
@@ -586,8 +571,9 @@ def test_subspectrum_margin_batched_equals_rows():
         width = 10.0 ** rng.uniform(-13, -6, m)
         stack[3] = np.sort(rng.choice(stack[0, :3], m)
                            + rng.uniform(0, 1, m) * width)
-        # inside an arc of 1e-12 to 1e-7: the wrapping chords span more than
-        # pi and leave that little, so their midpoint sign is computed
+        # inside an arc of 1e-12 to 1e-7: every chord is short, dead at or
+        # below DEGENERATE_CHORD_TOL (a wrapping dead one pins the region)
+        # and otherwise facing inward
         stack[4] = stack[0, 0] + np.sort(
             rng.uniform(0, 10.0 ** rng.uniform(-12, -7), m))
         phases, rows = as_rows(stack)
@@ -1163,7 +1149,7 @@ def test_blockwise_pieces_equal_row_form_scorer():
 def test_blockwise_pentagon_has_no_remainder(monkeypatch):
     ranks, tables = [], []
     margin, chords = decomposition.subspectrum_margin, \
-        decomposition._chord_margins
+        decomposition.chord_margins
 
     def counted(*args, **kwargs):
         ranks.append(args[1])
@@ -1174,7 +1160,7 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
         return chords(*args)
 
     monkeypatch.setattr(decomposition, "subspectrum_margin", counted)
-    monkeypatch.setattr(decomposition, "_chord_margins", counted_chords)
+    monkeypatch.setattr(decomposition, "chord_margins", counted_chords)
     pieces = decomposition._blockwise_pieces(PENTAGON, 2, 0j)
     assert pieces == [("block", (1, 2, 3, 4, 5))]
     # one rank-2 scoring, from the block's 5 x 1 chord table; the empty

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
-                       EmptyRegion, InvalidRank, TooLarge, boundary_samples,
-                       brute_force_contains, build_region, contains,
-                       ingest_spectrum, interior_point, region_margin)
+                       EmptyRegion, InvalidRank, LambdaOutsideRegion,
+                       TooLarge, boundary_samples, brute_force_contains,
+                       build_region, construct_projector, contains,
+                       ingest_spectrum, interior_point, region_margin,
+                       subspectrum_margin)
+
+from rankrange.region import chord_margins, chord_rule
+
+from clustered import clustered_phases
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
@@ -240,3 +246,89 @@ def test_boundary_samples_ccw_order():
     angles = np.unwrap(np.angle(np.array(samples)))
     total = angles[-1] - angles[0]
     assert total > 0  # counterclockwise sweep
+
+
+# --- one chord rule for the region and every sub-spectrum scorer ----------
+
+def test_short_chords_keep_far_points_outside():
+    # every chord of a spectrum inside an arc of 1e-12 to 1e-5 is short; a
+    # live one still faces inward, so points 0.1 or more from the arc are
+    # outside for contains, the oracle and the sub-spectrum margin alike
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(3, 10))
+        width = 10.0 ** rng.uniform(-12, -5)
+        start = rng.uniform(0, 2 * np.pi)
+        es = ingest_spectrum(start + rng.uniform(0, width, n))
+        centre = np.exp(1j * (start + width / 2))
+        zs = rng.uniform(-1, 1, 30) + 1j * rng.uniform(-1, 1, 30)
+        zs = zs[(np.abs(zs) <= 1) & (np.abs(zs - centre) >= 0.1 + width)]
+        for k in range(1, n + 1):
+            region = build_region(es, k)
+            oracle = BruteForceOracle(es, k)
+            for z in zs.tolist():
+                assert contains(region, z) == OUTSIDE, (es.phases, k, z)
+                assert oracle.verdict(z) == OUTSIDE, (es.phases, k, z)
+                assert subspectrum_margin(es.phases, k, z) < 0, \
+                    (es.phases, k, z)
+
+
+def test_short_chord_target_is_rejected_at_once():
+    # 5 eigenvalues inside an arc of 1.16e-8: chords of 1.3e-9 to 1.2e-8,
+    # whose inward side no midpoint test can resolve
+    es = ingest_spectrum([0.0, 9.5e-9, 9.8e-9, 1.03e-8, 1.16e-8])
+    for lam in (0j, -0.5 + 0j, 0.5j):
+        with pytest.raises(LambdaOutsideRegion):
+            construct_projector(es, 2, lam)
+
+
+def test_chords_of_at_most_1e9_are_dead():
+    # spans 0.9e-9, 1.1e-9, 0.5, and full turns short of 0.9e-9 and 1.1e-9
+    t0 = np.zeros(5)
+    t1 = np.array([0.9e-9, 1.1e-9, 0.5, 2 * np.pi - 0.9e-9,
+                   2 * np.pi - 1.1e-9])
+    a, b = np.exp(1j * t0), np.exp(1j * t1)
+    _, length, live, pinned = chord_rule(t0, t1, a, b)
+    assert length.tolist() == [abs(e) for e in (b - a).tolist()]
+    assert live.tolist() == [False, True, True, False, True]
+    assert pinned.tolist() == [False, False, False, True, False]
+    z = -0.5 + 0.25j
+    m = chord_margins(t0, t1, a, b, z)
+    assert m[0] == np.inf and m[3] == -np.abs(z - a[3])
+    # every live chord faces inward, however short: z lies on the side of
+    # the long arc back for chords 1 and 2, and outside the thin cap that
+    # the near-full turn of chord 4 leaves
+    assert m[1] > 0 and m[2] > 0 and m[4] < 0
+
+
+def _margin_spectra():
+    rng = np.random.default_rng(11)
+    out = [
+        [0.0, 0.0, 0.0, 0.0],                  # every chord dead; pinned
+        [0.0, 0.0, 1.3],
+        [1.0] * 5 + [3.0, 5.0],
+        [0.2, 0.2 + 1e-11, 2.0, 2.0, 4.5, 5.0, 5.0, 5.0, 6.0],
+        [0.0, 1e-13, 2e-13, 1.3],              # two pins 1e-13 apart
+        [0.0, 9.5e-9, 9.8e-9, 1.03e-8, 1.16e-8],
+        list(1e-8 * np.arange(6) / 5),         # chords near the threshold
+    ]
+    for n in (4, 7, 12, 29, 64):
+        out.append(rng.uniform(0, 2 * np.pi, n))
+        out.append(clustered_phases([11, n], 4, n))
+        out.append(2 * np.pi * np.arange(n) / n)
+    return out
+
+
+def test_subspectrum_margin_is_region_margin():
+    rng = np.random.default_rng(12)
+    for phases in _margin_spectra():
+        es = ingest_spectrum(phases)
+        pts = es.eigenvalues()
+        zs = np.concatenate([
+            rng.uniform(-1.1, 1.1, 12) + 1j * rng.uniform(-1.1, 1.1, 12),
+            pts[:6], (pts + np.roll(pts, -1))[:6] / 2, [0j]])
+        for k in range(1, es.dim + 1):
+            region = build_region(es, k)
+            for z in zs.tolist():
+                assert subspectrum_margin(es.phases, k, z) == \
+                    region_margin(region, z), (es.phases, k, z)
