@@ -14,11 +14,14 @@ triangle, one column of square roots of barycentric weights, every
 triangle of a candidate solved in one stacked 3 x 3 solve; on each
 5-index pair block, two jointly solved columns. As the supports are
 disjoint, the Gram and compression gates run per piece, in O(k), and the
-N x k frame is formed from the pieces only when it is read. It climbs one
-ladder of strategies and returns the first witness that passes the gates:
+N x k frame is formed from the pieces only when it is read. A spectrum
+input's basis is never read, so its whole construction is O(N) in memory.
+It climbs one ladder of strategies and returns the first witness that
+passes the gates:
 
 1. ``eigenspace``: k eigenvalues at the target are their own witness;
-2. ``caratheodory`` for k = 1, else ``planned``: the plan's own pieces,
+2. ``caratheodory`` for k = 1 (the fan triangles of the hull solved in one
+   stacked 3 x 3 solve), else ``planned``: the plan's own pieces,
    its pair blocks first checked for feasibility in one margin call (the
    target must lie in the rank-2 region of each block's own 5
    eigenvalues);
@@ -126,8 +129,10 @@ class Projector:
     rows, a pair block two columns on 5, and the ``eigenspace``,
     ``caratheodory`` and ``least_squares`` witnesses are one piece each.
     The frame W takes, stack after stack and piece after piece, the c
-    columns ``basis[:, rows[g]] @ coef[g]``."""
+    columns ``basis[:, rows[g]] @ coef[g]``; ``basis`` None is the
+    standard basis of a spectrum input."""
     pieces: tuple = field(repr=False)
+    dim: int
     basis: np.ndarray = field(repr=False)
     target: complex
     strategy: str
@@ -136,11 +141,23 @@ class Projector:
     @functools.cached_property
     def frame(self) -> np.ndarray:
         """The N x k isometry W in the caller's basis, formed from the
-        pieces on first access, in O(N k)."""
-        n = self.basis.shape[0]
+        pieces on first access, in O(N k). In the standard basis each
+        coefficient block is scattered onto its rows, ``==`` to the
+        product with the identity, whose every term is 1 c or 0 c; else
+        the basis columns of each piece's rows are gathered and
+        multiplied."""
+        if self.basis is None:
+            W = np.zeros((self.dim, self.rank), dtype=complex)
+            col = 0
+            for rows, coef in self.pieces:
+                g, _, c = coef.shape
+                W[rows[:, :, None],
+                  col + np.arange(g * c).reshape(g, 1, c)] = coef
+                col += g * c
+            return W
         return np.concatenate(
             [np.matmul(np.take(self.basis, rows, axis=1).transpose(1, 0, 2),
-                       coef).transpose(1, 0, 2).reshape(n, -1)
+                       coef).transpose(1, 0, 2).reshape(self.dim, -1)
              for rows, coef in self.pieces], axis=1)
 
     @property
@@ -304,35 +321,63 @@ def _plan_rank1(es: EigenSystem, lam: complex) -> DecompositionPlan:
                              rank1_support=tuple(support))
 
 
+def _segment_distances(lam, a, b):
+    """Distance from lam to each segment a -> b (to a when a == b), the
+    one that ``triangles._edge_solution`` tests, up to rounding, and the
+    position t in [0, 1] of the nearest point on each."""
+    e = b - a
+    L2 = e.real ** 2 + e.imag ** 2
+    d = lam - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(L2 > 0.0, np.clip((d.real * e.real + d.imag * e.imag)
+                                       / L2, 0.0, 1.0), 0.0)
+    return np.abs(a + t * e - lam), t
+
+
 def _caratheodory_support(es: EigenSystem, lam: complex):
-    """At most three eigenvalues whose hull holds lam, in O(N) steps.
+    """At most three eigenvalues whose hull holds lam, in O(N).
 
     The sorted eigenvalues lie on the circle in convex position, so lam is
     an eigenvalue, on a cyclic hull edge (j, j+1), or in a triangle of the
-    fan (1, j, j+1), checked in that order."""
+    fan (1, j, j+1), checked in that order. The support and weights are
+    those of the first j in fan order for which ``solve_barycentric``
+    succeeds, but every fan triangle is solved in one stacked 3 x 3 solve
+    under that function's full-solve gates (``_full_solves``). A row that
+    misses them can still succeed through its edge or vertex fallback only
+    when lam lies within VALUE_TOL of one of its edges; such rows before
+    the first that passes, taken within 2 VALUE_TOL, are handed to
+    ``solve_barycentric`` one by one, in fan order."""
     lam = complex(lam)
     mu = es.eigenvalues()
     n = es.dim
     hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
     if hit.size:
         return (int(hit[0]) + 1,), (1.0,)
-    e = np.roll(mu, -1) - mu        # edge j runs from mu[j] to mu[j+1]
-    L2 = e.real ** 2 + e.imag ** 2
-    d = lam - mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip((d.real * e.real + d.imag * e.imag) / L2, 0.0, 1.0)
-    on_edge = np.nonzero((L2 > 0.0)
-                         & (np.abs(mu + t * e - lam) <= MEMBERSHIP_TOL))[0]
+    # edge j runs from mu[j] to mu[j+1]; an edge of length zero is its
+    # vertex, which the test above has rejected
+    edge, t = _segment_distances(lam, mu, np.roll(mu, -1))
+    on_edge = np.nonzero(edge <= MEMBERSHIP_TOL)[0]
     if on_edge.size:
         j = int(on_edge[0])
         tj = float(t[j])
         if j + 1 < n:
             return (j + 1, j + 2), (1.0 - tj, tj)
         return (1, n), (tj, 1.0 - tj)
-    for j in range(2, n):
-        w = _bary_or_none(es, (1, j, j + 1), lam)
-        if w is not None:
-            return w.triangle.indices, w.weights
+    if n >= 3:
+        # fan row r is the triangle (1, r+2, r+3): its edges are the
+        # diagonals to mu[r+1] and mu[r+2] and the hull edge r+1
+        fan = mu[np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1),
+                           np.arange(2, n)], axis=1)]
+        w, ok = _full_solves(fan, lam)
+        first = int(np.argmax(ok)) if ok.any() else n - 2
+        diag, _ = _segment_distances(lam, mu[0], mu)
+        near = np.minimum(np.minimum(diag[1:-1], diag[2:]), edge[1:-1])
+        for r in np.flatnonzero(near[:first] <= 2 * VALUE_TOL):
+            got = _bary_or_none(es, (1, int(r) + 2, int(r) + 3), lam)
+            if got is not None:
+                return got.triangle.indices, got.weights
+        if first < n - 2:
+            return (1, first + 2, first + 3), tuple(w[first].tolist())
     raise LambdaOutsideRegion(
         f"{lam} is not in the convex hull of the spectrum")
 
@@ -414,35 +459,43 @@ def _planned_pieces(pl: DecompositionPlan):
     return pieces
 
 
-def _triangle_weights(es, tris, lam):
-    """Barycentric weights (T, 3) of lam over the triangles ``tris`` (T, 3)
-    of ascending 1-based indices, each row ``==`` to ``solve_barycentric``'s
-    weights, or None when a triangle has no convex combination reaching lam.
-
-    One stacked 3 x 3 solve takes every row, under ``solve_barycentric``'s
-    gates for its full solve. A row that misses them, or that is exactly
-    singular (the stack then raises LinAlgError, and is solved again
-    without its rows of zero determinant), goes through
-    ``solve_barycentric`` itself, with its edge and vertex fallbacks; only
-    its NoConvexSolution means infeasible."""
-    pts = es.eigenvalues()[tris - 1]
-    A = np.ones((len(tris), 3, 3))
+def _full_solves(pts, lam):
+    """``solve_barycentric``'s full solve of lam over each triangle of
+    vertices ``pts`` (T, 3), in one stacked 3 x 3 solve: the clipped
+    weights (T, 3), each row ``==`` to the scalar solve's, and whether each
+    row passes its gates (WEIGHT_FLOOR, VALUE_TOL, SUM_TOL). An exactly
+    singular row (the stack then raises LinAlgError, and is solved again
+    without its rows of zero determinant) fails them."""
+    A = np.ones((len(pts), 3, 3))
     A[:, 1], A[:, 2] = pts.real, pts.imag
-    b = np.broadcast_to([1.0, lam.real, lam.imag], (len(tris), 3))[..., None]
+    b = np.broadcast_to([1.0, lam.real, lam.imag], (len(pts), 3))[..., None]
     try:
         w = np.linalg.solve(A, b)[..., 0]
     except np.linalg.LinAlgError:
-        w = np.full((len(tris), 3), np.nan)
+        w = np.full((len(pts), 3), np.nan)
         live = np.linalg.det(A) != 0.0
         try:
             w[live] = np.linalg.solve(A[live], b[live])[..., 0]
         except np.linalg.LinAlgError:
-            pass            # every row falls back
+            pass            # every row fails
     ok = (w > WEIGHT_FLOOR).all(axis=1)
     w = np.clip(w, 0.0, 1.0)
     resid = np.abs(w[:, 0] * pts[:, 0] + w[:, 1] * pts[:, 1]
                    + w[:, 2] * pts[:, 2] - lam)
     ok &= (resid <= VALUE_TOL) & (np.abs(w.sum(axis=1) - 1.0) <= SUM_TOL)
+    return w, ok
+
+
+def _triangle_weights(es, tris, lam):
+    """Barycentric weights (T, 3) of lam over the triangles ``tris`` (T, 3)
+    of ascending 1-based indices, each row ``==`` to ``solve_barycentric``'s
+    weights, or None when a triangle has no convex combination reaching lam.
+
+    One stacked 3 x 3 solve takes every row (``_full_solves``). A row that
+    misses its gates goes through ``solve_barycentric`` itself, with its
+    edge and vertex fallbacks; only its NoConvexSolution means
+    infeasible."""
+    w, ok = _full_solves(es.eigenvalues()[tris - 1], lam)
     for i in np.flatnonzero(~ok):
         try:
             w[i] = solve_barycentric(es, triangle(*tris[i], dim=es.dim),
@@ -826,7 +879,8 @@ def _assemble(es: EigenSystem, lam: complex, pieces, strategy: str,
     elsewhere, so each gate reads the pieces alone, stacked by shape: 1 x 1
     per triangle and 2 x 2 per pair block. For an orthonormal V the
     compression residual of P = V V^H is that of V^H D V, so no N x N
-    product is needed."""
+    product is needed. A spectrum input's basis is not read: the Projector
+    keeps None for its standard basis."""
     rows = np.concatenate([r.ravel() for r, _ in pieces])
     if np.bincount(rows, minlength=es.dim).max() > 1:
         raise GramFailure("the supports of the pieces overlap")
@@ -837,8 +891,9 @@ def _assemble(es: EigenSystem, lam: complex, pieces, strategy: str,
         raise GramFailure(f"diagonal compression residual {diag:.2e}")
     if comp > COMPRESSION_GATE:
         raise GramFailure(f"off-diagonal compression residual {comp:.2e}")
-    return Projector(pieces=tuple(pieces), basis=es.basis, target=lam,
-                     strategy=strategy, plan=pl)
+    return Projector(pieces=tuple(pieces), dim=es.dim,
+                     basis=None if es.standard_basis else es.basis,
+                     target=lam, strategy=strategy, plan=pl)
 
 
 def projector_residuals(P, sigma, lam, k) -> dict:

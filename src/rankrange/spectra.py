@@ -2,7 +2,9 @@
 
 The whole pipeline works with a validated :class:`EigenSystem`: unit-circle
 eigenphases sorted ascending in [0, 2pi), an orthonormal eigenvector basis,
-and 1-based indices taken cyclically (index N+1 is index 1).
+and 1-based indices taken cyclically (index N+1 is index 1). A raw
+spectrum is a diagonal sigma: its basis is the standard one and is not
+stored, so it costs O(N).
 
 A unitary matrix is diagonalized through its Hermitian part. sigma is
 normal, so H = (R + R^H) / 2 with R = e^{-i alpha} sigma and alpha =
@@ -22,7 +24,8 @@ DEFAULT_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,20 +53,39 @@ def canonical_phase(z) -> np.ndarray:
     return np.where(a >= TWO_PI, 0.0, a)
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Sorted unit-circle spectrum with an orthonormal eigenbasis.
 
     ``phases[j-1]`` and ``basis[:, j-1]`` belong to eigenvalue j (1-based).
     ``matrix`` keeps the ingested operator so verification can run against
     the caller's own data rather than a reconstruction.
+
+    ``basis=None`` marks the standard basis of a diagonal sigma, as
+    ``ingest_spectrum`` gives: ``standard_basis`` is then True and the
+    system holds no N x N array. ``basis`` and ``matrix`` still read as
+    ``np.eye(N)`` and ``np.diag(exp(1j * phases))``, each built on its
+    first read and kept; the construction never reads them.
     """
-    dim: int
-    phases: np.ndarray
-    basis: np.ndarray
-    unitarity_residual: float
-    eigen_residual: float
-    matrix: np.ndarray = field(repr=False, default=None)
+
+    def __init__(self, dim: int, phases: np.ndarray, basis: np.ndarray,
+                 unitarity_residual: float, eigen_residual: float,
+                 matrix: np.ndarray = None):
+        self.dim = dim
+        self.phases = phases
+        self.unitarity_residual = unitarity_residual
+        self.eigen_residual = eigen_residual
+        self.standard_basis = basis is None
+        if basis is not None:
+            self.basis = basis
+            self.matrix = matrix
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return np.diag(np.exp(1j * self.phases))
 
     def eigenvalue(self, j: int) -> complex:
         """Eigenvalue at raw cyclic index j (1-based, wrap allowed)."""
@@ -75,9 +97,11 @@ class EigenSystem:
 
 
 def _hermitian_eigensystem(A: np.ndarray):
-    """Eigenvalues and an orthonormal eigenbasis of the unitary A, from one
-    ``eigh`` of its rotated Hermitian part and a complex Schur of each
-    cluster's compression. Raises LinAlgError when LAPACK fails."""
+    """Eigenvalues, an orthonormal eigenbasis V and the product A V of the
+    unitary A, from one ``eigh`` of its rotated Hermitian part and a
+    complex Schur of each cluster's compression; only a cluster's columns
+    of A V are formed again, after their rotation. Raises LinAlgError when
+    LAPACK fails."""
     R = A * np.exp(-1j * HERMITIAN_ROTATION)
     h, V = scipy.linalg.eigh(0.5 * (R + R.conj().T), overwrite_a=True,
                              check_finite=False)
@@ -89,8 +113,9 @@ def _hermitian_eigensystem(A: np.ndarray):
             T, Z = scipy.linalg.schur(V[:, lo:hi].conj().T @ AV[:, lo:hi],
                                       output="complex", check_finite=False)
             V[:, lo:hi] = V[:, lo:hi] @ Z
+            AV[:, lo:hi] = A @ V[:, lo:hi]
             evals[lo:hi] = np.diag(T)
-    return evals, V
+    return evals, V, AV
 
 
 def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
@@ -102,7 +127,10 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     compression of each cluster of H-eigenvalues closer than CLUSTER_GAP,
     which makes the basis orthonormal even across degenerate eigenvalues.
     The error this leaves is ~2 eps ||H|| / CLUSTER_GAP in the
-    eigenresidual. A diagonal input keeps the standard basis. Raises
+    eigenresidual. The residual check reads the product A V formed for the
+    Rayleigh quotients, so no further N x N product is made for it. A
+    diagonal input keeps the standard basis vectors, sorted with its
+    phases. Raises
     NotUnitary when an entry is not finite or ||A^H A - I||_F > tol, and
     EigensolveFailed when LAPACK fails or the per-column residual contract
     ||A v - e^{i theta} v|| <= tol is not met.
@@ -126,20 +154,19 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if not offdiag.any():
         # diagonal fast path: the standard basis is an exact eigenbasis
         evals = np.diag(A)
-        basis = np.eye(n, dtype=complex)
+        basis, AV = np.eye(n, dtype=complex), A
     else:
         try:
-            evals, basis = _hermitian_eigensystem(A)
+            evals, basis, AV = _hermitian_eigensystem(A)
         except scipy.linalg.LinAlgError as exc:
             raise EigensolveFailed(str(exc)) from exc
 
     phases = canonical_phase(evals)
+    # the largest entry does not depend on the column order
+    eig_res = float(np.abs(AV - basis * np.exp(1j * phases)[None, :]).max())
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     basis = basis[:, order]
-
-    eig_res = float(
-        np.abs(A @ basis - basis * np.exp(1j * phases)[None, :]).max())
     if eig_res > tol:
         raise EigensolveFailed(
             f"eigenresidual {eig_res:.3e} exceeds tolerance {tol:.1e}")
@@ -149,19 +176,19 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
 
 
 def ingest_spectrum(phases) -> EigenSystem:
-    """Build the eigensystem of the diagonal unitary implied by raw phases."""
+    """Build the eigensystem of the diagonal unitary implied by raw phases.
+
+    It keeps only the sorted phases, in O(N) memory: its basis is the
+    standard one (``EigenSystem.standard_basis``), and ``basis`` and
+    ``matrix`` are built only when first read."""
     raw = np.asarray(phases, dtype=float).ravel()
     if raw.size == 0:
         raise EmptySpectrum("spectrum must contain at least one phase")
     if not np.isfinite(raw).all():
         raise EmptySpectrum("phases must be finite")
     reduced = np.sort(canonical_phase(np.exp(1j * (raw % TWO_PI))))
-    n = reduced.size
-    matrix = np.diag(np.exp(1j * reduced))
-    return EigenSystem(dim=n, phases=reduced,
-                       basis=np.eye(n, dtype=complex),
-                       unitarity_residual=0.0, eigen_residual=0.0,
-                       matrix=matrix)
+    return EigenSystem(dim=reduced.size, phases=reduced, basis=None,
+                       unitarity_residual=0.0, eigen_residual=0.0)
 
 
 @dataclass(frozen=True)

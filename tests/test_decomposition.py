@@ -14,6 +14,7 @@ from rankrange import (EigenSystem, GramFailure, InvalidRank,
                        three_k_patterns, triangle, validate_triangle,
                        verify_projector)
 from rankrange.battery import pick_target, random_instance
+from rankrange.region import MEMBERSHIP_TOL
 
 from clustered import clustered_phases
 
@@ -368,11 +369,68 @@ def test_rank1_outside_rejected():
 
 
 def test_rank1_scan_is_linear(monkeypatch):
-    # the deepest rank-1 target is in no hull edge, so the scan walks the
-    # fan (1, j, j+1): at most N - 2 triangle solves
+    # the deepest rank-1 target is near no edge of a fan triangle (1, j, j+1),
+    # so the scan solves the N - 2 of them in one stacked solve and hands
+    # none to solve_barycentric
     n = 200
     es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
     lam = interior_point(build_region(es, 1))
+    calls, stacks = [], []
+    solve, full = decomposition.solve_barycentric, decomposition._full_solves
+
+    def counted(*args):
+        calls.append(args[1])
+        return solve(*args)
+
+    def counted_stack(pts, lam):
+        stacks.append(len(pts))
+        return full(pts, lam)
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
+    monkeypatch.setattr(decomposition, "_full_solves", counted_stack)
+    proj = construct_projector(es, 1, lam)
+    assert proj.strategy == "caratheodory"
+    assert calls == [] and stacks == [n - 2]
+    assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
+
+
+def scalar_fan_support(es, lam):
+    """The Caratheodory support as the scalar scan found it: an eigenvalue
+    within MEMBERSHIP_TOL, else the first hull edge within it, else the
+    first fan triangle (1, j, j+1) that solve_barycentric solves, one call
+    per triangle."""
+    mu = es.eigenvalues()
+    n = es.dim
+    hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
+    if hit.size:
+        return (int(hit[0]) + 1,), (1.0,)
+    e = np.roll(mu, -1) - mu
+    L2 = e.real ** 2 + e.imag ** 2
+    d = lam - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((d.real * e.real + d.imag * e.imag) / L2, 0.0, 1.0)
+    on_edge = np.nonzero((L2 > 0.0)
+                         & (np.abs(mu + t * e - lam) <= MEMBERSHIP_TOL))[0]
+    if on_edge.size:
+        j = int(on_edge[0])
+        tj = float(t[j])
+        if j + 1 < n:
+            return (j + 1, j + 2), (1.0 - tj, tj)
+        return (1, n), (tj, 1.0 - tj)
+    for j in range(2, n):
+        try:
+            w = solve_barycentric(es, triangle(1, j, j + 1, dim=n), lam)
+        except NoConvexSolution:
+            continue
+        return w.triangle.indices, w.weights
+    raise LambdaOutsideRegion(f"{lam} is not in the hull")
+
+
+def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
+    # uniform, 4-cluster (width 1e-7) and equally spaced spectra, N 3-79;
+    # lam at random in the disk (so in the hull or outside it), on a fan
+    # diagonal, on a hull edge and within 1e-12 of an eigenvalue
+    rng = np.random.default_rng(17)
     calls = []
     solve = decomposition.solve_barycentric
 
@@ -381,10 +439,42 @@ def test_rank1_scan_is_linear(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
-    proj = construct_projector(es, 1, lam)
-    assert proj.strategy == "caratheodory"
-    assert 1 <= len(calls) <= n - 2
-    assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
+    outside = fell_back = 0
+    for case in range(1200):
+        n = int(rng.integers(3, 80))
+        kind, where = case % 3, (case // 3) % 4
+        if kind == 0:
+            phases = rng.uniform(0.0, 2 * np.pi, n)
+        elif kind == 1:
+            phases = clustered_phases([17, case], 4, n, 1e-7)
+        else:
+            phases = 2 * np.pi * np.arange(n) / n + rng.uniform(0.0, 1.0)
+        es = ingest_spectrum(phases)
+        mu = es.eigenvalues()
+        j, s = int(rng.integers(1, n)), rng.uniform()
+        if where == 0:
+            lam = complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
+        elif where == 1:
+            lam = complex(s * mu[0] + (1 - s) * mu[j])
+        elif where == 2:
+            lam = complex(s * mu[j - 1] + (1 - s) * mu[j])
+        else:
+            lam = complex(mu[j] + 1e-12 * np.exp(2j * np.pi * s))
+        try:
+            want = scalar_fan_support(es, lam)
+        except LambdaOutsideRegion:
+            outside += 1
+            with pytest.raises(LambdaOutsideRegion):
+                decomposition._caratheodory_support(es, lam)
+            continue
+        calls.clear()
+        got = decomposition._caratheodory_support(es, lam)
+        fell_back += bool(calls)
+        assert got == want, (case, n, lam)
+        assert [type(i) for i in got[0]] == [int] * len(want[0])
+    # both the targets outside and the rows handed to solve_barycentric are
+    # reached
+    assert outside > 50 and fell_back > 10
 
 
 # --- the frame is the result -----------------------------------------------

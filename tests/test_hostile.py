@@ -13,7 +13,9 @@ fails, and that rung ran past 120 s before it had a budget. It must now
 end in ``NoSolution``.
 """
 
+import dataclasses
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -72,6 +74,50 @@ def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
     assert np.abs(comp).max() <= 1e-9
     if n < 1000:
         assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
+@pytest.mark.parametrize("n, k, seed, limit_mb, seconds", [
+    (30_000, 1, 0, 32, 20.0),
+    (2999, 1000, 3, 72, 30.0),
+])
+def test_large_spectrum_input_holds_no_square_array(n, k, seed, limit_mb,
+                                                    seconds):
+    # a spectrum input keeps only its phases, and the construction never
+    # reads its basis: one N x N complex array would take 14.4 GB at
+    # N = 30,000 and 144 MB at N = 2999
+    phases = np.sort(np.random.default_rng(seed).uniform(0, 2 * np.pi, n))
+    with deadline(seconds):
+        tracemalloc.start()
+        try:
+            es = ingest_spectrum(phases)
+            lam = interior_point(build_region(es, k))
+            proj = construct_projector(es, k, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        W = proj.frame
+    assert peak <= limit_mb * 1e6, peak
+    assert W.shape == (n, k)
+    assert np.abs(W.conj().T @ W - np.eye(k)).max() <= 1e-9
+    comp = W.conj().T @ (es.eigenvalues()[:, None] * W) - lam * np.eye(k)
+    assert np.abs(comp).max() <= 1e-9
+
+
+def test_scattered_frame_equals_gathered_frame():
+    # in the standard basis the frame is scattered from the pieces; the
+    # gather through the identity gives the same bits, whatever the rung
+    rng = np.random.default_rng(4)
+    cases = [(ingest_spectrum(np.zeros(5)), 2, 1.0 + 0j)]     # eigenspace
+    for n, k in ((5, 2), (7, 1), (9, 3), (11, 4), (13, 5), (30, 1)):
+        es = ingest_spectrum(rng.uniform(0, 2 * np.pi, n))
+        cases.append((es, k, interior_point(build_region(es, k))))
+    for es, k, lam in cases:
+        proj = construct_projector(es, k, lam)
+        assert proj.basis is None
+        gathered = dataclasses.replace(proj, basis=es.basis).frame
+        assert np.array_equal(proj.frame, gathered), (es.dim, k, proj.strategy)
+        assert np.array_equal(es.basis, np.eye(es.dim))
+        assert np.array_equal(es.matrix, np.diag(es.eigenvalues()))
 
 
 def test_least_squares_budget_ends_in_no_solution():
