@@ -206,23 +206,14 @@ def _ortho_columns(W: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _polish(V0: np.ndarray, d: np.ndarray, left=None):
-    """Least-squares refinement of an isotropic frame seeded at V0.
-
-    ``left``, a one-item list, holds the residual evaluations still
-    allowed, the finite-difference Jacobian's included (``max_nfev`` does
-    not count those); each evaluation takes one, and NoSolution is raised
-    when none is left."""
+def _polish(V0: np.ndarray, d: np.ndarray):
+    """Least-squares refinement of an isotropic frame seeded at V0."""
     n, k = V0.shape
 
     def unpack(x):
         return (x[:n * k] + 1j * x[n * k:]).reshape(n, k)
 
     def residuals(x):
-        if left is not None:
-            if left[0] <= 0:
-                raise NoSolution("least-squares evaluation budget spent")
-            left[0] -= 1
         V = _ortho_columns(unpack(x))
         C = V.conj().T @ (d[:, None] * V)
         return np.concatenate([C.real.ravel(), C.imag.ravel()])
@@ -237,23 +228,15 @@ def _polish(V0: np.ndarray, d: np.ndarray, left=None):
     return None
 
 
-def frame_solve(d: np.ndarray, k: int, seeds, max_evals=None):
-    """Last-resort joint solve for k isotropic columns over all of d.
+def frame_solve(d: np.ndarray, k: int, seeds):
+    """The pair block's fallback: a joint solve for k isotropic columns
+    over all of d, which ``isotropic_pair`` runs when Newton misses.
 
     Runs the least-squares polish from each seed (n x k isometries) in
     order and returns the first frame under the gate; None if all fail.
-    With ``max_evals``, all seeds together make at most that many residual
-    evaluations, each Jacobian column counted as one; NoSolution is raised
-    past it, and at once when a single Jacobian would not fit in it.
     """
-    left = None
-    if max_evals is not None:
-        if 2 * d.size * k + 1 > max_evals:
-            raise NoSolution(f"one least-squares Jacobian over {d.size} x {k} "
-                             f"needs more than {max_evals} evaluations")
-        left = [max_evals]
     for V0 in seeds:
-        V = _polish(np.asarray(V0, dtype=complex), d, left)
+        V = _polish(np.asarray(V0, dtype=complex), d)
         if V is not None:
             return V
     return None

@@ -39,10 +39,9 @@ passes the gates:
    feasible triangles and blocks. It scores every triangle of the spectrum
    once per construction, and each of its steps keeps the rows of that
    table whose indices it still holds. Each step inherits the margin its
-   parent scored for it;
-5. ``least_squares``: one joint frame solve over the whole spectrum,
-   within LEAST_SQUARES_EVALS residual evaluations; past them the
-   construction raises NoSolution.
+   parent scored for it.
+
+When all four miss, the construction raises NoSolution.
 
 Margins of sub-spectra are scored by gathering their chord ends from the
 spectrum's own eigenvalues and scoring them with ``region.chord_margins``,
@@ -77,15 +76,16 @@ COMPRESSION_GATE = 1e-9
 # the verification threshold
 EIGEN_MATCH = 1e-9
 FEASIBILITY_FLOOR = 1e-9
+# the block-first rung tries a pair block whose 5 eigenvalues hold the
+# target in their closed rank-2 region: on a symmetric spectrum no block
+# need hold it strictly inside, as at the centre of the regular octagon at
+# k = 3, and isotropic_pair still solves a block that holds it on its
+# boundary
+BLOCK_FLOOR = 0.0
 # pair-block candidates whose remainders the block-first rung scores, best
 # block margins first; scoring all of them would take about 81 N rows of
 # length N - 5
 BLOCK_SHORTLIST = 64
-# residual evaluations, finite-difference Jacobian columns included, that
-# the least_squares rung may spend over all its seeds before NoSolution:
-# a (26,9) construction that it closes spends about 12,000, and at (58,20)
-# one evaluation and its share of the solver's own work take about 0.6 ms
-LEAST_SQUARES_EVALS = 24_000
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
@@ -126,8 +126,8 @@ class Projector:
     ``pieces`` holds one stack per piece shape, ``(rows, coef)``: rows
     (G, r) are the 0-based eigenbasis positions of G disjoint supports and
     coef (G, r, c) their coefficient blocks. A triangle is one column on 3
-    rows, a pair block two columns on 5, and the ``eigenspace``,
-    ``caratheodory`` and ``least_squares`` witnesses are one piece each.
+    rows, a pair block two columns on 5, and the ``eigenspace`` and
+    ``caratheodory`` witnesses are one piece each.
     The frame W takes, stack after stack and piece after piece, the c
     columns ``basis[:, rows[g]] @ coef[g]``; ``basis`` None is the
     standard basis of a spectrum input."""
@@ -515,7 +515,8 @@ def _try_pieces(es, lam, pieces, kk):
     (``_triangle_weights``), so a candidate with an infeasible triangle
     never pays ``isotropic_pair``. Each pair block arrives scored by the
     rung that proposed it, at a rank-2 margin of at least
-    FEASIBILITY_FLOOR, and is not scored again here."""
+    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
+    scored again here."""
     if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
         return None
     tris, blks = ([idx for kind, idx in pieces if kind == want]
@@ -704,12 +705,13 @@ def _blockwise_pieces(es, kk, lam):
     remainders of the BLOCK_SHORTLIST best. The 3m indices left then take
     the triangles (j, j+m, j+2m): the rank-m region of 3m points is the
     intersection of those triangles (Li and Sze, Proc. AMS 136, 2008), so
-    the remainder's positive margin makes each feasible."""
+    the remainder's positive margin makes each feasible. A block may hold
+    the target on the boundary of its own rank-2 region (BLOCK_FLOOR)."""
     act = np.arange(1, es.dim + 1)
     pieces = []
     while act.size < 3 * kk:
         five, m_blk = _block_scores(es.phases, act, lam)
-        good = np.nonzero(m_blk >= FEASIBILITY_FLOOR)[0]
+        good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
         if good.size == 0:
             return None
         good = _shortlist(good, m_blk[good])
@@ -921,8 +923,8 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
 
     Raises LambdaOutsideRegion unless lam is strictly inside the rank-k
     region (k = 1 also accepts boundary points), UnsupportedDimension for
-    dimension pairs without a construction, and GramFailure if an internal
-    orthonormality check fails.
+    dimension pairs without a construction, GramFailure if an internal
+    orthonormality check fails, and NoSolution when every rung misses.
     """
     n = es.dim
     lam = complex(lam)
@@ -970,24 +972,8 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
         if found is not None:
             return _assemble(es, lam, found, "adaptive", pl)
 
-    V = _global_fallback(es, k, lam)
-    if V is not None:
-        return _assemble(es, lam, [(np.arange(n)[None], V[None])],
-                         "least_squares", pl)
     raise NoSolution(
         f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
-
-
-def _global_fallback(es, k, lam):
-    d = es.eigenvalues() - lam
-    n = es.dim
-    rng = np.random.default_rng(20240611)
-    seeds = []
-    for _ in range(6):
-        W = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        q, _ = np.linalg.qr(W)
-        seeds.append(q)
-    return blocks.frame_solve(d, k, seeds, LEAST_SQUARES_EVALS)
 
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:

@@ -76,21 +76,15 @@ def test_block_property_wide(seed, clustered):
     assert pair_isotropy_residual(V, d) <= 1e-10
 
 
-def test_frame_solve_budget_counts_jacobian_columns():
+def test_frame_solve_closes_seven_point_seed():
     d = np.exp(2j * np.pi * np.arange(7) / 7)
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((7, 2))
                         + 1j * rng.standard_normal((7, 2)))
-    # without a budget the seed closes after about 65 function evaluations
-    # and 28 Jacobians of 2 * 7 * 2 = 28 columns each
+    # the seed closes after about 65 function evaluations and 28 Jacobians
+    # of 2 * 7 * 2 = 28 columns each
     V = blocks.frame_solve(d, 2, [q])
     assert V is not None and pair_isotropy_residual(V, d) <= 1e-10
-    # 28 does not fit one Jacobian and its first point, so nothing runs;
-    # 200 covers the function evaluations alone, and only counting the
-    # Jacobian columns stops it
-    for max_evals in (28, 200):
-        with pytest.raises(NoSolution):
-            blocks.frame_solve(d, 2, [q], max_evals)
 
 
 # --- the analytic-Jacobian Newton ------------------------------------------

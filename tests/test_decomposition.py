@@ -17,6 +17,7 @@ from rankrange.battery import pick_target, random_instance
 from rankrange.region import MEMBERSHIP_TOL
 
 from clustered import clustered_phases
+from deadline import deadline
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
@@ -498,7 +499,7 @@ BENCHMARK_STREAMS = ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20),
 
 
 def _one_per_strategy(conjugate=True):
-    """(es, k, lam, strategy) reaching each rung short of least_squares;
+    """(es, k, lam, strategy) reaching each rung of the ladder;
     matrix inputs by default, so the frame is mapped out of the eigenbasis,
     else spectrum inputs of the same eigenvalues."""
     if conjugate:
@@ -1002,10 +1003,9 @@ def _three_clusters():
 
 def _count_rungs(monkeypatch):
     """Record each _polish and frame_solve outcome (True when it returned a
-    frame) and each _global_fallback call."""
-    seen = {"polish": [], "frame_solve": [], "global": 0}
+    frame)."""
+    seen = {"polish": [], "frame_solve": []}
     polish, frame_solve = blocks._polish, blocks.frame_solve
-    global_fallback = decomposition._global_fallback
 
     def counted_polish(*args, **kwargs):
         out = polish(*args, **kwargs)
@@ -1017,13 +1017,8 @@ def _count_rungs(monkeypatch):
         seen["frame_solve"].append(out is not None)
         return out
 
-    def counted_global(*args, **kwargs):
-        seen["global"] += 1
-        return global_fallback(*args, **kwargs)
-
     monkeypatch.setattr(blocks, "_polish", counted_polish)
     monkeypatch.setattr(blocks, "frame_solve", counted_frame_solve)
-    monkeypatch.setattr(decomposition, "_global_fallback", counted_global)
     return seen
 
 
@@ -1032,7 +1027,7 @@ def test_polish_closes_pair_block(monkeypatch):
     es = _three_clusters()
     lam = -0.911163544 - 0.32391731j
     proj = construct_projector(es, 3, lam)
-    assert seen == {"polish": [True], "frame_solve": [True], "global": 0}
+    assert seen == {"polish": [True], "frame_solve": [True]}
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 
 
@@ -1047,29 +1042,45 @@ def test_frame_solve_closes_pair_block(monkeypatch):
     # Newton misses, the polish of the best Newton frame fails, and a later
     # seed of isotropic_pair's own frame_solve closes the block
     assert seen["polish"][0] is False
-    assert seen["frame_solve"] == [True] and seen["global"] == 0
+    assert seen["frame_solve"] == [True]
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 
 
-def test_least_squares_closes_construction(monkeypatch):
-    seen = _count_rungs(monkeypatch)
-    # the block-first rung closes this target, and no natural target was
-    # found past it at which the search fails and least_squares closes;
-    # without that rung, the search finds no partition here
-    monkeypatch.setattr(decomposition, "_blockwise_pieces",
-                        lambda *args: None)
+def test_regular_octagon_centre_is_built_by_block_rungs():
+    # any 5 of the 8 vertices have a chord of their rank-2 region spanning
+    # at least a half turn, so no pair block holds the centre strictly
+    # inside; a block whose widest such chord is a diameter holds it on its
+    # boundary, and the pair solve closes that block
+    for rot in (0.0, 0.3, 1.1):
+        es = ingest_spectrum(np.mod(2 * np.pi * np.arange(8) / 8 + rot,
+                                    2 * np.pi))
+        targets = [0j, interior_point(build_region(es, 3))]
+        targets += [complex(r * np.exp(1j * th)) for r in (1e-12, 1e-10, 1e-9)
+                    for th in 0.2 + np.pi / 2 * np.arange(4)]
+        for lam in targets:
+            proj = construct_projector(es, 3, lam)
+            assert proj.strategy in ("planned", "blockwise"), (rot, lam)
+            assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
+
+
+def test_clustered_miss_past_blockwise_raises_at_once(monkeypatch):
+    # six clusters of width 7e-6 holding 2 to 7 eigenvalues each: the
+    # block-first rung closes this target
     phases = np.repeat([0.96099, 1.282885, 1.526565, 2.10249, 2.817509,
                         4.643176], [5, 3, 2, 5, 4, 7])
     es = ingest_spectrum(np.sort(
         phases + 7e-6 * np.random.default_rng(0).standard_normal(26)))
     lam = -0.051306 + 0.6964j
     proj = construct_projector(es, 9, lam)
-    assert proj.strategy == "least_squares"
-    assert seen["global"] == 1 and seen["frame_solve"] == [True]
+    assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
-    # one piece on every row: the frame is the solved V itself
-    assert [rows.shape for rows, _ in proj.pieces] == [(1, 26)]
-    assert np.array_equal(proj.frame, proj.pieces[0][1][0])
+    # without that rung the search finds no partition, and no rung follows
+    # it: the miss is a typed error
+    monkeypatch.setattr(decomposition, "_blockwise_pieces",
+                        lambda *args: None)
+    with deadline(2.0):
+        with pytest.raises(NoSolution):
+            construct_projector(es, 9, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1161,7 @@ def test_block_shortlist_equals_full_sort():
         cases.append(rng.permutation(m))
     cases.append(np.full(200, 0.5))
     for m in cases:
-        good = np.nonzero(m >= decomposition.FEASIBILITY_FLOOR)[0]
+        good = np.nonzero(m >= decomposition.BLOCK_FLOOR)[0]
         want = full_sort_shortlist(good, m[good])
         assert np.array_equal(decomposition._shortlist(good, m[good]), want)
         ordered = np.sort(m[good])[::-1]
@@ -1203,7 +1214,7 @@ def reference_blockwise_pieces(es, kk, lam):
     while act.size < 3 * kk:
         five = decomposition._spaced_blocks(act.size)
         m_blk = subspectrum_margin(es.phases, 2, lam, act[five] - 1)
-        good = np.nonzero(m_blk >= decomposition.FEASIBILITY_FLOOR)[0]
+        good = np.nonzero(m_blk >= decomposition.BLOCK_FLOOR)[0]
         if good.size == 0:
             return None
         good = good[np.argsort(-m_blk[good], kind="stable")
