@@ -22,11 +22,17 @@ kernel is the complexification of a real 2-dimensional kernel for five
 points, so a single complex parameter t in kappa = b1 + t b2 remains and
 the scalar balance condition is a two-real-unknown root find, solved by a
 coarse grid plus damped Newton. The grid's coordinates are a module
-constant; as b1 and b2 are real, kappa and the balance on the grid are
-formed in real arithmetic, rounded as the complex products would be, and
-each modulus is taken once. Newton's 2 x 2 Jacobian is analytic, from
-d|kappa_m|/dt = conj(kappa_m) b2_m / |kappa_m|, and the iteration runs in
-plain complex arithmetic over the points.
+constant, exactly symmetric about 0; as b1 and b2 are real, kappa and the
+balance on the grid are formed in real arithmetic, rounded as the complex
+products would be, and each modulus is taken once. Newton's 2 x 2 Jacobian
+is analytic, from d|kappa_m|/dt = conj(kappa_m) b2_m / |kappa_m|, and the
+iteration runs in plain complex arithmetic over the points.
+
+``isotropic_pair`` takes one block or a stack of them. The stack shares one
+kernel SVD, one grid scoring, one map from kappa to rows, one QR and one
+residual; only Newton runs block by block, and a block that misses the
+gate goes on alone through the swapped kernel ordering and the frame
+solve. Each block of a stack is ``==`` to that block solved alone.
 """
 
 from __future__ import annotations
@@ -38,80 +44,98 @@ from .errors import NoSolution
 
 BLOCK_RESIDUAL_GATE = 1e-10
 # the coarse grid of the root seed: GRID x GRID points of |Re t|, |Im t| <= SPAN,
-# each coordinate taken from _GRID_XS
+# each coordinate taken from _GRID_XS; its upper half, mirrored, makes the
+# grid exactly symmetric about 0 (within 1.8e-15 of linspace's), so that
+# _grid_root needs only the half Im t < 0
 GRID = 48
 SPAN = 6.0
-_GRID_XS = np.linspace(-SPAN, SPAN, GRID)
+_GRID_XS = np.linspace(-SPAN, SPAN, GRID)[GRID // 2:]
+_GRID_XS = np.concatenate([-_GRID_XS[::-1], _GRID_XS])
 _GRID_XS.setflags(write=False)
 NEWTON_ITERS = 60
 
 
-def pair_isotropy_residual(V: np.ndarray, d: np.ndarray) -> float:
-    """max |conj(V)^T diag(d) V| entry and Gram deviation from identity."""
-    comp = V.conj().T @ (d[:, None] * V)
-    gram = V.conj().T @ V - np.eye(V.shape[1])
-    return float(max(np.abs(comp).max(), np.abs(gram).max()))
+def pair_isotropy_residual(V: np.ndarray, d: np.ndarray):
+    """max |conj(V)^T diag(d) V| entry and Gram deviation from identity, of
+    one frame V (n, c), or per frame of a stack V (B, n, c) with d (B, n)."""
+    adj = np.swapaxes(V.conj(), -1, -2)
+    comp = np.abs(adj @ (d[..., None] * V)).max(axis=(-2, -1))
+    gram = np.abs(adj @ V - np.eye(V.shape[-1])).max(axis=(-2, -1))
+    r = np.maximum(comp, gram)
+    return float(r) if V.ndim == 2 else r
 
 
 def _kernel_basis(nu: np.ndarray) -> np.ndarray:
-    rows = np.vstack([nu.real, nu.imag, np.ones(nu.size)])
+    rows = np.stack([nu.real, nu.imag, np.ones(nu.shape)], axis=-2)
     _, _, vt = np.linalg.svd(rows)
-    return vt[3:]
+    return vt[..., 3:, :]
 
 
-def _rows_from_kappa(kap: np.ndarray) -> np.ndarray:
+def _rows_from_kappa(kap: np.ndarray):
+    """The real rows (B, n, 2) of each stacked kappa (B, n), and which
+    kappa are not all zero; the rows of one that is are zero."""
     h = np.abs(kap)
-    total = h.sum()
-    if total == 0.0:
-        raise NoSolution("degenerate moment solution")
-    h = 2.0 * h / total
+    total = h.sum(axis=-1, keepdims=True)
+    live = total[:, 0] != 0.0
+    h = 2.0 * h / np.where(live[:, None], total, 1.0)
     phi = np.angle(kap) / 2.0
-    return np.sqrt(h)[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    return np.sqrt(h)[..., None] * np.stack([np.cos(phi), np.sin(phi)],
+                                            axis=-1), live
 
 
-def _orthonormalize(Vz: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(Vz)
-    return q
+def _closed_chain(d, nu, b1, b2):
+    """Grid seed, Newton, rows and QR for each stacked block (B, n) with
+    kernel ordering (b1, b2): the frames (B, n, 2) and their residuals,
+    inf where kappa vanished."""
+    t0 = _grid_root(nu, b1, b2)
+    t = np.array([_newton_root(*block) for block in
+                  zip(nu, b1, b2, t0.tolist())])
+    rows, live = _rows_from_kappa(b1 + t[:, None] * b2)
+    V, _ = np.linalg.qr(rows / np.sqrt(np.abs(d))[..., None])
+    return V, np.where(live, pair_isotropy_residual(V, d), np.inf)
 
 
 def isotropic_pair(d: np.ndarray):
-    """Two orthonormal vectors V (n x 2) with conj(V)^T diag(d) V = 0.
+    """Two orthonormal vectors V (n x 2) with conj(V)^T diag(d) V = 0, or
+    one such V per block of a stack d (B, n), as V (B, n, 2).
 
     ``d`` holds the shifted eigenvalues (mu_m - lambda) of the block's
     support; feasibility requires 0 inside the rank-2 region of the
     normalized points. Deterministic: fixed grid seeding and damped Newton
-    refinement with an analytic Jacobian (``_newton_root``), followed only
-    if the closed chain misses the residual gate by a frame solve whose
-    first seed is the best Newton frame. The caller checks feasibility:
+    refinement with an analytic Jacobian (``_newton_root``), the whole
+    stack at once but Newton block by block. A block whose chain misses
+    the residual gate tries the swapped kernel ordering alone, then a frame
+    solve whose first seed is the best Newton frame; NoSolution when that
+    fails too, for any block of the stack. The caller checks feasibility:
     this solve does not score the block's margin.
     """
     d = np.asarray(d, dtype=complex)
-    if d.size < 5:
+    stack = d.reshape(-1, d.shape[-1])
+    if stack.shape[1] < 5:
         raise NoSolution(f"pair block needs at least 5 support points, "
-                         f"got {d.size}")
-    if np.abs(d).min() < 1e-14:
+                         f"got {stack.shape[1]}")
+    if np.abs(stack).min() < 1e-14:
         raise NoSolution("target coincides with an eigenvalue in the block")
-    nu = d / np.abs(d)
+    nu = stack / np.abs(stack)
     basis = _kernel_basis(nu)
-    if basis.shape[0] < 2:
-        raise NoSolution("kernel of the moment rows is too small")
+    V, r = _closed_chain(stack, nu, basis[:, -2], basis[:, -1])
+    for i in np.flatnonzero(~(r <= BLOCK_RESIDUAL_GATE)):
+        lone = _lone_block(stack[i], nu[i], basis[i], V[i], r[i])
+        # a frame solve returns a complex frame; Newton's are real
+        V = V.astype(np.result_type(V, lone), copy=False)
+        V[i] = lone
+    return V if d.ndim == 2 else V[0]
 
-    best_V, best_r = None, np.inf
-    for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-        t0 = _grid_root(nu, b1, b2)
-        t = _newton_root(nu, b1, b2, t0)
-        kap = b1 + t * b2
-        try:
-            rows = _rows_from_kappa(kap)
-        except NoSolution:
-            continue
-        Vz = rows / np.sqrt(np.abs(d))[:, None]
-        V = _orthonormalize(Vz)
-        r = pair_isotropy_residual(V, d)
-        if r < best_r:
-            best_V, best_r = V, r
-        if best_r <= BLOCK_RESIDUAL_GATE:
-            return best_V
+
+def _lone_block(d, nu, basis, V, r):
+    """The rest of one block's solve once its first chain (V, residual r)
+    missed the gate: the swapped ordering, then the frame solve."""
+    best_V, best_r = (V, r) if r < np.inf else (None, np.inf)
+    V, r = _closed_chain(d[None], nu[None], basis[None, -1], basis[None, -2])
+    if r[0] < best_r:
+        best_V, best_r = V[0], r[0]
+    if best_r <= BLOCK_RESIDUAL_GATE:
+        return best_V
     # the real-rows ansatz can run out of roots when points nearly
     # coincide; the complex frame solve, which polishes the best Newton
     # frame first and then fixed seeds, still reaches the solutions
@@ -130,23 +154,30 @@ def isotropic_pair(d: np.ndarray):
 
 
 def _grid_root(nu, b1, b2):
-    """The grid point t = x + iy, x and y from ``_GRID_XS``, of least
-    relative balance |sum nu_m |kappa_m|| / sum |kappa_m|, kappa = b1 + t b2.
+    """For each stacked block (B, n), the grid point t = x + iy, x and y
+    from ``_GRID_XS``, of least relative balance |sum nu_m |kappa_m|| /
+    sum |kappa_m|, kappa = b1 + t b2, the first in row-major (x, y) order
+    among equals.
 
-    As b1 and b2 are real, kappa's parts b1 + x b2 and y b2, and the
-    balance's parts, are formed in real arithmetic, which rounds them as
-    complex arithmetic does. Both moduli are numpy's complex ``abs``:
-    ``np.hypot`` rounds differently and can move the argmin."""
-    n = nu.size
-    kap = np.empty((n, GRID, GRID), dtype=complex)
-    kap.real = (b1[:, None] + _GRID_XS * b2[:, None])[:, :, None]
-    kap.imag = (_GRID_XS * b2[:, None])[:, None, :]
+    As b1 and b2 are real, |kappa_m| at x - iy equals it at x + iy bit for
+    bit, and so does the balance; on the mirrored grid the first least
+    point therefore has y < 0, and only that half is scored. kappa's parts
+    b1 + x b2 and y b2, and the balance's parts, are formed in real
+    arithmetic, which rounds them as complex arithmetic does; ``einsum``
+    adds the points' terms in order, as a sum over them does. Both moduli
+    are numpy's complex ``abs``: ``np.hypot`` rounds differently and can
+    move the argmin."""
+    half = GRID // 2
+    kap = np.empty(nu.shape + (GRID, half), dtype=complex)
+    kap.real = (b1[..., None] + _GRID_XS * b2[..., None])[..., None]
+    kap.imag = (_GRID_XS[:half] * b2[..., None])[..., None, :]
     mags = np.abs(kap)
-    bal = np.empty((GRID, GRID), dtype=complex)
-    bal.real = (nu.real[:, None, None] * mags).sum(axis=0)
-    bal.imag = (nu.imag[:, None, None] * mags).sum(axis=0)
-    i, j = divmod(int(np.argmin(np.abs(bal) / mags.sum(axis=0))), GRID)
-    return complex(_GRID_XS[i], _GRID_XS[j])
+    bal = np.empty((nu.shape[0], GRID, half), dtype=complex)
+    bal.real = np.einsum("bm,bmxy->bxy", nu.real, mags)
+    bal.imag = np.einsum("bm,bmxy->bxy", nu.imag, mags)
+    score = (np.abs(bal) / mags.sum(axis=1)).reshape(nu.shape[0], -1)
+    i, j = np.divmod(np.argmin(score, axis=1), half)
+    return _GRID_XS[i] + 1j * _GRID_XS[j]
 
 
 def _newton_root(nu, b1, b2, t0):

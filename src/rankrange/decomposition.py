@@ -14,8 +14,10 @@ triangle, one column of square roots of barycentric weights, every
 triangle of a candidate solved in one stacked 3 x 3 solve; on each
 5-index pair block, two jointly solved columns. As the supports are
 disjoint, the Gram and compression gates run per piece, in O(k), and the
-N x k frame is formed from the pieces only when it is read. A spectrum
-input's basis is never read, so its whole construction is O(N) in memory.
+N x k frame is formed from the pieces only when it is read. All the pair
+blocks of a candidate are solved in one stacked ``isotropic_pair`` call.
+A spectrum input's basis is never read, so its whole construction is O(N)
+in memory.
 It climbs one ladder of strategies and returns the first witness that
 passes the gates:
 
@@ -27,14 +29,15 @@ passes the gates:
    eigenvalues);
 3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
    evenly spaced 5-index candidate with the best min of its own rank-2
-   margin and its remainder's margin. Every candidate is scored from one
-   table of the chords the candidates share (n starts by the few spans
-   near 2n/5), and the layout of the candidates is built once per size
-   and cached, stored by chord so that each candidate's min is 5
-   contiguous gathers; a partition picks the BLOCK_SHORTLIST best blocks,
-   whose remainders are scored. The 3m indices left take the triangles
-   (j, j+m, j+2m), which a positive rank-m margin of the remainder makes
-   feasible;
+   margin and its remainder's margin. Each step scores one chord table
+   (n starts by the few spans near 2n/5 that the candidates' chords take,
+   and the six spans r .. r+5 of a remainder's rank-r chords); the layout
+   of the candidates is built once per size and cached, stored by chord
+   so that each candidate's min is 5 contiguous gathers. A partition
+   picks the BLOCK_SHORTLIST best blocks, and each chord of their
+   remainders is one more gather from the same table. The 3m indices left
+   take the triangles (j, j+m, j+2m), which a positive rank-m margin of
+   the remainder makes feasible;
 4. ``adaptive``: a deterministic search re-partitions the indices among
    feasible triangles and blocks. It scores every triangle of the spectrum
    once per construction, and each of its steps keeps the rows of that
@@ -348,7 +351,7 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
     the first that passes, taken within 2 VALUE_TOL, are handed to
     ``solve_barycentric`` one by one, in fan order."""
     lam = complex(lam)
-    mu = es.eigenvalues()
+    mu = es.mu
     n = es.dim
     hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
     if hit.size:
@@ -495,7 +498,7 @@ def _triangle_weights(es, tris, lam):
     misses its gates goes through ``solve_barycentric`` itself, with its
     edge and vertex fallbacks; only its NoConvexSolution means
     infeasible."""
-    w, ok = _full_solves(es.eigenvalues()[tris - 1], lam)
+    w, ok = _full_solves(es.mu[tris - 1], lam)
     for i in np.flatnonzero(~ok):
         try:
             w[i] = solve_barycentric(es, triangle(*tris[i], dim=es.dim),
@@ -513,7 +516,8 @@ def _try_pieces(es, lam, pieces, kk):
 
     Every triangle is solved first, in one stacked kernel
     (``_triangle_weights``), so a candidate with an infeasible triangle
-    never pays ``isotropic_pair``. Each pair block arrives scored by the
+    never pays ``isotropic_pair``, which then solves all the pair blocks
+    in one stacked call. Each pair block arrives scored by the
     rung that proposed it, at a rank-2 margin of at least
     FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
     scored again here."""
@@ -531,9 +535,8 @@ def _try_pieces(es, lam, pieces, kk):
                     .astype(complex)))
     if blks:
         rows = np.sort(blks, axis=1) - 1
-        mu = es.eigenvalues()
         try:
-            coef = np.stack([blocks.isotropic_pair(mu[r] - lam) for r in rows])
+            coef = blocks.isotropic_pair(es.mu[rows] - lam)
         except NoSolution:
             return None
         out.insert(0, (rows, coef))
@@ -559,7 +562,7 @@ def _feasible_triples(es, active, lam):
     weight therefore does not depend on the other active indices, and
     ``_restrict`` of this table to a subset is the table of that subset."""
     act = np.asarray(active)
-    pts = es.eigenvalues()[act - 1]
+    pts = es.mu[act - 1]
     n = act.size
     if n < 3:
         return np.empty(0), np.empty((0, 3), dtype=act.dtype)
@@ -607,7 +610,8 @@ def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
     positions per row), one ascending row per row of ``chosen``."""
     keep = np.ones((chosen.shape[0], n), dtype=bool)
     keep[np.arange(chosen.shape[0])[:, None], chosen] = False
-    return np.nonzero(keep)[1].reshape(chosen.shape[0], -1)
+    return np.tile(np.arange(n), chosen.shape[0])[keep.ravel()].reshape(
+        chosen.shape[0], -1)
 
 
 def _spaced_blocks(n: int) -> np.ndarray:
@@ -633,52 +637,90 @@ def _spaced_blocks(n: int) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-# one entry holds about 11 MB at n = 2,999
+# one entry holds about 2.7 MB at n = 2,999
 @functools.lru_cache(maxsize=8)
 def _block_layout(n: int):
-    """Read-only layout of the pair-block candidates on n positions:
-    ``_spaced_blocks(n)``, rows (C, 5), the distinct spans S of their
-    rank-2 chords, ascending, and the flat indices, shape (5, C), of each
-    row's 5 chords in an n x |S| table whose entry (s, i) is the chord from
-    position s to position s + S[i], wrapping past n - 1. Column r of the
-    indices belongs to row r, and its entry c to the row's chord c, which
-    runs from its position c to its position c + 2 (mod 5); stored by
-    chord, each of the 5 is one contiguous gather. It depends on n alone;
-    a 3k-2 construction asks for two sizes, n and n - 5."""
+    """Read-only layout of one block-first step on n positions: the spans S
+    of its chord table, ascending, and the flat indices (5, C) of the
+    rank-2 chords of the pair-block candidates ``_spaced_blocks(n)`` in
+    that table.
+
+    The table is n x |S|: entry (s, i) is the chord from position s to
+    position s + S[i], wrapping past n - 1. The step's rank kk = (n + 2)
+    // 3 is fixed by n (n = 3kk - 1 or 3kk - 2), and so is its remainders'
+    rank r = kk - 2. A remainder's rank-r chord from a position ends r + c
+    positions on, c <= 5 the number of block positions it skips, so S holds
+    the candidates' spans and, for r > 0, the six spans r .. r + 5, which
+    are consecutive in S as they are consecutive integers.
+
+    Column j of the indices belongs to candidate j, and its entry c to the
+    candidate's chord c, which runs from its position c to its position
+    c + 2 (mod 5); stored by chord, each of the 5 is one contiguous gather.
+    The candidates' rows are not stored: position c of row j is the start
+    of its chord c (``_layout_rows``). The indices are int32, half the
+    bytes of numpy's index type."""
     five = _spaced_blocks(n)
     spans = np.concatenate([five[:, 2:], five[:, :2] + n], axis=1) - five
-    lo = spans.min()
-    distinct = np.flatnonzero(np.bincount((spans - lo).ravel())) + lo
+    r = (n + 2) // 3 - 2
+    distinct = np.union1d(spans, r + np.arange(6 if r > 0 else 0))
     idx = np.ascontiguousarray(
-        (five * distinct.size + np.searchsorted(distinct, spans)).T)
-    for arr in (five, distinct, idx):
+        (five * distinct.size + np.searchsorted(distinct, spans)).T,
+        dtype=np.int32)
+    for arr in (distinct, idx):
         arr.setflags(write=False)
-    return five, distinct, idx
+    return distinct, idx
 
 
-def _block_scores(phases, act, lam):
-    """The ``_block_layout`` rows of the active indices ``act`` (1-based,
-    ascending) and their rank-2 margins, ``==`` to
-    ``subspectrum_margin(phases, 2, lam, act[rows] - 1)``: the n x |S|
-    chord table is scored once, and each row takes the min of its 5
-    entries, as the running ``np.minimum`` of the layout's 5 gathers. The
-    chords that wrap past the last position end at
-    ``exp(1j * (phases + 2pi))``, as in ``subspectrum_margin``."""
+def _layout_rows(n: int, cols) -> np.ndarray:
+    """Rows (len(cols), 5) of the ``_block_layout(n)`` candidates
+    ``cols``, ``==`` to ``_spaced_blocks(n)[cols]``."""
+    spans, idx = _block_layout(n)
+    return (idx[:, cols] // spans.size).T
+
+
+def _block_scores(es, act, lam):
+    """The chord table of one block-first step over the active indices
+    ``act`` (1-based, ascending), flat, and the rank-2 margins of the
+    ``_block_layout`` candidates, ``==`` to ``subspectrum_margin(es.phases,
+    2, lam, act[_spaced_blocks(act.size)] - 1)``.
+
+    The n x |S| table is scored once by ``region.chord_margins``, on the
+    chord ends that ``subspectrum_margin`` gathers: the eigenvalues
+    ``es.mu``, and for the ends that wrap past the last position
+    ``es.mu_wrapped`` and the phases plus 2pi, each read from the active
+    entries taken twice over. Each candidate takes the min of its 5
+    entries, as the running ``np.minimum`` of the layout's 5 gathers."""
     n = act.size
-    five, spans, idx = _block_layout(n)
+    spans, idx = _block_layout(n)
     pos = act - 1
+    ph, z = es.phases[pos], es.mu[pos]
     ends = np.arange(n)[:, None] + spans
-    wrap = ends >= n
-    start = np.broadcast_to(pos[:, None], ends.shape)
-    end = pos[ends % n]
-    t1 = phases[end] + TWO_PI * wrap
-    z = np.exp(1j * phases)
-    b = np.where(wrap, np.exp(1j * (phases + TWO_PI))[end], z[end])
-    table = chord_margins(phases[start], t1, z[start], b, lam).ravel()
+    table = chord_margins(
+        ph[:, None], np.concatenate([ph, ph + TWO_PI])[ends],
+        z[:, None].repeat(spans.size, axis=1),
+        np.concatenate([z, es.mu_wrapped[pos]])[ends], lam).ravel()
+    idx = idx.astype(np.intp)     # one cast, not one per gather
     out = np.minimum(table[idx[0]], 1.0 - np.abs(lam))
     for chord in idx[1:]:
         np.minimum(out, table[chord], out=out)
-    return five, out
+    return table, out
+
+
+def _remainder_scores(table, n, rest, lam):
+    """The rank-r margins (r = (n + 2) // 3 - 2 > 0, see ``_block_layout``)
+    of the remainders ``rest`` (G, n - 5), ascending positions of the
+    step's n, read from its chord table ``table`` (``_block_scores``):
+    ``==`` to ``subspectrum_margin`` of those sub-spectra. The chord from
+    ``rest[i]`` ends at ``rest[i + r]``, wrapping past the remainder's
+    last r, and its span in the step is that difference, plus n where it
+    wraps: one of r .. r + 5, whose columns are consecutive. Each chord is
+    one more gather."""
+    spans, _ = _block_layout(n)
+    r = (n + 2) // 3 - 2
+    # entry (rest[i], column of span s) = rest[i] |S| + s + (column of r) - r
+    flat = np.concatenate([rest[:, r:], rest[:, :r] + n], axis=1) \
+        + rest * (spans.size - 1) + (np.searchsorted(spans, r) - r)
+    return np.minimum(1.0 - np.abs(lam), table[flat].min(axis=1))
 
 
 def _shortlist(good, m):
@@ -700,35 +742,39 @@ def _blockwise_pieces(es, kk, lam):
 
     Each block still needed is the evenly spaced candidate (``_spaced_blocks``
     of the indices left) with the best min of its own rank-2 margin and its
-    remainder's rank kk-2 margin. ``_block_scores`` scores every candidate
-    from one table of the chords they share, and one margin call scores the
-    remainders of the BLOCK_SHORTLIST best. The 3m indices left then take
-    the triangles (j, j+m, j+2m): the rank-m region of 3m points is the
-    intersection of those triangles (Li and Sze, Proc. AMS 136, 2008), so
-    the remainder's positive margin makes each feasible. A block may hold
-    the target on the boundary of its own rank-2 region (BLOCK_FLOOR)."""
+    remainder's rank kk-2 margin. Each step scores one chord table
+    (``_block_scores``): every candidate's block margin is the min of 5 of
+    its entries, and each remainder chord of the BLOCK_SHORTLIST best
+    blocks is one more (``_remainder_scores``). The 3m indices left then
+    take the triangles (j, j+m, j+2m): the rank-m region of 3m points is
+    the intersection of those triangles (Li and Sze, Proc. AMS 136, 2008),
+    so the remainder's positive margin makes each feasible. A block may
+    hold the target on the boundary of its own rank-2 region
+    (BLOCK_FLOOR)."""
     act = np.arange(1, es.dim + 1)
     pieces = []
     while act.size < 3 * kk:
-        five, m_blk = _block_scores(es.phases, act, lam)
+        table, m_blk = _block_scores(es, act, lam)
         good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
         if good.size == 0:
             return None
         good = _shortlist(good, m_blk[good])
-        rest = _remainders(act.size, five[good])
+        five = _layout_rows(act.size, good)
+        rest = _remainders(act.size, five)
         if kk == 2:
             m_rest = np.full(good.size, np.inf)    # nothing is left
         else:
-            m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+            m_rest = _remainder_scores(table, act.size, rest, lam)
         best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
         if m_rest[best] < FEASIBILITY_FLOOR:
             return None
-        pieces.append(("block", tuple(act[five[good[best]]].tolist())))
+        pieces.append(("block", tuple(act[five[best]].tolist())))
         act = act[rest[best]]
         kk -= 2
-    m = act.size // 3
-    return pieces + [("tri", tuple(act[[j, j + m, j + 2 * m]].tolist()))
-                     for j in range(m)]
+    # triangle j is (act[j], act[j + m], act[j + 2m]): column j of act
+    # read as 3 rows of m
+    return pieces + [("tri", t) for t in
+                     map(tuple, act.reshape(3, -1).T.tolist())]
 
 
 def _block_candidates(es, act, lam, tris, kk, floor):
@@ -860,7 +906,7 @@ def _piece_gates(es: EigenSystem, lam: complex, pieces):
     """The largest Gram deviation |V^H V - I|, diagonal compression residual
     and compression residual |V^H D V| of the stacked pieces, each piece's
     c x c blocks computed alone."""
-    d = es.eigenvalues() - lam
+    d = es.mu - lam
     gram = diag = comp = 0.0
     for rows, coef in pieces:
         adj = coef.conj().transpose(0, 2, 1)
@@ -913,7 +959,7 @@ def _eigen_matches(es: EigenSystem, lam: complex) -> list:
     """0-based positions of the eigenvalues within EIGEN_MATCH of lam, from
     one array of eigenvalues; Python ``abs`` of each difference, as
     ``abs(es.eigenvalue(j + 1) - lam)`` rounds it."""
-    return [j for j, z in enumerate((es.eigenvalues() - lam).tolist())
+    return [j for j, z in enumerate((es.mu - lam).tolist())
             if abs(z) <= EIGEN_MATCH]
 
 

@@ -85,15 +85,28 @@ class EigenSystem:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.phases))
+        return np.diag(self.mu)
 
     def eigenvalue(self, j: int) -> complex:
         """Eigenvalue at raw cyclic index j (1-based, wrap allowed)."""
         canonical = (j - 1) % self.dim
         return complex(np.exp(1j * self.phases[canonical]))
 
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        return _read_only(np.exp(1j * self.phases))
+
+    @functools.cached_property
+    def mu_wrapped(self) -> np.ndarray:
+        return _read_only(np.exp(1j * (self.phases + TWO_PI)))
+
     def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
+        return self.mu.copy()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _hermitian_eigensystem(A: np.ndarray):
@@ -107,14 +120,16 @@ def _hermitian_eigensystem(A: np.ndarray):
                              check_finite=False)
     AV = A @ V
     evals = np.einsum("ij,ij->j", V.conj(), AV)
-    cuts = np.flatnonzero(np.diff(h) >= CLUSTER_GAP) + 1
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, A.shape[0]]):
-        if hi - lo > 1:
-            T, Z = scipy.linalg.schur(V[:, lo:hi].conj().T @ AV[:, lo:hi],
-                                      output="complex", check_finite=False)
-            V[:, lo:hi] = V[:, lo:hi] @ Z
-            AV[:, lo:hi] = A @ V[:, lo:hi]
-            evals[lo:hi] = np.diag(T)
+    cuts = np.r_[0, np.flatnonzero(np.diff(h) >= CLUSTER_GAP) + 1, A.shape[0]]
+    # only a group of two or more needs its Schur; singletons are skipped
+    # without a Python step each
+    for g in np.flatnonzero(np.diff(cuts) > 1).tolist():
+        lo, hi = int(cuts[g]), int(cuts[g + 1])
+        T, Z = scipy.linalg.schur(V[:, lo:hi].conj().T @ AV[:, lo:hi],
+                                  output="complex", check_finite=False)
+        V[:, lo:hi] = V[:, lo:hi] @ Z
+        AV[:, lo:hi] = A @ V[:, lo:hi]
+        evals[lo:hi] = np.diag(T)
     return evals, V, AV
 
 

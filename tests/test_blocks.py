@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankrange import (NoSolution, blocks, build_region, ingest_spectrum,
-                       interior_point, isotropic_pair,
+from rankrange import (NoSolution, blocks, build_region, decomposition,
+                       ingest_spectrum, interior_point, isotropic_pair,
                        pair_isotropy_residual, subspectrum_margin)
 
 from clustered import clustered_phases
@@ -74,6 +74,63 @@ def test_block_property_wide(seed, clustered):
     d = es.eigenvalues() - lam
     V = isotropic_pair(d)
     assert pair_isotropy_residual(V, d) <= 1e-10
+
+
+def frame_solve_block():
+    """The shifted eigenvalues of the pair block of
+    ``test_decomposition.py::test_frame_solve_closes_pair_block``, whose
+    Newton chains miss the gate in both kernel orderings."""
+    es = ingest_spectrum(clustered_phases(44, 3, 8))
+    lam = -0.22069262232778145 + 0.6124527386670806j
+    pieces = decomposition._planned_pieces(decomposition.plan(es, 3, lam))
+    idx = [idx for kind, idx in pieces if kind == "block"]
+    assert len(idx) == 1
+    return es.eigenvalues()[np.array(idx[0]) - 1] - lam
+
+
+def test_stacked_blocks_equal_blocks_alone(monkeypatch):
+    # stacks of 1 to 4 blocks, each block == to it solved alone; one stack
+    # holds a block that needs the frame solve beside blocks that close by
+    # Newton, and only that block reaches it
+    calls = []
+    frame_solve = blocks.frame_solve
+
+    def counted(d, *args):
+        calls.append(d.copy())
+        return frame_solve(d, *args)
+
+    monkeypatch.setattr(blocks, "frame_solve", counted)
+    rng = np.random.default_rng(19)
+    plain = []
+    for _ in range(12):
+        es, lam = feasible_instance(rng)
+        plain.append(es.eigenvalues() - lam)
+    stacks = [np.array(plain[i:i + size])
+              for i, size in ((0, 1), (1, 2), (3, 3), (6, 4))]
+    hard = frame_solve_block()
+    stacks.append(np.array([plain[10], hard, plain[11]]))
+    for stack in stacks:
+        alone = [isotropic_pair(d) for d in stack]
+        calls.clear()
+        got = isotropic_pair(stack)
+        assert got.shape == (len(stack), 5, 2)
+        for V, d in zip(alone, stack):
+            assert pair_isotropy_residual(V, d) <= blocks.BLOCK_RESIDUAL_GATE
+        assert np.array_equal(got, np.array(alone))
+        assert len(calls) == any(d is hard or np.array_equal(d, hard)
+                                 for d in stack)
+    assert np.array_equal(calls[0], hard)
+    # the stacked residual is each frame's own
+    V = isotropic_pair(stacks[3])
+    assert pair_isotropy_residual(V, stacks[3]).tolist() == \
+        [pair_isotropy_residual(v, d) for v, d in zip(V, stacks[3])]
+
+
+def test_stack_with_coincident_eigenvalue_raises():
+    es = ingest_spectrum([0.0, 1.0, 2.0, 3.5, 5.0])
+    d = es.eigenvalues() - es.eigenvalue(2)
+    with pytest.raises(NoSolution):
+        isotropic_pair(np.array([es.eigenvalues() - 0.1j, d]))
 
 
 def test_frame_solve_closes_seven_point_seed():
@@ -148,7 +205,7 @@ def newton_pairs(width, count, seed):
         nu = d / np.abs(d)
         basis = blocks._kernel_basis(nu)
         for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-            t0 = blocks._grid_root(nu, b1, b2)
+            t0 = grid_root(nu, b1, b2)
             old = fd_newton_root(nu, b1, b2, t0)
             new = blocks._newton_root(nu, b1, b2, t0)
             out.append((old, new, abs(fd_balance(nu, b1, b2, old)),
@@ -183,10 +240,15 @@ def test_newton_converges_with_finite_differences_on_tight_clusters():
             assert abs(new - old) <= 1e-9 * max(1.0, abs(old))
 
 
+def grid_root(nu, b1, b2):
+    """``blocks._grid_root`` of one block, as a stack of one."""
+    return complex(blocks._grid_root(nu[None], b1[None], b2[None])[0])
+
+
 def reference_grid_root(nu, b1, b2):
-    """_grid_root as it stood: the grid rebuilt as a complex meshgrid on
-    every call, and |kappa| taken twice."""
-    xs = np.linspace(-blocks.SPAN, blocks.SPAN, blocks.GRID)
+    """_grid_root as it stood, on the whole mirrored grid: the grid rebuilt
+    as a complex meshgrid on every call, and |kappa| taken twice."""
+    xs = blocks._GRID_XS
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     T = X + 1j * Y
     kap = b1[:, None, None] + T[None, :, :] * b2[:, None, None]
@@ -196,12 +258,22 @@ def reference_grid_root(nu, b1, b2):
     return complex(T[idx])
 
 
+def test_grid_is_mirrored():
+    xs = blocks._GRID_XS
+    assert xs.size == blocks.GRID and xs[0] == -blocks.SPAN
+    assert np.array_equal(xs, -xs[::-1])
+    assert np.abs(xs - np.linspace(-blocks.SPAN, blocks.SPAN,
+                                   blocks.GRID)).max() <= 2e-15
+
+
 def test_grid_root_matches_reference():
     # uniform blocks and clusters of width 1e-1 to 1e-6, both kernel
     # orderings, each at the Chebyshev centre of its rank-2 region (or the
-    # eigenvalues' mean when the region has none): the same grid point
+    # eigenvalues' mean when the region has none): the half grid finds the
+    # whole grid's point; a stack of all of them finds each one's
     rng = np.random.default_rng(15)
     count = 0
+    stack = []
     for width in (None, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         for i in range(40):
             if width is None:
@@ -218,7 +290,10 @@ def test_grid_root_matches_reference():
             nu = d / np.abs(d)
             basis = blocks._kernel_basis(nu)
             for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-                assert blocks._grid_root(nu, b1, b2) == \
-                    reference_grid_root(nu, b1, b2), (width, i)
+                want = reference_grid_root(nu, b1, b2)
+                assert grid_root(nu, b1, b2) == want, (width, i)
+                stack.append((nu, b1, b2, want))
                 count += 1
     assert count >= 500
+    nu, b1, b2, want = map(np.array, zip(*stack))
+    assert blocks._grid_root(nu, b1, b2).tolist() == want.tolist()

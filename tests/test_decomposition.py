@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -14,7 +15,8 @@ from rankrange import (EigenSystem, GramFailure, InvalidRank,
                        three_k_patterns, triangle, validate_triangle,
                        verify_projector)
 from rankrange.battery import pick_target, random_instance
-from rankrange.region import MEMBERSHIP_TOL
+from rankrange.region import MEMBERSHIP_TOL, chord_rule
+from rankrange.spectra import TWO_PI
 
 from clustered import clustered_phases
 from deadline import deadline
@@ -1118,19 +1120,44 @@ def test_spaced_blocks_rows():
 def test_block_layout_is_cached_and_read_only():
     layout = decomposition._block_layout(58)
     assert decomposition._block_layout(58) is layout
-    five, spans, idx = layout
-    assert np.array_equal(five, decomposition._spaced_blocks(58))
-    # stored by chord: column r holds row r's 5 chords, each chord's
+    spans, idx = layout
+    five = decomposition._spaced_blocks(58)
+    # stored by chord: column j holds candidate j's 5 chords, each chord's
     # indices one contiguous gather; a row's chord c runs from its position
-    # c to its position c + 2
+    # c to its position c + 2, and the rows are recovered from the indices
     assert idx.shape == (5, len(five)) and idx.flags.c_contiguous
+    assert idx.dtype == np.int32
+    assert np.array_equal(
+        decomposition._layout_rows(58, np.arange(len(five))), five)
     ends = np.concatenate([five[:, 2:], five[:, :2] + 58], axis=1)
-    assert np.array_equal(idx.T // spans.size, five)
     assert np.array_equal(spans[idx.T % spans.size], ends - five)
+    # at n = 58 the remainders have rank r = 18, whose spans 18 .. 23 are
+    # table columns too, consecutive
+    col = np.searchsorted(spans, 18)
+    assert spans[col:col + 6].tolist() == list(range(18, 24))
     for arr in layout:
         with pytest.raises(ValueError):
             arr[0] = 0
     assert decomposition._block_layout.cache_info().maxsize is not None
+    # the pentagon's one step has no remainder, and its table one column
+    assert decomposition._block_layout(5)[0].tolist() == [2]
+
+
+def test_block_layout_holds_half_the_bytes():
+    # the layout kept the rows (C, 5) and the indices (5, C), both of
+    # numpy's index type, 10.8 MB at n = 2,999; it keeps the indices alone
+    n = 2999
+    before = 2 * 5 * len(decomposition._spaced_blocks(n)) \
+        * np.dtype(np.intp).itemsize
+    decomposition._block_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decomposition._block_layout(n)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= before / 2, (held, before)
 
 
 def full_sort_shortlist(good, m):
@@ -1152,7 +1179,7 @@ def test_block_shortlist_equals_full_sort():
             es = ingest_spectrum(phases)
             act = np.arange(1, n + 1)
             for lam in (0j, 0.1 + 0.05j, complex(es.eigenvalues()[:3].mean())):
-                _, m = decomposition._block_scores(es.phases, act, lam)
+                _, m = decomposition._block_scores(es, act, lam)
                 cases.append(m)
     # synthetic margins made of a few values, each repeated, so that the
     # cut falls inside a run of ties
@@ -1198,12 +1225,53 @@ def test_block_scores_equal_row_form():
             # a point just inside an eigenvalue and one outside the disk
             for lam in (complex(mu.mean()), 0j, complex(mu[0] + mu[2]) / 2,
                         complex(0.999 * mu[1]), 1.5 + 0j):
-                five, got = decomposition._block_scores(es.phases, act, lam)
+                _, got = decomposition._block_scores(es, act, lam)
                 want = subspectrum_margin(es.phases, 2, lam, act[rows] - 1)
-                assert np.array_equal(five, rows)
                 assert got.tolist() == want.tolist(), (n, lam)
                 signs.update(np.sign(want).tolist())
     assert {-1.0, 1.0} <= signs
+
+
+def remainder_chord_kinds(phases, j, rows):
+    """How many of the rank-j chords of the sub-spectra ``phases[rows]``
+    are dead, and how many of those pin the region (``region.chord_rule``
+    on the chords that ``subspectrum_margin`` scores)."""
+    t0 = phases[rows]
+    t1 = np.concatenate([t0[:, j:], t0[:, :j] + TWO_PI], axis=1)
+    _, _, live, pinned = chord_rule(t0, t1, np.exp(1j * t0), np.exp(1j * t1))
+    return int((~live).sum()), int(pinned.sum())
+
+
+def test_remainder_scores_equal_row_form():
+    # every n = 3kk - 1 and 3kk - 2 from 8 to 119: the step table's
+    # remainder margins of up to 96 candidates per spectrum, among them
+    # the first and the last, == to subspectrum_margin's at rank kk - 2
+    rng = np.random.default_rng(19)
+    dead = pinned = 0
+    signs = set()
+    for n in [n for n in range(8, 120) if n % 3]:
+        r = (n + 2) // 3 - 2
+        five = decomposition._spaced_blocks(n)
+        pick = np.unique(np.concatenate([
+            [0, len(five) - 1], rng.choice(len(five), min(94, len(five)),
+                                           replace=False)]))
+        cases = list(block_score_cases(n, rng))
+        cases.append((ingest_spectrum(2 * np.pi * np.arange(n) / n),
+                      np.arange(1, n + 1)))
+        for es, act in cases:
+            rest = decomposition._remainders(n, five[pick])
+            kinds = remainder_chord_kinds(es.phases, r, act[rest] - 1)
+            dead, pinned = dead + kinds[0], pinned + kinds[1]
+            mu = es.eigenvalues()[act - 1]
+            for lam in (complex(mu.mean()), 0j, complex(mu[0] + mu[2]) / 2,
+                        complex(0.999 * mu[1]), 1.5 + 0j):
+                table, _ = decomposition._block_scores(es, act, lam)
+                got = decomposition._remainder_scores(table, n, rest, lam)
+                want = subspectrum_margin(es.phases, r, lam, act[rest] - 1)
+                assert got.tolist() == want.tolist(), (n, lam)
+                signs.update(np.sign(want).tolist())
+    assert {-1.0, 1.0} <= signs
+    assert dead > 0 and pinned > 0
 
 
 def reference_blockwise_pieces(es, kk, lam):
