@@ -8,7 +8,10 @@ value is admissible when it is on the inward side of every chord. This
 demo builds the region for the fifth roots of unity, queries a few
 points, and cross-checks the chord description against the brute-force
 definition (intersection of convex hulls of all (N-k+1)-point subsets).
+It exits 1 if the oracle disagrees with the chords on any point.
 """
+
+import sys
 
 import numpy as np
 
@@ -50,3 +53,4 @@ print(f"boundary samples: {len(samples)} points, first {samples[0]:.4f}")
 with open("pentagon_region.svg", "w") as fh:
     fh.write(render_region(region))
 print("wrote pentagon_region.svg")
+sys.exit(0 if agree == total else 1)

@@ -7,8 +7,11 @@ strict interior target lambda of the rank-k region, an explicit rank-k
 orthogonal projector P with P sigma P = lambda P. The plan covers the
 spectrum with k triangles; vectors on disjoint triangles are square roots
 of barycentric weights, and the one or two shared-vertex pairs are solved
-jointly so the compression is scalar on the whole span.
+jointly so the compression is scalar on the whole span. It exits 1 if the
+verification fails or the projector's rank is not 5.
 """
+
+import sys
 
 import numpy as np
 
@@ -46,4 +49,6 @@ print("verification:", "pass" if report.passed else "FAIL")
 
 # the compression really is scalar: P sigma P restricted to range(P)
 evals = np.linalg.eigvalsh(P.conj().T @ P)
-print(f"rank check: {np.sum(evals > 0.5)} (should be 5)")
+rank = int(np.sum(evals > 0.5))
+print(f"rank check: {rank} (should be 5)")
+sys.exit(0 if report.passed and rank == 5 else 1)

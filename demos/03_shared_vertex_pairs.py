@@ -11,13 +11,18 @@ A projector needs more: the compression of sigma must vanish BETWEEN the
 two vectors as well (conj(v1)^T (sigma - lambda) v2 = 0 and its mirror).
 The gauge pair does not satisfy those cross conditions, which is why the
 pipeline solves its pairing blocks with the moment-based isotropic_pair
-instead. This demo shows both side by side.
+instead. This demo shows both side by side, and exits 1 if the
+isotropic pair's residual is above the block solver's gate.
 """
+
+import sys
 
 import numpy as np
 
 from rankrange import (SharedVertexProblem, ingest_spectrum, isotropic_pair,
-                       solve_barycentric, solve_pair, triangle)
+                       pair_isotropy_residual, solve_barycentric, solve_pair,
+                       triangle)
+from rankrange.blocks import BLOCK_RESIDUAL_GATE
 
 es = ingest_spectrum([0.0, 1.1, 2.4, 3.9, 5.2])
 lam = 0.12 + 0.08j
@@ -53,3 +58,6 @@ C2 = V.conj().T @ (sigma - lam * np.eye(5)) @ V
 print("isotropic pair:")
 print(f"  gram deviation  {np.abs(V.conj().T @ V - np.eye(2)).max():.2e}")
 print(f"  full residuals  {np.abs(C2).max():.2e}   <- scalar compression")
+residual = pair_isotropy_residual(V, es.eigenvalues() - lam)
+print(f"  residual        {residual:.2e}   (gate {BLOCK_RESIDUAL_GATE:.0e})")
+sys.exit(0 if residual <= BLOCK_RESIDUAL_GATE else 1)

@@ -6,12 +6,13 @@ N = 3k-1, two pairings for N = 3k-2 (k >= 5), and a direct convex
 decomposition for k = 1. Weak-vertex probes decide the branch; when the
 opening vertex is heavy the whole template is reflected through an
 orientation-reversing relabeling and mapped back. The probes run on every
-call; each template is built and checked once per shape and shared.
+call, one triangle solve; each template is built and checked once per
+shape and shared.
 
 ``construct_projector`` builds a witness whose compression of the input
 matrix is the scalar target, and keeps it as its pieces: on each disjoint
 triangle, one column of square roots of barycentric weights, every
-triangle of a candidate solved in one stacked 3 x 3 solve; on each
+triangle of a candidate solved in one ``solve_barycentric`` call; on each
 5-index pair block, two jointly solved columns. As the supports are
 disjoint, the Gram and compression gates run per piece, in O(k), and the
 N x k frame is formed from the pieces only when it is read. All the pair
@@ -23,7 +24,7 @@ passes the gates:
 
 1. ``eigenspace``: k eigenvalues at the target are their own witness;
 2. ``caratheodory`` for k = 1 (the fan triangles of the hull solved in one
-   stacked 3 x 3 solve), else ``planned``: the plan's own pieces,
+   ``solve_barycentric`` call), else ``planned``: the plan's own pieces,
    its pair blocks first checked for feasibility in one margin call (the
    target must lie in the rank-2 region of each block's own 5
    eigenvalues);
@@ -69,8 +70,7 @@ from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
 from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
                      chord_margins, contains)
 from .spectra import TWO_PI, EigenSystem, ReflectionMap, reflect_labels
-from .triangles import (SUM_TOL, VALUE_TOL, WEIGHT_FLOOR, TriangleSpec,
-                        solve_barycentric, triangle, validate_triangle)
+from .triangles import solve_barycentric, triangle, validate_triangle
 
 GRAM_GATE = 1e-9
 COMPRESSION_GATE = 1e-9
@@ -221,10 +221,6 @@ def _tri(pattern, refl, n):
     return triangle(*idx, dim=n)
 
 
-def _weight(es, t: TriangleSpec, lam, index) -> float:
-    return solve_barycentric(es, t, lam).weight_of(index)
-
-
 def _check_plan(plan: DecompositionPlan):
     n, k = plan.dim, plan.k
     counts = {}
@@ -297,23 +293,33 @@ def _plan_template(case: str, k: int, n: int, pivot) -> DecompositionPlan:
 def _plan_three_k_minus_1(es: EigenSystem, k: int, lam: complex):
     probe = triangle(1, k + 1, 2 * k + 1, dim=es.dim)
     pivot = None
-    if _weight(es, probe, lam, 1) > 0.5:
+    if solve_barycentric(es, probe, lam).weight_of(1) > 0.5:
         # vertex 2k+1 is necessarily weak; renumber so it plays vertex 1
         pivot = 2 * k + 1
     return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim, pivot)
 
 
 def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
+    """Probe 1 and probe 2 in both labelings are solved in one call; only a
+    row that the branch reads must have weights."""
     n = es.dim
-    probe1 = triangle(1, k - 1, 2 * k - 1, dim=n)
-    refl = None
-    if _weight(es, probe1, lam, 1) > 0.5:
+    refl = reflect_labels(es, k - 1)
+    probe2 = (k - 2, 2 * k - 2, 3 * k - 3)
+    rows = [(1, k - 1, 2 * k - 1), probe2, tuple(sorted(refl.indices(probe2)))]
+    w = solve_barycentric(es, np.array(rows), lam)
+
+    def weight(row, index):
+        if np.isnan(w[row, 0]):
+            raise NoConvexSolution(f"no convex combination of triangle "
+                                   f"{rows[row]} reaches {lam}")
+        return w[row, rows[row].index(index)]
+
+    if weight(0, 1) <= 0.5:
+        refl, second = None, weight(1, 2 * k - 2)
+    else:
         # vertex k-1 is weak instead; renumber so it plays vertex 1
-        refl = reflect_labels(es, k - 1)
-    probe2 = _tri((k - 2, 2 * k - 2, 3 * k - 3), refl, n)
-    probe2_vertex = (2 * k - 2) if refl is None else refl(2 * k - 2)
-    case = CASE_THREE_K_MINUS_2_C1 \
-        if _weight(es, probe2, lam, probe2_vertex) <= 0.5 \
+        second = weight(2, refl(2 * k - 2))
+    case = CASE_THREE_K_MINUS_2_C1 if second <= 0.5 \
         else CASE_THREE_K_MINUS_2_C2
     return _plan_template(case, k, n, None if refl is None else refl.pivot)
 
@@ -325,8 +331,7 @@ def _plan_rank1(es: EigenSystem, lam: complex) -> DecompositionPlan:
 
 
 def _segment_distances(lam, a, b):
-    """Distance from lam to each segment a -> b (to a when a == b), the
-    one that ``triangles._edge_solution`` tests, up to rounding, and the
+    """Distance from lam to each segment a -> b (to a when a == b) and the
     position t in [0, 1] of the nearest point on each."""
     e = b - a
     L2 = e.real ** 2 + e.imag ** 2
@@ -342,14 +347,9 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
 
     The sorted eigenvalues lie on the circle in convex position, so lam is
     an eigenvalue, on a cyclic hull edge (j, j+1), or in a triangle of the
-    fan (1, j, j+1), checked in that order. The support and weights are
-    those of the first j in fan order for which ``solve_barycentric``
-    succeeds, but every fan triangle is solved in one stacked 3 x 3 solve
-    under that function's full-solve gates (``_full_solves``). A row that
-    misses them can still succeed through its edge or vertex fallback only
-    when lam lies within VALUE_TOL of one of its edges; such rows before
-    the first that passes, taken within 2 VALUE_TOL, are handed to
-    ``solve_barycentric`` one by one, in fan order."""
+    fan (1, j, j+1), checked in that order. The N - 2 fan triangles are
+    solved in one ``solve_barycentric`` call, and the first in fan order
+    that has weights gives the support and weights."""
     lam = complex(lam)
     mu = es.mu
     n = es.dim
@@ -367,20 +367,14 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
             return (j + 1, j + 2), (1.0 - tj, tj)
         return (1, n), (tj, 1.0 - tj)
     if n >= 3:
-        # fan row r is the triangle (1, r+2, r+3): its edges are the
-        # diagonals to mu[r+1] and mu[r+2] and the hull edge r+1
-        fan = mu[np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1),
-                           np.arange(2, n)], axis=1)]
-        w, ok = _full_solves(fan, lam)
-        first = int(np.argmax(ok)) if ok.any() else n - 2
-        diag, _ = _segment_distances(lam, mu[0], mu)
-        near = np.minimum(np.minimum(diag[1:-1], diag[2:]), edge[1:-1])
-        for r in np.flatnonzero(near[:first] <= 2 * VALUE_TOL):
-            got = _bary_or_none(es, (1, int(r) + 2, int(r) + 3), lam)
-            if got is not None:
-                return got.triangle.indices, got.weights
-        if first < n - 2:
-            return (1, first + 2, first + 3), tuple(w[first].tolist())
+        # fan row r is the triangle (1, r+2, r+3)
+        w = solve_barycentric(es, np.stack(
+            [np.ones(n - 2, dtype=int), np.arange(2, n), np.arange(3, n + 1)],
+            axis=1), lam)
+        found = np.flatnonzero(~np.isnan(w[:, 0]))
+        if found.size:
+            r = int(found[0])
+            return (1, r + 2, r + 3), tuple(w[r].tolist())
     raise LambdaOutsideRegion(
         f"{lam} is not in the convex hull of the spectrum")
 
@@ -439,13 +433,6 @@ def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
 # synthesis
 
 
-def _bary_or_none(es, idx, lam):
-    try:
-        return solve_barycentric(es, triangle(*idx, dim=es.dim), lam)
-    except NoConvexSolution:
-        return None
-
-
 def _planned_pieces(pl: DecompositionPlan):
     """(kind, data) synthesis pieces for a plan: 'block' for each pairing's
     5-index union, 'tri' for every unpaired triangle."""
@@ -462,62 +449,16 @@ def _planned_pieces(pl: DecompositionPlan):
     return pieces
 
 
-def _full_solves(pts, lam):
-    """``solve_barycentric``'s full solve of lam over each triangle of
-    vertices ``pts`` (T, 3), in one stacked 3 x 3 solve: the clipped
-    weights (T, 3), each row ``==`` to the scalar solve's, and whether each
-    row passes its gates (WEIGHT_FLOOR, VALUE_TOL, SUM_TOL). An exactly
-    singular row (the stack then raises LinAlgError, and is solved again
-    without its rows of zero determinant) fails them."""
-    A = np.ones((len(pts), 3, 3))
-    A[:, 1], A[:, 2] = pts.real, pts.imag
-    b = np.broadcast_to([1.0, lam.real, lam.imag], (len(pts), 3))[..., None]
-    try:
-        w = np.linalg.solve(A, b)[..., 0]
-    except np.linalg.LinAlgError:
-        w = np.full((len(pts), 3), np.nan)
-        live = np.linalg.det(A) != 0.0
-        try:
-            w[live] = np.linalg.solve(A[live], b[live])[..., 0]
-        except np.linalg.LinAlgError:
-            pass            # every row fails
-    ok = (w > WEIGHT_FLOOR).all(axis=1)
-    w = np.clip(w, 0.0, 1.0)
-    resid = np.abs(w[:, 0] * pts[:, 0] + w[:, 1] * pts[:, 1]
-                   + w[:, 2] * pts[:, 2] - lam)
-    ok &= (resid <= VALUE_TOL) & (np.abs(w.sum(axis=1) - 1.0) <= SUM_TOL)
-    return w, ok
-
-
-def _triangle_weights(es, tris, lam):
-    """Barycentric weights (T, 3) of lam over the triangles ``tris`` (T, 3)
-    of ascending 1-based indices, each row ``==`` to ``solve_barycentric``'s
-    weights, or None when a triangle has no convex combination reaching lam.
-
-    One stacked 3 x 3 solve takes every row (``_full_solves``). A row that
-    misses its gates goes through ``solve_barycentric`` itself, with its
-    edge and vertex fallbacks; only its NoConvexSolution means
-    infeasible."""
-    w, ok = _full_solves(es.mu[tris - 1], lam)
-    for i in np.flatnonzero(~ok):
-        try:
-            w[i] = solve_barycentric(es, triangle(*tris[i], dim=es.dim),
-                                     lam).weights
-        except NoConvexSolution:
-            return None
-    return w
-
-
 def _try_pieces(es, lam, pieces, kk):
     """The stacked pieces (see ``Projector``) of a candidate partition, or
     None when one of them is infeasible: its pair blocks, rows (B, 5) and
     isotropic pairs (B, 5, 2), then its triangles, rows (T, 3) and the
     square roots of their barycentric weights (T, 3, 1).
 
-    Every triangle is solved first, in one stacked kernel
-    (``_triangle_weights``), so a candidate with an infeasible triangle
-    never pays ``isotropic_pair``, which then solves all the pair blocks
-    in one stacked call. Each pair block arrives scored by the
+    Every triangle is solved first, in one ``solve_barycentric`` call, so
+    a candidate with a triangle that has no weights never pays
+    ``isotropic_pair``, which then solves all the pair blocks in one
+    stacked call. Each pair block arrives scored by the
     rung that proposed it, at a rank-2 margin of at least
     FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
     scored again here."""
@@ -528,8 +469,8 @@ def _try_pieces(es, lam, pieces, kk):
     out = []
     if tris:
         tris = np.sort(tris, axis=1)
-        w = _triangle_weights(es, tris, lam)
-        if w is None:
+        w = solve_barycentric(es, tris, lam)
+        if np.isnan(w[:, 0]).any():
             return None
         out.append((tris - 1, np.sqrt(np.maximum(0.0, w))[:, :, None]
                     .astype(complex)))
@@ -840,18 +781,17 @@ def _search_pieces(es, kk, lam, active, table, margin=None):
                 return [("block", active)]
             return None
         if n_act == 6:
-            best = None
-            best_m = -np.inf
-            for first in combinations(active, 3):
-                rest = tuple(j for j in active if j not in first)
-                w1 = _bary_or_none(es, first, lam)
-                w2 = _bary_or_none(es, rest, lam)
-                if w1 is None or w2 is None:
-                    continue
-                m = min(min(w1.weights), min(w2.weights))
-                if m > best_m:
-                    best_m, best = m, [("tri", first), ("tri", rest)]
-            return best
+            # the 10 splits into two triangles, the one holding active[0]
+            # first, as 20 rows; the split whose least weight is largest
+            # wins, the first of equals
+            firsts = [c for c in combinations(active, 3) if c[0] == active[0]]
+            rests = [tuple(j for j in active if j not in c) for c in firsts]
+            w = solve_barycentric(es, np.array(firsts + rests), lam).min(axis=1)
+            m = np.minimum(w[:10], w[10:])
+            if np.isnan(m).all():
+                return None
+            best = int(np.nanargmax(m))
+            return [("tri", firsts[best]), ("tri", rests[best])]
         return None
     if n_act < 3 * kk - 2:
         return None
@@ -956,11 +896,12 @@ def projector_residuals(P, sigma, lam, k) -> dict:
 
 
 def _eigen_matches(es: EigenSystem, lam: complex) -> list:
-    """0-based positions of the eigenvalues within EIGEN_MATCH of lam, from
-    one array of eigenvalues; Python ``abs`` of each difference, as
-    ``abs(es.eigenvalue(j + 1) - lam)`` rounds it."""
-    return [j for j, z in enumerate((es.mu - lam).tolist())
-            if abs(z) <= EIGEN_MATCH]
+    """0-based positions of the eigenvalues within EIGEN_MATCH of lam. The
+    distances are ``np.hypot``'s, which rounds as Python ``abs`` of
+    ``es.eigenvalue(j + 1) - lam`` does (numpy's complex ``abs`` need
+    not)."""
+    d = es.mu - lam
+    return np.flatnonzero(np.hypot(d.real, d.imag) <= EIGEN_MATCH).tolist()
 
 
 def construct_projector(es: EigenSystem, k: int, lam: complex,

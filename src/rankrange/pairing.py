@@ -4,7 +4,10 @@
 cos(alpha) = -p1/(1-p1), sin(alpha) = +sqrt(1-2 p1)/(1-p1), theta = 0 and
 tan(tau) = sqrt(1-2 p1)/sqrt(p1 q1). Under this gauge the constant term of
 the quadratic x^2 + A x + B = 0 vanishes (B = 0), the discriminant
-condition A^2 >= 4B holds automatically, and the valid root is x = 0.
+condition A^2 >= 4B holds automatically, and the valid root is x = 0. A
+pair that misses the residual gates raises NoSolution: no other root of
+the gauge family is searched, since a consistent problem meets the gates
+at this one.
 
 The output pair is orthonormal and each vector's weighted eigenvalue sum
 equals the target value. Note that the pair is generally NOT orthogonal in
@@ -163,9 +166,8 @@ def solve_pair(problem: SharedVertexProblem, es: EigenSystem):
     Requires p1 <= 1/2 or q1 <= 1/2; when only q1 qualifies the two sides
     swap roles first. Near-zero shared weight (p1*q1 below the degenerate
     threshold) is handled by the same formulas through atan2, which land on
-    the continuous limit of the gauge. A residual check gates the result; a
-    seeded two-parameter root search over (alpha, beta) backs up the closed
-    form and a persistent failure raises NoSolution.
+    the continuous limit of the gauge. A residual check gates the result,
+    and a pair that misses it raises NoSolution.
     """
     if problem.p1 > 0.5 and problem.q1 > 0.5:
         raise BothHeavy(
@@ -179,14 +181,6 @@ def solve_pair(problem: SharedVertexProblem, es: EigenSystem):
                                        params.beta, params.theta, params.tau)
     if _pair_ok(phi1, phi2):
         return phi1, phi2
-
-    for alpha, beta in _fallback_seeds(params):
-        theta, tau = _angles_from_root(problem, alpha, beta)
-        if theta is None:
-            continue
-        c1, c2 = _pair_from_parameters(problem, es, alpha, beta, theta, tau)
-        if _pair_ok(c1, c2):
-            return c1, c2
     raise NoSolution("orthonormal pair construction failed")
 
 
@@ -218,34 +212,3 @@ def _pair_ok(phi1: VectorCoefficients, phi2: VectorCoefficients) -> bool:
             and phi2.norm_residual <= VALUE_TOL
             and phi1.compression_residual <= VALUE_TOL
             and phi2.compression_residual <= VALUE_TOL)
-
-
-def _fallback_seeds(params: PairParameters):
-    base = params.alpha
-    seeds = [(base, 0.0)]
-    grid = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
-    seeds.extend((a, b) for a in grid for b in grid)
-    return seeds
-
-
-def _angles_from_root(problem, alpha, beta):
-    p1, q1 = problem.p1, problem.q1
-    if p1 * q1 <= DEGENERATE_PRODUCT:
-        return None, None
-    try:
-        A, B = discriminant_coeffs(p1, q1, alpha, beta)
-    except DegenerateDenominator:
-        return None, None
-    disc = A * A - 4.0 * B
-    if disc < 0.0:
-        return None, None
-    for x in ((-A + sqrt(disc)) / 2.0, (-A - sqrt(disc)) / 2.0):
-        den = sqrt(p1 * q1) - sin(beta) * (1 - q1) * x
-        if abs(den) <= 1e-12:
-            continue
-        y = (sqrt(p1 * q1) * x + sin(alpha) * (1 - p1)) / den
-        e1 = p1 + q1 * x * y + cos(alpha) * (1 - p1) + cos(beta) * (1 - q1) * x * y
-        if abs(e1) > 1e-8:
-            continue
-        return atan2(x, 1.0), atan2(y, 1.0)
-    return None, None

@@ -89,8 +89,7 @@ class EigenSystem:
 
     def eigenvalue(self, j: int) -> complex:
         """Eigenvalue at raw cyclic index j (1-based, wrap allowed)."""
-        canonical = (j - 1) % self.dim
-        return complex(np.exp(1j * self.phases[canonical]))
+        return complex(self.mu[(j - 1) % self.dim])
 
     @functools.cached_property
     def mu(self) -> np.ndarray:

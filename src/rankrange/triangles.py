@@ -1,4 +1,9 @@
-"""Triangles of eigenvalues: gap rules and barycentric weights."""
+"""Triangles of eigenvalues: gap rules and barycentric weights.
+
+``solve_barycentric`` is the one rule for which convex weights of a
+triangle of eigenvalues reach a target: one TriangleSpec, or a stack of
+index rows solved together, each row ``==`` to its solve alone.
+"""
 
 from __future__ import annotations
 
@@ -60,64 +65,110 @@ class BarycentricWeights:
         return self.weights[self.triangle.indices.index(index)]
 
 
-def _try_full_solve(pts, lam):
-    A = np.array([[1.0, 1.0, 1.0],
-                  [p.real for p in pts],
-                  [p.imag for p in pts]])
-    b = np.array([1.0, lam.real, lam.imag])
+def _distance(z, lam):
+    """|z - lam| by ``np.hypot``, which rounds as Python's complex ``abs``
+    (numpy's complex ``abs`` need not)."""
+    d = z - lam
+    return np.hypot(d.real, d.imag)
+
+
+def _full_solves(pts, lam):
+    """The 3 x 3 solve of lam over each triangle of vertices ``pts`` (T, 3)
+    in one stacked solve: the weights clipped into [0, 1], their
+    reconstruction residuals, and whether each row passes its gates
+    (WEIGHT_FLOOR, VALUE_TOL, SUM_TOL). An exactly singular row (the stack
+    then raises LinAlgError, and is solved again without its rows of zero
+    determinant) fails them."""
+    A = np.ones((len(pts), 3, 3))
+    A[:, 1], A[:, 2] = pts.real, pts.imag
+    b = np.broadcast_to([1.0, lam.real, lam.imag], (len(pts), 3))[..., None]
     try:
-        w = np.linalg.solve(A, b)
+        w = np.linalg.solve(A, b)[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    return w
+        w = np.full((len(pts), 3), np.nan)
+        live = np.linalg.det(A) != 0.0
+        try:
+            w[live] = np.linalg.solve(A[live], b[live])[..., 0]
+        except np.linalg.LinAlgError:
+            pass            # every row fails
+    ok = (w > WEIGHT_FLOOR).all(axis=1)
+    w = np.clip(w, 0.0, 1.0)
+    resid = _distance(w[:, 0] * pts[:, 0] + w[:, 1] * pts[:, 1]
+                      + w[:, 2] * pts[:, 2], lam)
+    ok &= (resid <= VALUE_TOL) & (np.abs(w.sum(axis=1) - 1.0) <= SUM_TOL)
+    return w, resid, ok
 
 
-def _edge_solution(lam, pa, pb):
-    e = pb - pa
-    L2 = abs(e) ** 2
-    if L2 == 0.0:
-        return None
-    t = ((lam - pa).real * e.real + (lam - pa).imag * e.imag) / L2
-    t = min(1.0, max(0.0, t))
-    if abs(pa + t * e - lam) > VALUE_TOL:
-        return None
-    return 1.0 - t, t
+def _first(hit):
+    """Rows of the (M, 3) mask ``hit`` that hold a True, and the column of
+    the first True in each."""
+    rows, col = np.nonzero(hit)
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[first], col[first]
 
 
-def solve_barycentric(es: EigenSystem, t: TriangleSpec, lam: complex) -> BarycentricWeights:
-    """Nonnegative convex weights expressing lam over the triangle vertices.
+def _edge_or_vertex(pts, lam):
+    """Weights (M, 3) and residuals of lam over the triangles ``pts`` (M, 3)
+    from an edge, else a vertex, NaN where neither reaches it.
 
-    Tries the full 3x3 linear system first; on singularity or infeasibility
-    falls back to each edge as a 2-point combination, then to exact vertex
-    matches. Weights are clamped into [0, 1]; the reconstruction residual
-    is re-checked on every exit path.
+    Edge c runs from vertex (0, 0, 1)[c] to vertex (1, 2, 2)[c]; the three
+    edges of every row are taken in one (M, 3) pass, and the first that
+    holds wins: a live edge (length > 0) whose nearest point to lam, at
+    position t in [0, 1], lies within VALUE_TOL, and whose weights
+    (1 - t, t) reconstruct lam within VALUE_TOL. A row with no such edge
+    takes its first vertex within VALUE_TOL of lam. The arithmetic is on
+    real and imaginary parts, each step rounded as the complex one; the
+    squared length is ``np.float_power``'s pow, as Python's ``** 2`` of a
+    float rounds it, where ``np.square`` may not."""
+    x, y, lx, ly = pts.real, pts.imag, lam.real, lam.imag
+    w = np.full(pts.shape, np.nan)
+    out = np.full(len(pts), np.nan)
+    vert = _distance(pts, lam)
+    rows, col = _first(vert <= VALUE_TOL)
+    w[rows] = np.eye(3)[col]
+    out[rows] = vert[rows, col]
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    ex, ey = x[:, j] - x[:, i], y[:, j] - y[:, i]
+    L2 = np.float_power(np.hypot(ex, ey), 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((lx - x[:, i]) * ex + (ly - y[:, i]) * ey) / L2, 0.0, 1.0)
+    near = (L2 != 0.0) & (np.hypot((x[:, i] + t * ex) - lx,
+                                   (y[:, i] + t * ey) - ly) <= VALUE_TOL)
+    if near.any():
+        rows, col = np.nonzero(near)
+        s, a, b = t[rows, col], pts[rows, i[col]], pts[rows, j[col]]
+        resid = np.full(near.shape, np.inf)
+        resid[rows, col] = np.hypot((1.0 - s) * a.real + s * b.real - lx,
+                                    (1.0 - s) * a.imag + s * b.imag - ly)
+        rows, col = _first(resid <= VALUE_TOL)
+        w[rows] = 0.0
+        w[rows, i[col]] = 1.0 - t[rows, col]
+        w[rows, j[col]] = t[rows, col]
+        out[rows] = resid[rows, col]
+    return w, out
+
+
+def solve_barycentric(es: EigenSystem, t, lam: complex):
+    """Nonnegative convex weights expressing lam over triangle vertices.
+
+    ``t`` is one TriangleSpec, which gives its BarycentricWeights or raises
+    NoConvexSolution, or a (T, 3) stack of ascending 1-based index rows,
+    which gives weights (T, 3), a row of NaN where no weights reach lam.
+    Every row goes through one stacked 3 x 3 solve (``_full_solves``);
+    only the rows that miss its gates go on to the edges and then the
+    vertices (``_edge_or_vertex``). Weights are clamped into [0, 1]; the
+    reconstruction residual is re-checked on every exit path.
     """
     lam = complex(lam)
-    pts = [es.eigenvalue(j) for j in t.indices]
-
-    w = _try_full_solve(pts, lam)
-    if w is not None and (w > WEIGHT_FLOOR).all():
-        w = np.clip(w, 0.0, 1.0)
-        resid = abs(sum(wi * p for wi, p in zip(w, pts)) - lam)
-        if resid <= VALUE_TOL and abs(w.sum() - 1.0) <= SUM_TOL:
-            return BarycentricWeights(t, tuple(float(x) for x in w),
-                                      float(resid))
-
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        sol = _edge_solution(lam, pts[i], pts[j])
-        if sol is None:
-            continue
-        w = [0.0, 0.0, 0.0]
-        w[i], w[j] = sol
-        resid = abs(sum(wi * p for wi, p in zip(w, pts)) - lam)
-        if resid <= VALUE_TOL:
-            return BarycentricWeights(t, tuple(w), float(resid))
-
-    for i in range(3):
-        if abs(pts[i] - lam) <= VALUE_TOL:
-            w = [0.0, 0.0, 0.0]
-            w[i] = 1.0
-            return BarycentricWeights(t, tuple(w), float(abs(pts[i] - lam)))
-
-    raise NoConvexSolution(
-        f"no convex combination of triangle {t.indices} reaches {lam}")
+    single = isinstance(t, TriangleSpec)
+    pts = es.mu[np.atleast_2d(t.indices if single else t) - 1]
+    w, resid, ok = _full_solves(pts, lam)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        w[miss], resid[miss] = _edge_or_vertex(pts[miss], lam)
+    if not single:
+        return w
+    if np.isnan(resid[0]):
+        raise NoConvexSolution(
+            f"no convex combination of triangle {t.indices} reaches {lam}")
+    return BarycentricWeights(t, tuple(w[0].tolist()), float(resid[0]))

@@ -20,6 +20,7 @@ from rankrange.spectra import TWO_PI
 
 from clustered import clustered_phases
 from deadline import deadline
+from test_triangles import _old_solve_barycentric
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
@@ -158,25 +159,30 @@ def test_plan_reflected_instances_still_cover():
 
 
 def test_plan_template_is_shared(monkeypatch):
-    # the weak-vertex probe runs on every call; the plan it selects is
-    # built and checked once per shape and returned again
+    # the weak-vertex probe runs on every call, one triangle solve; the
+    # plan it selects is built and checked once per shape and returned
+    # again; a 3k-2 plan solves its probes in one call of three rows
     probes = []
     solve = decomposition.solve_barycentric
 
-    def counted(*args):
-        probes.append(args[1].indices)
-        return solve(*args)
+    def counted(es, t, lam):
+        probes.append(len(np.atleast_2d(getattr(t, "indices", t))))
+        return solve(es, t, lam)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     first = plan(PENTAGON, 2, 0j)
     again = plan(PENTAGON, 2, 0.01 + 0.02j)
-    assert again is first and len(probes) == 2
+    assert again is first and probes == [1, 1]
     other = ingest_spectrum(np.sort(np.random.default_rng(3).uniform(
         0, 2 * np.pi, 5)))
     lam = interior_point(build_region(other, 2))
     pl = plan(other, 2, lam)
-    assert len(probes) == 3
+    assert probes == [1, 1, 1]
     assert (pl is first) == (pl.branch == first.branch)
+    es13 = ingest_spectrum(np.sort(np.random.default_rng(4).uniform(
+        0, 2 * np.pi, 13)))
+    plan(es13, 5, interior_point(build_region(es13, 5)))
+    assert probes == [1, 1, 1, 3]
     assert decomposition._plan_template.cache_info().maxsize is not None
 
 
@@ -372,41 +378,36 @@ def test_rank1_outside_rejected():
 
 
 def test_rank1_scan_is_linear(monkeypatch):
-    # the deepest rank-1 target is near no edge of a fan triangle (1, j, j+1),
-    # so the scan solves the N - 2 of them in one stacked solve and hands
-    # none to solve_barycentric
+    # the scan solves the N - 2 fan triangles (1, j, j+1) in one
+    # solve_barycentric call of N - 2 rows
     n = 200
     es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
     lam = interior_point(build_region(es, 1))
-    calls, stacks = [], []
-    solve, full = decomposition.solve_barycentric, decomposition._full_solves
+    calls = []
+    solve = decomposition.solve_barycentric
 
-    def counted(*args):
-        calls.append(args[1])
-        return solve(*args)
-
-    def counted_stack(pts, lam):
-        stacks.append(len(pts))
-        return full(pts, lam)
+    def counted(es, t, lam):
+        calls.append(np.shape(t))
+        return solve(es, t, lam)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
-    monkeypatch.setattr(decomposition, "_full_solves", counted_stack)
     proj = construct_projector(es, 1, lam)
     assert proj.strategy == "caratheodory"
-    assert calls == [] and stacks == [n - 2]
+    assert calls == [(n - 2, 3)]
     assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
 
 
 def scalar_fan_support(es, lam):
     """The Caratheodory support as the scalar scan found it: an eigenvalue
     within MEMBERSHIP_TOL, else the first hull edge within it, else the
-    first fan triangle (1, j, j+1) that solve_barycentric solves, one call
-    per triangle."""
+    first fan triangle (1, j, j+1) that the old scalar solver solves, one
+    call per triangle. Also the stage of that solver that gave the
+    weights, or None."""
     mu = es.eigenvalues()
     n = es.dim
     hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
     if hit.size:
-        return (int(hit[0]) + 1,), (1.0,)
+        return ((int(hit[0]) + 1,), (1.0,)), None
     e = np.roll(mu, -1) - mu
     L2 = e.real ** 2 + e.imag ** 2
     d = lam - mu
@@ -418,31 +419,25 @@ def scalar_fan_support(es, lam):
         j = int(on_edge[0])
         tj = float(t[j])
         if j + 1 < n:
-            return (j + 1, j + 2), (1.0 - tj, tj)
-        return (1, n), (tj, 1.0 - tj)
+            return ((j + 1, j + 2), (1.0 - tj, tj)), None
+        return ((1, n), (tj, 1.0 - tj)), None
     for j in range(2, n):
         try:
-            w = solve_barycentric(es, triangle(1, j, j + 1, dim=n), lam)
+            w, stage = _old_solve_barycentric(
+                es, triangle(1, j, j + 1, dim=n), lam)
         except NoConvexSolution:
             continue
-        return w.triangle.indices, w.weights
+        return (w.triangle.indices, w.weights), stage
     raise LambdaOutsideRegion(f"{lam} is not in the hull")
 
 
-def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
+def test_stacked_fan_scan_equals_scalar_loop():
     # uniform, 4-cluster (width 1e-7) and equally spaced spectra, N 3-79;
     # lam at random in the disk (so in the hull or outside it), on a fan
     # diagonal, on a hull edge and within 1e-12 of an eigenvalue
     rng = np.random.default_rng(17)
-    calls = []
-    solve = decomposition.solve_barycentric
-
-    def counted(*args):
-        calls.append(args[1])
-        return solve(*args)
-
-    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
-    outside = fell_back = 0
+    outside = 0
+    stages = []
     for case in range(1200):
         n = int(rng.integers(3, 80))
         kind, where = case % 3, (case // 3) % 4
@@ -464,20 +459,20 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
         else:
             lam = complex(mu[j] + 1e-12 * np.exp(2j * np.pi * s))
         try:
-            want = scalar_fan_support(es, lam)
+            want, stage = scalar_fan_support(es, lam)
         except LambdaOutsideRegion:
             outside += 1
             with pytest.raises(LambdaOutsideRegion):
                 decomposition._caratheodory_support(es, lam)
             continue
-        calls.clear()
         got = decomposition._caratheodory_support(es, lam)
-        fell_back += bool(calls)
+        stages.append(stage)
         assert got == want, (case, n, lam)
         assert [type(i) for i in got[0]] == [int] * len(want[0])
-    # both the targets outside and the rows handed to solve_barycentric are
-    # reached
-    assert outside > 50 and fell_back > 10
+    # the targets outside, fan weights from the full solve and fan weights
+    # from an edge are all reached
+    assert outside > 50
+    assert stages.count("full") > 100 and stages.count("edge") > 10
 
 
 # --- the frame is the result -----------------------------------------------
@@ -874,9 +869,10 @@ def test_search_inherits_node_margins(monkeypatch):
 
 
 def test_triangle_solve_errors_propagate(monkeypatch):
-    # only NoConvexSolution means "infeasible"; any other error, from the
-    # stacked solve or from a row's fallback, is a fault and must not send
-    # the construction down to a fallback rung
+    # only "no weights" means infeasible; any other error, from the stacked
+    # 3 x 3 solve, from the edge pass of a row that misses it, or from the
+    # triangle solve as a whole, is a fault and must not send the
+    # construction down to a fallback rung
     solve = np.linalg.solve
 
     def broken_stack(a, b):
@@ -894,36 +890,42 @@ def test_triangle_solve_errors_propagate(monkeypatch):
         raise RuntimeError("broken triangle solve")
 
     # two coincident eigenvalues make the one planned triangle singular, so
-    # its row falls back; the target is on its edge, a rank-1 boundary point
-    monkeypatch.setattr(decomposition, "solve_barycentric", broken)
+    # its row goes on to the edge pass; the target is on its edge, a rank-1
+    # boundary point
     es = ingest_spectrum([0.0, 0.0, np.pi / 2])
+    with monkeypatch.context() as m:
+        m.setattr(np, "float_power", broken)
+        with pytest.raises(RuntimeError, match="broken triangle solve"):
+            construct_projector(es, 1, 0.5 + 0.5j)
+    monkeypatch.setattr(decomposition, "solve_barycentric", broken)
     with pytest.raises(RuntimeError, match="broken triangle solve"):
         construct_projector(es, 1, 0.5 + 0.5j)
 
 
-# --- the stacked triangle kernel -------------------------------------------
+# --- the stacked triangle solve -------------------------------------------
 
 def assert_kernel_rows(es, tris, lam):
-    """_triangle_weights over the rows of ``tris`` that solve_barycentric
-    solves gives its weights, row by row and ``==``; a stack that adds any
-    row it rejects gives None."""
+    """solve_barycentric over the rows ``tris`` gives, row by row, the old
+    scalar solver's verdict and weights: ``==`` where its full solve
+    answered, within 2.3e-16 where an edge or a vertex did, and NaN where
+    it raised. Each row's weights are ``==`` to those of that row alone.
+    Returns the number of rows with weights."""
     tris = np.array(tris)
-    want, feasible = [], []
-    for row in tris:
+    got = solve_barycentric(es, tris, lam)
+    solved = 0
+    for i, row in enumerate(tris.tolist()):
+        assert np.array_equal(solve_barycentric(es, tris[[i]], lam)[0],
+                              got[i], equal_nan=True)
         try:
-            want.append(solve_barycentric(
-                es, triangle(*row.tolist(), dim=es.dim), lam).weights)
-            feasible.append(True)
+            want, stage = _old_solve_barycentric(
+                es, triangle(*row, dim=es.dim), lam)
         except NoConvexSolution:
-            feasible.append(False)
-    feasible = np.array(feasible)
-    if feasible.any():
-        got = decomposition._triangle_weights(es, tris[feasible], lam)
-        assert [tuple(w) for w in got.tolist()] == want
-    for row in np.flatnonzero(~feasible):
-        assert decomposition._triangle_weights(es, tris, lam) is None
-        assert decomposition._triangle_weights(es, tris[[row]], lam) is None
-    return int(feasible.sum())
+            assert np.isnan(got[i]).all(), (row, lam)
+            continue
+        solved += 1
+        tol = 0.0 if stage == "full" else 2.3e-16
+        assert np.abs(got[i] - want.weights).max() <= tol, (row, lam, stage)
+    return solved
 
 
 def test_triangle_kernel_clustered_points():
@@ -967,31 +969,23 @@ def test_triangle_kernel_edge_vertex_outside():
         assert_kernel_rows(es, tris, lam)
 
 
-def test_triangle_kernel_falls_back_per_row(monkeypatch):
-    # (1, 2, 3) is exactly singular, so the stacked solve raises; only that
-    # row goes through solve_barycentric, and its edge solution holds
+def test_triangle_kernel_falls_back_per_row():
+    # (1, 2, 3) is exactly singular, so the stacked solve raises and is
+    # solved again without it; that row alone goes on to the edge pass, and
+    # its edge solution holds
     es = ingest_spectrum([0.0, 0.0, 2.0, 3.0, 4.0, 5.0])
     mu = es.eigenvalues()
     lam = complex((mu[0] + mu[2]) / 2)
     tris = np.array([(1, 3, 5), (1, 2, 3), (2, 3, 6)])
-    calls = []
-    solve = decomposition.solve_barycentric
-
-    def counted(*args):
-        calls.append(args[1].indices)
-        return solve(*args)
-
-    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
-    got = decomposition._triangle_weights(es, tris, lam)
-    assert calls == [(1, 2, 3)]
-    want = [solve(es, triangle(*row, dim=6), lam).weights
-            for row in tris.tolist()]
-    assert [tuple(w) for w in got.tolist()] == want
-    # an infeasible singular row is the only one solved alone, and the
-    # stack is then infeasible
-    calls.clear()
-    assert decomposition._triangle_weights(es, tris, 0.99 * lam) is None
-    assert calls == [(1, 2, 3)]
+    assert assert_kernel_rows(es, tris, lam) == 3
+    assert solve_barycentric(es, tris, lam)[1].tolist() == [0.5, 0.0, 0.5]
+    # an infeasible singular row is NaN; the other rows keep their weights,
+    # and a candidate holding it is rejected
+    got = solve_barycentric(es, tris, 0.99 * lam)
+    assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
+    assert assert_kernel_rows(es, tris, 0.99 * lam) == 2
+    assert decomposition._try_pieces(es, 0.99 * lam,
+                                     [("tri", (1, 2, 3))], 1) is None
 
 
 # ---------------------------------------------------------------------------
