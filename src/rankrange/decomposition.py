@@ -349,7 +349,9 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
     an eigenvalue, on a cyclic hull edge (j, j+1), or in a triangle of the
     fan (1, j, j+1), checked in that order. The N - 2 fan triangles are
     solved in one ``solve_barycentric`` call, and the first in fan order
-    that has weights gives the support and weights."""
+    that has weights gives the support and weights; only the fan rows
+    before the first one that the full solve passes can come first, so
+    only those of them that it misses go on to the edge pass."""
     lam = complex(lam)
     mu = es.mu
     n = es.dim
@@ -370,7 +372,7 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
         # fan row r is the triangle (1, r+2, r+3)
         w = solve_barycentric(es, np.stack(
             [np.ones(n - 2, dtype=int), np.arange(2, n), np.arange(3, n + 1)],
-            axis=1), lam)
+            axis=1), lam, first=True)
         found = np.flatnonzero(~np.isnan(w[:, 0]))
         if found.size:
             r = int(found[0])

@@ -12,9 +12,13 @@ lies to the left of a -> b. A dead chord (endpoints within
 DEGENERATE_CHORD_TOL) carries no constraint when its k-step angular span
 is at most pi (k+1 coincident eigenvalues), and pins the region to its
 endpoint when the span is wider (the complementary N-k+1 eigenvalues
-coincide). The brute-force oracle below implements the defining
-intersection of convex hulls of (N-k+1)-point sub-multisets and is used
-to cross-validate the chord semantics.
+coincide). Every region query (``contains``, ``constraint_margins``,
+``region_margin``) and every sub-spectrum scorer (``chord_margins``) scores
+live chords with one half-plane kernel, ``_halfplane_margins``; the region
+keeps its live chords in the rows that kernel reads, built once. The
+brute-force oracle below implements the defining intersection of convex
+hulls of (N-k+1)-point sub-multisets and is used to cross-validate the
+chord semantics.
 """
 
 from __future__ import annotations
@@ -67,10 +71,13 @@ class ChordConstraint:
 class ChordTable:
     """The N chords as arrays; entry i-1 belongs to start index i.
 
-    ``halfplanes`` holds one column per live chord: the x and y of
-    endpoint_a, the edge b - a, and the edge length. Its margin at z is
-    ``(ex * (y - ay) - ey * (x - ax)) / length``, the same floating-point
-    operations as ``ChordConstraint.margin``.
+    ``halfplanes`` holds the live chords in the rows that
+    ``_halfplane_margins`` reads: a tuple (ax, ay, ex, ey, length) of
+    read-only, contiguous arrays, one entry per live chord, holding the x
+    and y of endpoint_a, of the edge b - a, and the edge length.
+    ``contains`` reads them as they are, with no unpacking of a 2-D array
+    or reshaping; ``constraint_margins`` reshapes them only to broadcast
+    against an array z.
     """
     endpoint_a: np.ndarray
     endpoint_b: np.ndarray
@@ -79,7 +86,7 @@ class ChordTable:
     inward_sign: np.ndarray
     span: np.ndarray
     live: np.ndarray
-    halfplanes: np.ndarray
+    halfplanes: tuple
 
 
 @dataclass(frozen=True)
@@ -137,22 +144,33 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     a = np.exp(1j * t0)
     b = np.exp(1j * t1)
     edge, length, live, pinned = chord_rule(t0, t1, a, b)
-    halfplanes = np.stack([a.real, a.imag, edge.real, edge.imag,
-                           length])[:, live]
+    al, el = a[live], edge[live]
+    halfplanes = np.stack([al.real, al.imag, el.real, el.imag, length[live]])
+    halfplanes.setflags(write=False)      # and so every row view of it
     table = ChordTable(endpoint_a=a, endpoint_b=b, edge=edge, length=length,
                        inward_sign=np.where(live | pinned, 1, -1),
-                       span=t1 - t0, live=live, halfplanes=halfplanes)
+                       span=t1 - t0, live=live, halfplanes=tuple(halfplanes))
     return OmegaRegion(k=k, dim=n,
                        point_constraints=tuple(dict.fromkeys(
                            a[pinned].tolist())),
                        eigenvalues=es.eigenvalues(), table=table)
 
 
-def _halfplane_margins(halfplanes, x, y):
-    """Inward margins of the chords in ``halfplanes`` (a ChordTable column
-    slice whose trailing axes broadcast against x and y)."""
-    ax, ay, ex, ey, length = halfplanes
-    return (ex * (y - ay) - ey * (x - ax)) / length
+def _halfplane_margins(rows, x, y):
+    """Inward margins at (x, y) of the chords in ``rows`` = (ax, ay, ex,
+    ey, length), five arrays of one shape that broadcasts against x and y:
+    ``(ex * (y - ay) - ey * (x - ax)) / length``, the floating-point
+    operations of ``ChordConstraint.margin``, bit for bit. It allocates
+    only the two differences; the products, their difference and the
+    division are taken in place (a product's operands commute exactly)."""
+    ax, ay, ex, ey, length = rows
+    m = y - ay
+    m *= ex
+    d = x - ax
+    d *= ey
+    m -= d
+    m /= length
+    return m
 
 
 def chord_margins(t0, t1, a, b, z):
@@ -176,9 +194,10 @@ def constraint_margins(region: OmegaRegion, z):
     when every constraint is degenerate.
     """
     z = np.asarray(z, dtype=complex)
-    hp = region.table.halfplanes
-    return _halfplane_margins(hp.reshape(hp.shape + (1,) * z.ndim), z.real,
-                              z.imag)
+    lead = (1,) * z.ndim
+    return _halfplane_margins([r.reshape(r.shape + lead)
+                               for r in region.table.halfplanes],
+                              z.real, z.imag)
 
 
 def region_margin(region: OmegaRegion, z):
@@ -199,14 +218,18 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     inside: |z| <= 1 + tol, every half-plane satisfied with margin > tol,
     every point constraint matched within tol. boundary: within tol of an
     active constraint while violating none by more than tol.
-    """
-    hp = _halfplane_margins(region.table.halfplanes, z.real, z.imag)
-    hp_min = float(hp.min()) if hp.size else np.inf
-    disk = 1.0 - abs(z)
-    pt_miss = max((abs(z - p) for p in region.point_constraints), default=None)
 
-    points_ok = pt_miss is None or pt_miss <= tol
-    weak_ok = hp_min >= -tol and disk >= -tol and points_ok
+    The least half-plane margin is one ``_halfplane_margins`` call on the
+    table's rows and one ``np.minimum.reduce`` (+inf when no chord is
+    live); the point constraints are visited only when the region has
+    some and z passes the other two tests. A NaN z is outside.
+    """
+    hp_min = np.minimum.reduce(
+        _halfplane_margins(region.table.halfplanes, z.real, z.imag),
+        initial=np.inf)
+    weak_ok = hp_min >= -tol and 1.0 - abs(z) >= -tol
+    if weak_ok and region.point_constraints:
+        weak_ok = max(abs(z - p) for p in region.point_constraints) <= tol
     if weak_ok and hp_min > tol:
         return INSIDE
     if weak_ok:

@@ -148,7 +148,7 @@ def _edge_or_vertex(pts, lam):
     return w, out
 
 
-def solve_barycentric(es: EigenSystem, t, lam: complex):
+def solve_barycentric(es: EigenSystem, t, lam: complex, first=False):
     """Nonnegative convex weights expressing lam over triangle vertices.
 
     ``t`` is one TriangleSpec, which gives its BarycentricWeights or raises
@@ -158,12 +158,21 @@ def solve_barycentric(es: EigenSystem, t, lam: complex):
     only the rows that miss its gates go on to the edges and then the
     vertices (``_edge_or_vertex``). Weights are clamped into [0, 1]; the
     reconstruction residual is re-checked on every exit path.
+
+    With ``first``, a stack is solved only as far as the first row that
+    passes the full solve: only the misses before it go on to the edges,
+    and every row after it reads NaN. The rows up to it are those of the
+    whole stack, so its first row with weights is too.
     """
     lam = complex(lam)
     single = isinstance(t, TriangleSpec)
     pts = es.mu[np.atleast_2d(t.indices if single else t) - 1]
     w, resid, ok = _full_solves(pts, lam)
-    miss = np.flatnonzero(~ok)
+    stop = len(ok)
+    if first and ok.any():
+        stop = int(np.argmax(ok))
+        w[stop + 1:] = np.nan
+    miss = np.flatnonzero(~ok[:stop])
     if miss.size:
         w[miss], resid[miss] = _edge_or_vertex(pts[miss], lam)
     if not single:

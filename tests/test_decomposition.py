@@ -17,6 +17,7 @@ from rankrange import (EigenSystem, GramFailure, InvalidRank,
 from rankrange.battery import pick_target, random_instance
 from rankrange.region import MEMBERSHIP_TOL, chord_rule
 from rankrange.spectra import TWO_PI
+from rankrange.triangles import _edge_or_vertex, _full_solves
 
 from clustered import clustered_phases
 from deadline import deadline
@@ -379,21 +380,21 @@ def test_rank1_outside_rejected():
 
 def test_rank1_scan_is_linear(monkeypatch):
     # the scan solves the N - 2 fan triangles (1, j, j+1) in one
-    # solve_barycentric call of N - 2 rows
+    # solve_barycentric call of N - 2 rows, in its first-hit form
     n = 200
     es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
     lam = interior_point(build_region(es, 1))
     calls = []
     solve = decomposition.solve_barycentric
 
-    def counted(es, t, lam):
-        calls.append(np.shape(t))
-        return solve(es, t, lam)
+    def counted(es, t, lam, **kwargs):
+        calls.append((np.shape(t), kwargs))
+        return solve(es, t, lam, **kwargs)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     proj = construct_projector(es, 1, lam)
     assert proj.strategy == "caratheodory"
-    assert calls == [(n - 2, 3)]
+    assert calls == [((n - 2, 3), {"first": True})]
     assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
 
 
@@ -431,13 +432,22 @@ def scalar_fan_support(es, lam):
     raise LambdaOutsideRegion(f"{lam} is not in the hull")
 
 
-def test_stacked_fan_scan_equals_scalar_loop():
+def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
     # uniform, 4-cluster (width 1e-7) and equally spaced spectra, N 3-79;
     # lam at random in the disk (so in the hull or outside it), on a fan
-    # diagonal, on a hull edge and within 1e-12 of an eigenvalue
+    # diagonal, on a hull edge and within 1e-12 of an eigenvalue. The edge
+    # pass receives just the fan rows that the full solve misses before its
+    # first hit, or every fan row when it hits none
     rng = np.random.default_rng(17)
     outside = 0
     stages = []
+    sent, before, whole = [], [], []
+
+    def counted(pts, lam):
+        sent[-1] += len(pts)
+        return _edge_or_vertex(pts, lam)
+
+    monkeypatch.setattr("rankrange.triangles._edge_or_vertex", counted)
     for case in range(1200):
         n = int(rng.integers(3, 80))
         kind, where = case % 3, (case // 3) % 4
@@ -458,21 +468,35 @@ def test_stacked_fan_scan_equals_scalar_loop():
             lam = complex(s * mu[j - 1] + (1 - s) * mu[j])
         else:
             lam = complex(mu[j] + 1e-12 * np.exp(2j * np.pi * s))
+        sent.append(0)
         try:
             want, stage = scalar_fan_support(es, lam)
         except LambdaOutsideRegion:
             outside += 1
             with pytest.raises(LambdaOutsideRegion):
                 decomposition._caratheodory_support(es, lam)
+            stage = "none"
+        else:
+            got = decomposition._caratheodory_support(es, lam)
+            stages.append(stage)
+            assert got == want, (case, n, lam)
+            assert [type(i) for i in got[0]] == [int] * len(want[0])
+        if stage is None:       # an eigenvalue or a hull edge: no fan
+            before.append(0)
+            whole.append(0)
             continue
-        got = decomposition._caratheodory_support(es, lam)
-        stages.append(stage)
-        assert got == want, (case, n, lam)
-        assert [type(i) for i in got[0]] == [int] * len(want[0])
+        _, _, ok = _full_solves(
+            mu[np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1),
+                         np.arange(2, n)], axis=1)], lam)
+        hits = np.flatnonzero(ok)
+        before.append(int((~ok[:hits[0] if hits.size else n - 2]).sum()))
+        whole.append(int((~ok).sum()))
     # the targets outside, fan weights from the full solve and fan weights
     # from an edge are all reached
     assert outside > 50
     assert stages.count("full") > 100 and stages.count("edge") > 10
+    assert sent == before
+    assert sum(sent) < sum(whole)
 
 
 # --- the frame is the result -----------------------------------------------

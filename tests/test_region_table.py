@@ -188,6 +188,26 @@ def _queries(es, rng, count=120):
     return np.concatenate([z, pts[some], mids[some], [0j, 1 + 0j, 1.2j]])
 
 
+#: NaN, infinite and huge query points
+NONFINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+             complex(-np.inf, 0.0), complex(0.0, np.inf),
+             complex(0.0, -np.inf), complex(1e300, 0.0),
+             complex(-1e300, 1e300), complex(0.0, -1e300)]
+
+
+def _edge_queries(rows):
+    """NONFINITE, and the points 0, +-tol and +-2 tol from the midpoint of
+    the first and of the last live chord along its inward normal, so that
+    a margin close to +-MEMBERSHIP_TOL decides the verdict."""
+    out = list(NONFINITE)
+    live = [r for r in rows if not r[5]]
+    for _, _, a, b, sign, _, _ in live[:1] + live[-1:]:
+        normal = sign * 1j * (b - a) / abs(b - a)
+        out += [(a + b) / 2 + s * MEMBERSHIP_TOL * normal
+                for s in (0.0, 1.0, -1.0, 2.0, -2.0)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the chord table
 
@@ -218,8 +238,19 @@ def test_margins_and_verdicts_equal_old(phases, k):
                               _old_constraint_margins(rows, z))
         assert np.array_equal(region_margin(region, z),
                               _old_region_margin(rows, points, z))
-    for z in zs.tolist():
-        assert contains(region, z) == _old_contains(rows, points, z), z
+    with np.errstate(invalid="ignore", over="ignore"):
+        for z in zs.tolist() + _edge_queries(rows):
+            assert contains(region, z) == _old_contains(rows, points, z), z
+
+
+def test_halfplane_rows_are_read_only():
+    region = build_region(ingest_spectrum(2 * np.pi * np.arange(5) / 5), 2)
+    rows = region.table.halfplanes
+    assert len(rows) == 5
+    for row in rows:
+        assert row.shape == (5,) and row.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (64, 21), (600, 200)])
