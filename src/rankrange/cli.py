@@ -6,7 +6,7 @@ target outside the region, unsupported dimension), 3 internal invariant
 failure (orthonormality assertion, oracle mismatch).
 
 The global tolerance default can be overridden with the RANKRANGE_TOL
-environment variable or per-invocation with --tol.
+environment variable or per-invocation with --tol (not for demo).
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", default=None, help="write JSONL records here")
-    p.add_argument("--tol", type=float, default=None)
     return ap
 
 

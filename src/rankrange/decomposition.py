@@ -47,12 +47,13 @@ passes the gates:
 
 When all four miss, the construction raises NoSolution.
 
-Margins of sub-spectra are scored by gathering their chord ends from the
-spectrum's own eigenvalues and scoring them with ``region.chord_margins``,
-so the region and every scorer share one chord rule. Each pair block's
-rank-2 margin is scored once, by the rung that proposes it; every triangle
-of a candidate is solved before any of its blocks, so a candidate with an
-infeasible triangle never pays the pair solve.
+Margins of sub-spectra, ``subspectrum_margin(es, j, lam, rows)``, take
+their chord ends from ``region.chord_ends`` and score them with
+``region.chord_margins``: the region and every scorer share one chord-end
+rule and one chord rule. Each pair block's rank-2 margin is scored once,
+by the rung that proposes it; every triangle of a candidate is solved
+before any of its blocks, so one with an infeasible triangle never pays
+the pair solve.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
                      NoConvexSolution, NoSolution, ShapeMismatch,
                      UnsupportedDimension)
 from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
-                     chord_margins, contains)
-from .spectra import TWO_PI, EigenSystem, ReflectionMap, reflect_labels
+                     chord_ends, chord_margins, contains, successor)
+from .spectra import EigenSystem, ReflectionMap, reflect_labels
 from .triangles import solve_barycentric, triangle, validate_triangle
 
 GRAM_GATE = 1e-9
@@ -385,18 +386,13 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
 # feasibility margins for sub-spectra
 
 
-def subspectrum_margin(phases, j: int, lam: complex, rows=None):
-    """Signed margin of lam inside the rank-j region of sub-spectra.
+def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
+    """Signed margin of lam inside the rank-j region of sub-spectra of es.
 
-    Without ``rows``, ``phases`` is one spectrum, or a (C, m) stack of
-    spectra scored in one call, each sorted first. With ``rows``,
-    ``phases`` is a sorted spectrum (N,) and ``rows`` holds ascending
-    0-based positions into it, one row (m,) or a (C, m) stack, scoring the
-    sub-spectra ``phases[rows]``: their chord ends are gathered from the
-    eigenvalues ``exp(1j * phases)`` and, for the j ends that wrap past
-    2pi, ``exp(1j * (phases + 2pi))``, each taken once over the N phases.
-    A stack returns C margins, each ``==`` to the margin of its row alone,
-    and both forms give ``==`` margins for the same sub-spectra.
+    ``rows`` holds ascending 0-based positions into the spectrum, one row
+    (m,) or a (C, m) stack. A chord runs from a position to its rank-j
+    successor (``region.successor``), and ``region.chord_ends`` forms its
+    ends. A stack returns C margins, each ``==`` to its row's alone.
 
     The chords follow ``region.chord_rule`` and are scored by
     ``region.chord_margins``, which the pair-block scorer ``_block_scores``
@@ -406,29 +402,19 @@ def subspectrum_margin(phases, j: int, lam: complex, rows=None):
     """
     if j < 1:
         raise InvalidRank(f"rank j={j} must be positive")
-    if rows is None:
-        th = np.sort(np.asarray(phases, dtype=float), axis=-1)
-        phases, rows = th.ravel(), np.arange(th.size).reshape(th.shape)
     single = np.ndim(rows) == 1
     rows = np.atleast_2d(rows)
-    n = rows.shape[1]
-    if n == 0 or j > n:
+    if rows.shape[1] == 0 or j > rows.shape[1]:
         out = np.full(rows.shape[0], -np.inf)
     else:
-        phases = np.asarray(phases, dtype=float)
-        t0 = phases[rows]
-        # the first n - j ends are starts j places on; the last j wrap
-        t1 = np.concatenate([t0[:, j:], t0[:, :j] + TWO_PI], axis=1)
-        a = np.exp(1j * phases)[rows]
-        b = np.concatenate(
-            [a[:, j:], np.exp(1j * (phases + TWO_PI))[rows[:, :j]]], axis=1)
+        ends = chord_ends(es, rows, successor(rows, j, es.dim))
         out = np.minimum(1.0 - np.abs(lam),
-                         chord_margins(t0, t1, a, b, lam).min(axis=1))
+                         chord_margins(*ends, lam).min(axis=1))
     return float(out[0]) if single else out
 
 
 def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
-    return subspectrum_margin(es.phases, j, lam, np.sort(indices) - 1)
+    return subspectrum_margin(es, j, lam, np.sort(indices) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +477,7 @@ def _blocks_feasible(es, pieces, lam) -> bool:
     FEASIBILITY_FLOOR, scored in one row-form call."""
     blks = [idx for kind, idx in pieces if kind == "block"]
     return not blks or subspectrum_margin(
-        es.phases, 2, lam, np.sort(blks, axis=1) - 1).min() >= FEASIBILITY_FLOOR
+        es, 2, lam, np.sort(blks, axis=1) - 1).min() >= FEASIBILITY_FLOOR
 
 
 def _feasible_triples(es, active, lam):
@@ -562,22 +548,22 @@ def _spaced_blocks(n: int) -> np.ndarray:
 
     The rows are j + (0, g1, g2, g3, g4) mod n for every start j, with each
     g_i within 1 of round(i*n/5) and 0 < g1 < g2 < g3 < g4 < n, each row
-    sorted; a row equal to an earlier one is dropped."""
+    sorted, start by start, and no repeat built: row (j, p) repeats an
+    earlier row exactly when p rotated to its position c > 0 is a pattern
+    too and j + g_c wraps past n, so p keeps the starts j < n - max g_c."""
     near = np.rint(np.arange(1, 5) * n / 5).astype(int)
     offs = near + np.array(list(product((-1, 0, 1), repeat=4)))
     offs = offs[(offs[:, 0] > 0) & (offs[:, 3] < n)
                 & (np.diff(offs, axis=1) > 0).all(axis=1)]
     offs = np.concatenate([np.zeros((len(offs), 1), dtype=int), offs], axis=1)
-    rows = np.sort((np.arange(n)[:, None, None] + offs) % n,
-                   axis=2).reshape(-1, 5)
-    # a sorted row is fixed by its first position and its four gaps; read
-    # as digits in base ``width`` (about 7, as every gap lies within a few
-    # of n/5) they make an exact key that stays far from overflow at any n
-    gaps = np.diff(rows, axis=1)
-    lo, width = gaps.min(), np.ptp(gaps) + 1
-    key = rows[:, 0] * width ** 4 + (gaps - lo) @ width ** np.arange(4)
-    _, first = np.unique(key, return_index=True)
-    return rows[np.sort(first)]
+    # a pattern is fixed by its 5 cyclic gaps, a rotation by them rolled
+    gaps = np.diff(offs, axis=1, append=n).tolist()
+    family = set(map(tuple, gaps))
+    lim = [n - max([p[c] for c in range(1, 5)
+                    if tuple(g[c:] + g[:c]) in family], default=0)
+           for p, g in zip(offs.tolist(), gaps)]
+    j, p = np.nonzero(np.arange(n)[:, None] < lim)
+    return np.sort((j[:, None] + offs[p]) % n, axis=1)
 
 
 # one entry holds about 2.7 MB at n = 2,999
@@ -624,24 +610,22 @@ def _layout_rows(n: int, cols) -> np.ndarray:
 def _block_scores(es, act, lam):
     """The chord table of one block-first step over the active indices
     ``act`` (1-based, ascending), flat, and the rank-2 margins of the
-    ``_block_layout`` candidates, ``==`` to ``subspectrum_margin(es.phases,
-    2, lam, act[_spaced_blocks(act.size)] - 1)``.
+    ``_block_layout`` candidates, ``==`` to ``subspectrum_margin(es, 2,
+    lam, act[_spaced_blocks(act.size)] - 1)``.
 
     The n x |S| table is scored once by ``region.chord_margins``, on the
-    chord ends that ``subspectrum_margin`` gathers: the eigenvalues
-    ``es.mu``, and for the ends that wrap past the last position
-    ``es.mu_wrapped`` and the phases plus 2pi, each read from the active
-    entries taken twice over. Each candidate takes the min of its 5
-    entries, as the running ``np.minimum`` of the layout's 5 gathers."""
+    chord ends that ``region.chord_ends`` gathers, as for
+    ``subspectrum_margin``, the starts one column of the n positions and
+    an end past the step's last one turn on (spectrum position + N). Each
+    candidate takes the min of its 5 entries, as the running
+    ``np.minimum`` of the layout's 5 gathers."""
     n = act.size
     spans, idx = _block_layout(n)
     pos = act - 1
-    ph, z = es.phases[pos], es.mu[pos]
-    ends = np.arange(n)[:, None] + spans
-    table = chord_margins(
-        ph[:, None], np.concatenate([ph, ph + TWO_PI])[ends],
-        z[:, None].repeat(spans.size, axis=1),
-        np.concatenate([z, es.mu_wrapped[pos]])[ends], lam).ravel()
+    end = np.concatenate([pos, pos + es.dim])[np.arange(n)[:, None] + spans]
+    t0, t1, a, b = chord_ends(es, pos[:, None], end)
+    table = chord_margins(t0, t1, a.repeat(spans.size, axis=1), b,
+                          lam).ravel()
     idx = idx.astype(np.intp)     # one cast, not one per gather
     out = np.minimum(table[idx[0]], 1.0 - np.abs(lam))
     for chord in idx[1:]:
@@ -654,15 +638,15 @@ def _remainder_scores(table, n, rest, lam):
     of the remainders ``rest`` (G, n - 5), ascending positions of the
     step's n, read from its chord table ``table`` (``_block_scores``):
     ``==`` to ``subspectrum_margin`` of those sub-spectra. The chord from
-    ``rest[i]`` ends at ``rest[i + r]``, wrapping past the remainder's
-    last r, and its span in the step is that difference, plus n where it
-    wraps: one of r .. r + 5, whose columns are consecutive. Each chord is
-    one more gather."""
+    ``rest[i]`` ends at its rank-r successor (``region.successor``), one
+    turn on past the remainder's last r, and its span in the step is the
+    difference: one of r .. r + 5, whose columns are consecutive. Each
+    chord is one more gather."""
     spans, _ = _block_layout(n)
     r = (n + 2) // 3 - 2
     # entry (rest[i], column of span s) = rest[i] |S| + s + (column of r) - r
-    flat = np.concatenate([rest[:, r:], rest[:, :r] + n], axis=1) \
-        + rest * (spans.size - 1) + (np.searchsorted(spans, r) - r)
+    flat = successor(rest, r, n) + rest * (spans.size - 1) \
+        + (np.searchsorted(spans, r) - r)
     return np.minimum(1.0 - np.abs(lam), table[flat].min(axis=1))
 
 
@@ -742,12 +726,12 @@ def _block_candidates(es, act, lam, tris, kk, floor):
     _, first = np.unique(five, axis=0, return_index=True)
     five = five[np.sort(first)]     # distinct blocks, in order of first pair
     blks = list(map(tuple, five.tolist()))
-    m_blk = subspectrum_margin(es.phases, 2, lam, five - 1)
+    m_blk = subspectrum_margin(es, 2, lam, five - 1)
     good = np.nonzero(m_blk >= floor)[0]
     if good.size == 0:
         return []
     rest = _remainders(act.size, np.searchsorted(act, five[good]))
-    m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+    m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
     cands = [(min(mb, mr), blks[g], r, mr)
              for g, mb, mr, r in zip(good.tolist(), m_blk[good].tolist(),
                                      m_rest.tolist(), rest)
@@ -810,7 +794,7 @@ def _search_pieces(es, kk, lam, active, table, margin=None):
         if not len(tris):
             return None
         rest = _remainders(n_act, np.searchsorted(act, tris))
-        margins = subspectrum_margin(es.phases, kk - 1, lam, act[rest] - 1)
+        margins = subspectrum_margin(es, kk - 1, lam, act[rest] - 1)
         scored = [(m, idx, r)
                   for m, idx, r in zip(margins.tolist(),
                                        map(tuple, tris.tolist()), rest)

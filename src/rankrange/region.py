@@ -4,9 +4,10 @@ For a unitary spectrum sorted counterclockwise, the region is the
 intersection of N disk segments: for each i the segment bounded by the
 chord from eigenvalue i to eigenvalue i+k (cyclic) and the
 counterclockwise arc from eigenvalue i+k back to eigenvalue i (Li & Sze,
-Proc. AMS 136, 2008). ``chord_rule`` holds the chord semantics for the
-region and for every sub-spectrum scorer. A chord is live when its length
-exceeds DEGENERATE_CHORD_TOL, and a live chord always faces inward with
+Proc. AMS 136, 2008). ``chord_ends`` forms the ends of every chord, an
+end at N or past one turn on, and ``chord_rule`` holds the chord semantics,
+for the region and for every sub-spectrum scorer. A chord is live when its
+length exceeds DEGENERATE_CHORD_TOL, and a live chord always faces inward with
 sign +1: the circle runs counterclockwise, so the arc from b back to a
 lies to the left of a -> b. A dead chord (endpoints within
 DEGENERATE_CHORD_TOL) carries no constraint when its k-step angular span
@@ -33,7 +34,7 @@ from scipy.optimize import linprog
 
 from .errors import EmptyRegion, InvalidRank, TooLarge
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
-from .spectra import TWO_PI, EigenSystem
+from .spectra import EigenSystem
 
 DEGENERATE_CHORD_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
@@ -81,8 +82,6 @@ class ChordTable:
     """
     endpoint_a: np.ndarray
     endpoint_b: np.ndarray
-    edge: np.ndarray
-    length: np.ndarray
     inward_sign: np.ndarray
     span: np.ndarray
     live: np.ndarray
@@ -131,6 +130,21 @@ def chord_rule(t0, t1, a, b):
     return edge, length, live, ~live & (t1 - t0 > np.pi)
 
 
+def successor(rows, j: int, n: int) -> np.ndarray:
+    """The rank-j successor of the ascending positions ``rows`` (last axis)
+    on a cycle of n: ``rows[i + j]``, the last j wrapped one turn on (+ n)."""
+    return np.concatenate([rows[..., j:], rows[..., :j] + n], axis=-1)
+
+
+def chord_ends(es: EigenSystem, start, end):
+    """The ends (t0, t1, a, b) that ``chord_rule`` and ``chord_margins``
+    read, of the chords from 0-based eigenvalue positions ``start`` to
+    ``end``, elementwise; an end in N .. 2N-1 is eigenvalue ``end - N`` one
+    turn on, its phase and point read from ``es.two_turns``."""
+    phases, points = es.two_turns
+    return es.phases[start], phases[end], es.mu[start], points[end]
+
+
 def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     """The chord table, one chord per start index i = 1..N with end index
     i+k cyclic, and the point constraints of its pinning chords, each
@@ -138,16 +152,13 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     n = es.dim
     if k < 1 or k > n:
         raise InvalidRank(f"rank k={k} outside 1..{n}")
-    step = np.arange(n) + k
-    t0 = es.phases
-    t1 = es.phases[step % n] + TWO_PI * (step // n)
-    a = np.exp(1j * t0)
-    b = np.exp(1j * t1)
+    start = np.arange(n)
+    t0, t1, a, b = chord_ends(es, start, successor(start, k, n))
     edge, length, live, pinned = chord_rule(t0, t1, a, b)
     al, el = a[live], edge[live]
     halfplanes = np.stack([al.real, al.imag, el.real, el.imag, length[live]])
     halfplanes.setflags(write=False)      # and so every row view of it
-    table = ChordTable(endpoint_a=a, endpoint_b=b, edge=edge, length=length,
+    table = ChordTable(endpoint_a=a, endpoint_b=b,
                        inward_sign=np.where(live | pinned, 1, -1),
                        span=t1 - t0, live=live, halfplanes=tuple(halfplanes))
     return OmegaRegion(k=k, dim=n,
@@ -175,10 +186,10 @@ def _halfplane_margins(rows, x, y):
 
 def chord_margins(t0, t1, a, b, z):
     """Margin of the point z from each chord a -> b under ``chord_rule``,
-    elementwise, with a, b gathered by the caller: ``_halfplane_margins``
-    for a live chord, -|z - a| for a pinning one and +inf for any other dead
-    chord. The min over a spectrum's chords and its disk term is
-    ``region_margin`` of the region built on it."""
+    elementwise, with the ends from ``chord_ends`` (t0 may be a column):
+    ``_halfplane_margins`` for a live chord, -|z - a| for a pinning one and
+    +inf for any other dead chord. The min over a spectrum's chords and its
+    disk term is ``region_margin`` of the region built on it."""
     edge, length, live, pinned = chord_rule(t0, t1, a, b)
     m = _halfplane_margins((a.real, a.imag, edge.real, edge.imag,
                             np.where(live, length, 1.0)), z.real, z.imag)

@@ -96,8 +96,13 @@ class EigenSystem:
         return _read_only(np.exp(1j * self.phases))
 
     @functools.cached_property
-    def mu_wrapped(self) -> np.ndarray:
-        return _read_only(np.exp(1j * (self.phases + TWO_PI)))
+    def two_turns(self) -> tuple:
+        """Phases and eigenvalues over two turns, read-only (2N,): entry
+        N + j is phase j + 2pi and exp(1j * (phase j + 2pi)), which can
+        differ from ``mu[j]`` in the last bits."""
+        ph = np.concatenate([self.phases, self.phases + TWO_PI])
+        return _read_only(ph), _read_only(
+            np.concatenate([self.mu, np.exp(1j * ph[self.dim:])]))
 
     def eigenvalues(self) -> np.ndarray:
         return self.mu.copy()

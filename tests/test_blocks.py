@@ -17,7 +17,7 @@ def feasible_instance(rng):
         lam = interior_point(build_region(es, 2))
         if lam is None:
             continue
-        if subspectrum_margin(phases, 2, lam) < 1e-4:
+        if subspectrum_margin(es, 2, lam, np.arange(5)) < 1e-4:
             continue
         return es, lam
 
@@ -69,7 +69,7 @@ def test_block_property_wide(seed, clustered):
         phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
     es = ingest_spectrum(phases)
     lam = interior_point(build_region(es, 2))
-    if lam is None or subspectrum_margin(phases, 2, lam) < 1e-5:
+    if lam is None or subspectrum_margin(es, 2, lam, np.arange(5)) < 1e-5:
         return
     d = es.eigenvalues() - lam
     V = isotropic_pair(d)
@@ -199,7 +199,7 @@ def newton_pairs(width, count, seed):
             phases = clustered_phases([seed, i], 2 + i % 3, 5, width)
         es = ingest_spectrum(phases)
         lam = interior_point(build_region(es, 2))
-        if lam is None or subspectrum_margin(phases, 2, lam) < 1e-12:
+        if lam is None or subspectrum_margin(es, 2, lam, np.arange(5)) < 1e-12:
             continue
         d = es.eigenvalues() - lam
         nu = d / np.abs(d)

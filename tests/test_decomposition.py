@@ -654,13 +654,18 @@ def test_pipeline_closure_families():
 
 # --- the re-partition search and its batched scoring -----------------------
 
+def exact_spectrum(phases):
+    """The EigenSystem of exactly the sorted ``phases``, with no round trip
+    through ``ingest_spectrum``'s canonical phases."""
+    th = np.sort(np.asarray(phases, dtype=float))
+    return EigenSystem(dim=th.size, phases=th, basis=None,
+                       unitarity_residual=0.0, eigen_residual=0.0)
+
+
 def reference_margin(phases, j, lam):
     """The margin of lam in the rank-j region built on exactly ``phases``
     (sorted)."""
-    th = np.sort(np.asarray(phases, dtype=float))
-    es = EigenSystem(dim=th.size, phases=th, basis=None,
-                     unitarity_residual=0.0, eigen_residual=0.0)
-    return float(region_margin(build_region(es, j), lam))
+    return float(region_margin(build_region(exact_spectrum(phases), j), lam))
 
 
 def as_rows(stack):
@@ -690,41 +695,31 @@ def test_subspectrum_margin_batched_equals_rows():
             rng.uniform(0, 10.0 ** rng.uniform(-12, -7), m))
         phases, rows = as_rows(stack)
         assert np.array_equal(phases[rows], stack)
+        es = exact_spectrum(phases)
         for j in range(1, m + 1):
             a = np.exp(1j * stack[0, 0])
             b = np.exp(1j * stack[0, j % m])
             # 1e-10 inside the midpoint of row 0's chord 1 -> 1+j
             lam = complex((a + b) / 2 * (1 - 1e-10))
             want = [reference_margin(r, j, lam) for r in stack]
-            got = subspectrum_margin(stack, j, lam)
+            got = subspectrum_margin(es, j, lam, rows)
             assert got.shape == (5,)
             assert got.tolist() == want, (m, j)
-            assert [subspectrum_margin(r, j, lam) for r in stack] == want
-            got = subspectrum_margin(phases, j, lam, rows)
-            assert got.shape == (5,)
-            assert got.tolist() == want, (m, j)
-            assert [subspectrum_margin(phases, j, lam, r)
-                    for r in rows] == want
-    too_few = subspectrum_margin(np.zeros((2, 3)), 4, 0j)
-    assert too_few.tolist() == [-np.inf] * 2
-    too_few = subspectrum_margin(np.zeros(6), 4, 0j, np.arange(6).reshape(2, 3))
+            assert [subspectrum_margin(es, j, lam, r) for r in rows] == want
+    too_few = subspectrum_margin(exact_spectrum(np.zeros(6)), 4, 0j,
+                                 np.arange(6).reshape(2, 3))
     assert too_few.tolist() == [-np.inf] * 2
 
 
 def test_subspectrum_margin_rejects_rank_below_one():
     # through wrapped index arithmetic, j = 0 read 1.0 and j = -1 -0.0707
-    phases = np.array([0.0, 1.0, 2.0, 3.0])
+    es = exact_spectrum([0.0, 1.0, 2.0, 3.0])
     for j in (0, -1):
         with pytest.raises(InvalidRank):
-            subspectrum_margin(phases, j, 0j)
+            subspectrum_margin(es, j, 0j, np.arange(4))
         with pytest.raises(InvalidRank):
-            subspectrum_margin(np.stack([phases, phases]), j, 0j)
-        with pytest.raises(InvalidRank):
-            subspectrum_margin(phases, j, 0j, np.arange(4))
-        with pytest.raises(InvalidRank):
-            subspectrum_margin(phases, j, 0j, np.array([[0, 1, 2], [1, 2, 3]]))
-    assert subspectrum_margin(phases, 5, 0j) == -np.inf
-    assert subspectrum_margin(phases, 5, 0j, np.arange(4)) == -np.inf
+            subspectrum_margin(es, j, 0j, np.array([[0, 1, 2], [1, 2, 3]]))
+    assert subspectrum_margin(es, 5, 0j, np.arange(4)) == -np.inf
 
 
 def reference_triples(es, active, lam):
@@ -876,7 +871,7 @@ def test_search_inherits_node_margins(monkeypatch):
     def checked_search(es, kk, lam, active, table, *given):
         nodes.append(active)
         if given:
-            alone = margin(es.phases, kk, lam, np.array(active) - 1)
+            alone = margin(es, kk, lam, np.array(active) - 1)
             inherited.append(given[0] == alone)
         return search(es, kk, lam, active, table, *given)
 
@@ -1244,7 +1239,7 @@ def test_block_scores_equal_row_form():
             for lam in (complex(mu.mean()), 0j, complex(mu[0] + mu[2]) / 2,
                         complex(0.999 * mu[1]), 1.5 + 0j):
                 _, got = decomposition._block_scores(es, act, lam)
-                want = subspectrum_margin(es.phases, 2, lam, act[rows] - 1)
+                want = subspectrum_margin(es, 2, lam, act[rows] - 1)
                 assert got.tolist() == want.tolist(), (n, lam)
                 signs.update(np.sign(want).tolist())
     assert {-1.0, 1.0} <= signs
@@ -1285,7 +1280,7 @@ def test_remainder_scores_equal_row_form():
                         complex(0.999 * mu[1]), 1.5 + 0j):
                 table, _ = decomposition._block_scores(es, act, lam)
                 got = decomposition._remainder_scores(table, n, rest, lam)
-                want = subspectrum_margin(es.phases, r, lam, act[rest] - 1)
+                want = subspectrum_margin(es, r, lam, act[rest] - 1)
                 assert got.tolist() == want.tolist(), (n, lam)
                 signs.update(np.sign(want).tolist())
     assert {-1.0, 1.0} <= signs
@@ -1299,7 +1294,7 @@ def reference_blockwise_pieces(es, kk, lam):
     pieces = []
     while act.size < 3 * kk:
         five = decomposition._spaced_blocks(act.size)
-        m_blk = subspectrum_margin(es.phases, 2, lam, act[five] - 1)
+        m_blk = subspectrum_margin(es, 2, lam, act[five] - 1)
         good = np.nonzero(m_blk >= decomposition.BLOCK_FLOOR)[0]
         if good.size == 0:
             return None
@@ -1309,7 +1304,7 @@ def reference_blockwise_pieces(es, kk, lam):
         if kk == 2:
             m_rest = np.full(good.size, np.inf)
         else:
-            m_rest = subspectrum_margin(es.phases, kk - 2, lam, act[rest] - 1)
+            m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
         best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
         if m_rest[best] < decomposition.FEASIBILITY_FLOOR:
             return None

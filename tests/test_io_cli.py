@@ -216,6 +216,12 @@ def test_cli_bad_tolerance_is_parse_error(pentagon_file, monkeypatch,
     assert captured.out == ""
 
 
+def test_cli_demo_has_no_tolerance_option(capsys):
+    # the battery keeps its own tolerances, so demo takes no --tol
+    assert run(["demo", "--tol", "1e-3"]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_cli_demo_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

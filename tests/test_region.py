@@ -8,7 +8,7 @@ from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        ingest_spectrum, interior_point, region_margin,
                        subspectrum_margin)
 
-from rankrange.region import chord_margins, chord_rule
+from rankrange.region import chord_ends, chord_margins, chord_rule, successor
 
 from clustered import clustered_phases
 
@@ -269,7 +269,7 @@ def test_short_chords_keep_far_points_outside():
             for z in zs.tolist():
                 assert contains(region, z) == OUTSIDE, (es.phases, k, z)
                 assert oracle.verdict(z) == OUTSIDE, (es.phases, k, z)
-                assert subspectrum_margin(es.phases, k, z) < 0, \
+                assert subspectrum_margin(es, k, z, np.arange(n)) < 0, \
                     (es.phases, k, z)
 
 
@@ -301,6 +301,43 @@ def test_chords_of_at_most_1e9_are_dead():
     assert m[1] > 0 and m[2] > 0 and m[4] < 0
 
 
+def test_chord_ends_wrap_one_turn_on():
+    # an end at N or past is its eigenvalue one turn on: phase + 2pi and
+    # point exp(1j * (phase + 2pi)), bit for bit; that point need not be
+    # es.mu, and reading es.mu there would move margins by ulps
+    rng = np.random.default_rng(23)
+    moved = 0
+    for n in (1, 2, 5, 12, 40):
+        spectra = [rng.uniform(0, 2 * np.pi, n),
+                   np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, n - 1)]),
+                   rng.choice(rng.uniform(0, 2 * np.pi, 3), n)]
+        for phases in spectra:
+            es = ingest_spectrum(phases)
+            start = rng.integers(0, n, (6, 9))
+            end = rng.integers(0, 2 * n, (6, 9))
+            t0, t1, a, b = chord_ends(es, start, end)
+            want = es.phases[end % n] + 2 * np.pi * (end >= n)
+            for got, ref in ((t0, es.phases[start]), (t1, want),
+                             (a, np.exp(1j * es.phases[start])),
+                             (b, np.exp(1j * want))):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+            moved += int((b != es.mu[end % n]).sum())
+    assert moved > 0
+
+
+def test_successor_ends_last_j_one_turn_on():
+    rows = np.array([[0, 2, 3, 7], [1, 4, 5, 6]])
+    assert successor(rows, 1, 8).tolist() == [[2, 3, 7, 8], [4, 5, 6, 9]]
+    assert successor(rows, 3, 8).tolist() == [[7, 8, 10, 11],
+                                              [6, 9, 12, 13]]
+    assert successor(rows[0], 4, 8).tolist() == [8, 10, 11, 15]
+    for n in (1, 5, 12):
+        for k in range(1, n + 1):
+            assert successor(np.arange(n), k, n).tolist() == \
+                (np.arange(n) + k).tolist()
+
+
 def _margin_spectra():
     rng = np.random.default_rng(11)
     out = [
@@ -330,5 +367,5 @@ def test_subspectrum_margin_is_region_margin():
         for k in range(1, es.dim + 1):
             region = build_region(es, k)
             for z in zs.tolist():
-                assert subspectrum_margin(es.phases, k, z) == \
+                assert subspectrum_margin(es, k, z, np.arange(es.dim)) == \
                     region_margin(region, z), (es.phases, k, z)
