@@ -13,8 +13,8 @@ from .errors import (BothHeavy, DegenerateDenominator, EigensolveFailed,
                      EmptyRegion, EmptySpectrum, GramFailure,
                      InternalInvariantError, InvalidRank,
                      LambdaOutsideRegion, MathRejection, NoConvexSolution,
-                     NoSolution, NotUnitary, RankRangeError, ShapeMismatch,
-                     TooLarge, UnsupportedDimension)
+                     NoSolution, NotUnitary, ParseError, RankRangeError,
+                     ShapeMismatch, TooLarge, UnsupportedDimension)
 from .spectra import (EigenSystem, ReflectionMap, canonical_phase,
                       ingest_matrix, ingest_spectrum, reflect_labels)
 from .region import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
@@ -43,7 +43,8 @@ __all__ = [
     "EigenSystem", "EigensolveFailed", "EmptyRegion", "EmptySpectrum",
     "GramFailure", "InternalInvariantError", "InvalidRank",
     "LambdaOutsideRegion", "MathRejection", "NoConvexSolution", "NoSolution",
-    "NotUnitary", "OmegaRegion", "PairParameters", "Pairing", "Projector",
+    "NotUnitary", "OmegaRegion", "PairParameters", "Pairing", "ParseError",
+    "Projector",
     "RankRangeError", "ReflectionMap", "ShapeMismatch", "SharedVertexProblem",
     "TooLarge", "TriangleSpec", "UnsupportedDimension", "VectorCoefficients",
     "VerificationReport", "boundary_samples", "brute_force_contains",

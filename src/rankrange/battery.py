@@ -30,8 +30,6 @@ DEFAULT_SIZES = (
     ("rank1", 7, 1),
 )
 
-MIN_REGION_MARGIN = 1e-3
-
 
 @dataclass
 class ReportRecord:

@@ -5,8 +5,14 @@ Subcommands: spectrum, region, member, project, verify, demo. Exit codes:
 target outside the region, unsupported dimension), 3 internal invariant
 failure (orthonormality assertion, oracle mismatch).
 
-The global tolerance default can be overridden with the RANKRANGE_TOL
-environment variable or per-invocation with --tol (not for demo).
+One tolerance, 1e-9 by default, is read from the RANKRANGE_TOL
+environment variable or per invocation from --tol (not for demo). It is
+the unitarity tolerance of a matrix input and the membership tolerance of
+``member``; it must be a finite number >= 0, else the command exits 1.
+``project``'s construction decides membership at 1e-9 whatever the
+setting, and ``project`` and ``verify`` check a projector against fixed
+thresholds (``decomposition.projector_thresholds``). ``project`` exits 3
+without writing anything when its witness fails that check.
 """
 
 from __future__ import annotations
@@ -22,18 +28,10 @@ from . import battery as battery_mod
 from . import io as io_mod
 from . import svgout
 from .decomposition import construct_projector, verify_projector
-from .errors import InternalInvariantError, MathRejection, RankRangeError
+from .errors import (InternalInvariantError, MathRejection, ParseError,
+                     RankRangeError, checked_tol)
 from .region import BruteForceOracle, build_region, contains
 from .spectra import DEFAULT_TOL
-
-
-def _checked_tol(value: float, source: str) -> float:
-    """A tolerance must be finite and >= 0: a negative or NaN one would
-    silently flip verdicts."""
-    if not np.isfinite(value) or value < 0:
-        raise io_mod.ParseError(
-            f"{source} must be a finite number >= 0, got {value!r}")
-    return value
 
 
 def _default_tol() -> float:
@@ -42,8 +40,8 @@ def _default_tol() -> float:
         try:
             value = float(env)
         except ValueError:
-            raise io_mod.ParseError(f"bad RANKRANGE_TOL value: {env!r}")
-        return _checked_tol(value, "RANKRANGE_TOL")
+            raise ParseError(f"bad RANKRANGE_TOL value: {env!r}")
+        return checked_tol(value, "RANKRANGE_TOL")
     return DEFAULT_TOL
 
 
@@ -52,8 +50,7 @@ def _parse_complex(text: str) -> complex:
         re, im = text.split(",")
         return complex(float(re), float(im))
     except ValueError:
-        raise io_mod.ParseError(
-            f"expected a complex value as RE,IM, got {text!r}")
+        raise ParseError(f"expected a complex value as RE,IM, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True,
                            help="rank parameter")
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override")
+                       help="unitarity tolerance of a matrix input and "
+                            "member's membership tolerance (default "
+                            "RANKRANGE_TOL, else 1e-9); project builds at "
+                            "1e-9 and verification thresholds are fixed")
         p.add_argument("--out", default=None, help="output JSON path")
 
     p = sub.add_parser("spectrum", help="print the sorted eigenphases")
@@ -152,7 +152,11 @@ def _cmd_project(args, tol):
         if lam is None:
             raise MathRejection("region has no usable interior target")
     proj = construct_projector(es, args.k, lam)
-    report = verify_projector(proj.matrix, es.matrix, lam, args.k, tol)
+    report = verify_projector(proj.matrix, es.matrix, lam, args.k)
+    if not report.passed:
+        raise InternalInvariantError(
+            f"the {proj.strategy} witness fails its dense check: "
+            f"{json.dumps(report.residuals, sort_keys=True)}")
     doc = io_mod.projector_to_doc(proj, report.residuals)
     text = io_mod.dump(doc, args.out)
     if args.out is None:
@@ -175,7 +179,7 @@ def _cmd_verify(args, tol):
     P, k, lam, _ = io_mod.projector_from_doc(doc)
     if args.target is not None:
         lam = _parse_complex(args.target)
-    report = verify_projector(P, es.matrix, lam, k, tol)
+    report = verify_projector(P, es.matrix, lam, k)
     for key, value in sorted(report.residuals.items()):
         print(f"{key}: {value:.3e} (<= {report.thresholds[key]:.1e})")
     print("pass" if report.passed else "FAIL")
@@ -215,7 +219,7 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         tol = _default_tol() if getattr(args, "tol", None) is None \
-            else _checked_tol(args.tol, "--tol")
+            else checked_tol(args.tol, "--tol")
         return _HANDLERS[args.command](args, tol)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

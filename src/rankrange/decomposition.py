@@ -174,10 +174,11 @@ class Projector:
         return sum(coef.shape[0] * coef.shape[2] for _, coef in self.pieces)
 
 
-def projector_thresholds(tol: float = MEMBERSHIP_TOL) -> dict:
-    scale = tol / MEMBERSHIP_TOL
-    return {"hermiticity": 1e-10 * scale, "idempotency": 1e-9 * scale,
-            "trace": 1e-9 * scale, "compression": 1e-8 * scale}
+def projector_thresholds() -> dict:
+    """The fixed bound on each residual of ``projector_residuals``: no
+    tolerance setting rescales them."""
+    return {"hermiticity": 1e-10, "idempotency": 1e-9, "trace": 1e-9,
+            "compression": 1e-8}
 
 
 # ---------------------------------------------------------------------------
@@ -890,14 +891,14 @@ def _eigen_matches(es: EigenSystem, lam: complex) -> list:
     return np.flatnonzero(np.hypot(d.real, d.imag) <= EIGEN_MATCH).tolist()
 
 
-def construct_projector(es: EigenSystem, k: int, lam: complex,
-                        tol: float = MEMBERSHIP_TOL) -> Projector:
+def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     """Rank-k projector P with P sigma P = lam P, built constructively.
 
     Raises LambdaOutsideRegion unless lam is strictly inside the rank-k
-    region (k = 1 also accepts boundary points), UnsupportedDimension for
-    dimension pairs without a construction, GramFailure if an internal
-    orthonormality check fails, and NoSolution when every rung misses.
+    region at MEMBERSHIP_TOL (k = 1 also accepts boundary points),
+    UnsupportedDimension for dimension pairs without a construction,
+    GramFailure if an internal orthonormality check fails, and NoSolution
+    when every rung misses.
     """
     n = es.dim
     lam = complex(lam)
@@ -905,7 +906,7 @@ def construct_projector(es: EigenSystem, k: int, lam: complex,
         raise UnsupportedDimension(f"rank k={k} outside 1..{n}")
 
     region = build_region(es, k)
-    verdict = contains(region, lam, tol)
+    verdict = contains(region, lam)
     if verdict != INSIDE and not (k == 1 and verdict == BOUNDARY):
         raise LambdaOutsideRegion(
             f"{lam} is {verdict} for rank {k}; need a strict interior point")
@@ -968,9 +969,9 @@ class VerificationReport:
     passed: bool
 
 
-def verify_projector(P, sigma, lam: complex, k: int,
-                     tol: float = MEMBERSHIP_TOL) -> VerificationReport:
-    """Standalone recheck of an alleged projector against a matrix."""
+def verify_projector(P, sigma, lam: complex, k: int) -> VerificationReport:
+    """Standalone recheck of an alleged projector against a matrix, each
+    residual against its fixed bound in ``projector_thresholds``."""
     P = np.asarray(P, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -979,7 +980,7 @@ def verify_projector(P, sigma, lam: complex, k: int,
         raise ShapeMismatch(
             f"projector {P.shape} does not match matrix {sigma.shape}")
     residuals = projector_residuals(P, sigma, complex(lam), k)
-    th = projector_thresholds(tol)
+    th = projector_thresholds()
     passed = all(residuals[key] <= th[key] for key in th)
     return VerificationReport(residuals=residuals, thresholds=th,
                               passed=passed)

@@ -1,13 +1,31 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one check of a caller's tolerance.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 contract: 1 usage/parse, 2 mathematical rejection, 3 internal invariant
 violation.
 """
 
+from math import inf
+
 
 class RankRangeError(Exception):
     exit_code = 1
+
+
+class ParseError(RankRangeError):
+    """A malformed document, value or setting."""
+    exit_code = 1
+
+
+def checked_tol(value: float, source: str = "tol") -> float:
+    """``value`` when it is a finite number >= 0, else ParseError: a
+    negative or NaN tolerance would silently flip verdicts. Every function
+    that reads a caller's tolerance calls this where it reads it."""
+    # one chained comparison, False for NaN: contains pays it on each call
+    if not 0.0 <= value < inf:
+        raise ParseError(
+            f"{source} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 class MathRejection(RankRangeError):

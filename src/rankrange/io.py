@@ -18,13 +18,9 @@ import json
 import numpy as np
 
 from .decomposition import DecompositionPlan, Projector
-from .errors import RankRangeError
+from .errors import ParseError
 from .region import OmegaRegion
 from .spectra import EigenSystem, ingest_matrix, ingest_spectrum
-
-
-class ParseError(RankRangeError):
-    exit_code = 1
 
 
 def _as_matrix(doc) -> np.ndarray:

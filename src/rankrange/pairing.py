@@ -24,7 +24,7 @@ from math import atan2, cos, sin, sqrt
 
 import numpy as np
 
-from .errors import BothHeavy, DegenerateDenominator, NoSolution
+from .errors import BothHeavy, DegenerateDenominator, NoSolution, checked_tol
 from .spectra import EigenSystem
 from .triangles import BarycentricWeights
 
@@ -52,6 +52,7 @@ class SharedVertexProblem:
             raise ValueError("shared index also appears in a side set")
 
     def validate(self, es: EigenSystem, tol: float = 1e-9):
+        tol = checked_tol(tol)
         lam_v = es.eigenvalue(self.shared_index)
         s1 = self.p1 + sum(self.t_weights.values())
         s2 = self.q1 + sum(self.r_weights.values())

@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EmptyRegion, InvalidRank, TooLarge
+from .errors import EmptyRegion, InvalidRank, TooLarge, checked_tol
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
 from .spectra import EigenSystem
 
@@ -233,8 +233,10 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     The least half-plane margin is one ``_halfplane_margins`` call on the
     table's rows and one ``np.minimum.reduce`` (+inf when no chord is
     live); the point constraints are visited only when the region has
-    some and z passes the other two tests. A NaN z is outside.
+    some and z passes the other two tests. A NaN z is outside; a negative
+    or non-finite tol raises ParseError.
     """
+    tol = checked_tol(tol)
     hp_min = np.minimum.reduce(
         _halfplane_margins(region.table.halfplanes, z.real, z.imag),
         initial=np.inf)
@@ -309,6 +311,9 @@ class BruteForceOracle:
                               -dist).min())
 
     def verdict(self, z: complex, tol: float = MEMBERSHIP_TOL) -> str:
+        """inside when the margin exceeds tol, boundary within tol of 0,
+        else outside; a negative or non-finite tol raises ParseError."""
+        tol = checked_tol(tol)
         m = self.margin(z)
         if m > tol:
             return INSIDE
@@ -354,6 +359,10 @@ def boundary_polygon(region: OmegaRegion):
     Valid because the region is always contained in the hull of the
     spectrum, so the disk constraint is implied. Returns a ccw list of
     vertices (possibly a segment or single point for degenerate spectra).
+    A two-point hull a -> b keeps the part of the segment that no chord
+    violates by more than MEMBERSHIP_TOL, as ``contains`` decides: a chord
+    cuts it where its margin, linear along the segment, reaches
+    -MEMBERSHIP_TOL.
     """
     if region.point_constraints:
         p = region.point_constraints[0]
@@ -363,18 +372,18 @@ def boundary_polygon(region: OmegaRegion):
         a, b = poly
         lo, hi = 0.0, 1.0
         for c in region.halfplanes():
-            va = c.margin(a)
-            vb = c.margin(b)
-            if abs(vb - va) < 1e-15:
-                if va < 0:
-                    return []
+            va = c.margin(a) + MEMBERSHIP_TOL
+            vb = c.margin(b) + MEMBERSHIP_TOL
+            if min(va, vb) >= 0.0:
                 continue
+            if max(va, vb) < 0.0:
+                return []
             t = va / (va - vb)
             if vb < va:
                 hi = min(hi, t)
             else:
                 lo = max(lo, t)
-        if lo > hi + 1e-12:
+        if lo > hi:
             return []
         return [a + lo * (b - a), a + hi * (b - a)]
     if len(poly) < 2:

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (EigensolveFailed, EmptySpectrum, MathRejection,
-                     NotUnitary, ShapeMismatch)
+                     NotUnitary, ShapeMismatch, checked_tol)
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,10 +150,12 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     Rayleigh quotients, so no further N x N product is made for it. A
     diagonal input keeps the standard basis vectors, sorted with its
     phases. Raises
-    NotUnitary when an entry is not finite or ||A^H A - I||_F > tol, and
-    EigensolveFailed when LAPACK fails or the per-column residual contract
+    ParseError when tol is negative or not finite, NotUnitary when an
+    entry is not finite or ||A^H A - I||_F > tol, and EigensolveFailed
+    when LAPACK fails or the per-column residual contract
     ||A v - e^{i theta} v|| <= tol is not met.
     """
+    tol = checked_tol(tol)
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from itertools import combinations, product
 
@@ -629,6 +630,17 @@ def test_verify_rejects_zero_matrix():
 def test_verify_identity_full_rank():
     rep = verify_projector(np.eye(4), np.eye(4), 1.0 + 0j, 4)
     assert rep.passed
+
+
+def test_verify_thresholds_are_fixed():
+    # no tolerance rescales the verification thresholds, and neither the
+    # construction nor the verifier takes one
+    rep = verify_projector(np.eye(4), np.eye(4), 1.0 + 0j, 4)
+    assert rep.thresholds == {"hermiticity": 1e-10, "idempotency": 1e-9,
+                              "trace": 1e-9, "compression": 1e-8}
+    for fn in (construct_projector, verify_projector,
+               decomposition.projector_thresholds):
+        assert "tol" not in inspect.signature(fn).parameters
 
 
 def test_verify_shape_mismatch():

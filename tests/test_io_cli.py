@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from rankrange import build_region, ingest_spectrum
+from rankrange import ParseError, build_region, cli, ingest_spectrum
+from rankrange import io as io_mod
 from rankrange.cli import run
+from rankrange.decomposition import VerificationReport
 from rankrange.io import (dump, ingest_document, matrix_to_doc,
                           projector_from_doc, region_to_doc)
 from rankrange.svgout import render_region
@@ -93,6 +95,40 @@ def test_cli_project_verify_roundtrip(pentagon_file, matrix_file, tmp_path,
         if line.startswith("compression:"):
             value = float(line.split()[1])
             assert abs(value - residuals["compression"]) <= 1e-12
+
+
+def test_cli_project_verify_at_tol_zero(pentagon_file, tmp_path, capsys):
+    # --tol sets no verification threshold: a witness that project writes
+    # at --tol 0 passes verify at --tol 0
+    proj_path = str(tmp_path / "p.json")
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--tol", "0", "--out", proj_path]) == 0
+    capsys.readouterr()
+    assert run(["verify", pentagon_file, "--k", "2", "--projector",
+                proj_path, "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "pass"
+    assert "compression: " in out and "(<= 1.0e-08)" in out
+
+
+def test_cli_project_fails_loudly(pentagon_file, tmp_path, monkeypatch,
+                                  capsys):
+    # a witness that fails its own dense check is an internal error, and
+    # nothing is written
+    def failing(*args):
+        return VerificationReport(residuals={"compression": 1.0},
+                                  thresholds={"compression": 1e-8},
+                                  passed=False)
+
+    monkeypatch.setattr(cli, "verify_projector", failing)
+    out_path, plan_path = tmp_path / "p.json", tmp_path / "plan.json"
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--out", str(out_path), "--plan", str(plan_path)]) == 3
+    captured = capsys.readouterr()
+    assert "InternalInvariantError" in captured.err
+    assert "fails its dense check" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists() and not plan_path.exists()
 
 
 def test_cli_project_unsupported_dimension(tmp_path, capsys):
@@ -214,6 +250,11 @@ def test_cli_bad_tolerance_is_parse_error(pentagon_file, monkeypatch,
     captured = capsys.readouterr()
     assert "ParseError" in captured.err
     assert captured.out == ""
+
+
+def test_parse_error_is_one_class():
+    # the library's tolerance check and the document readers raise it
+    assert io_mod.ParseError is ParseError
 
 
 def test_cli_demo_has_no_tolerance_option(capsys):

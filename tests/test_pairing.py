@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rankrange import (BothHeavy, SharedVertexProblem, discriminant_coeffs,
-                       gauge_parameters, ingest_spectrum, solve_barycentric,
-                       solve_pair, triangle, vector_from_triangle)
+from rankrange import (BothHeavy, ParseError, SharedVertexProblem,
+                       discriminant_coeffs, gauge_parameters, ingest_spectrum,
+                       solve_barycentric, solve_pair, triangle,
+                       vector_from_triangle)
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
 
@@ -90,6 +91,9 @@ def test_pair_half_weight_closed_form():
                                pt, {2: w2.weight_of(2), 4: w2.weight_of(4)},
                                lam)
     prob.validate(es)
+    # nan > residual is False: a NaN tolerance would pass any weights
+    with pytest.raises(ParseError):
+        prob.validate(es, tol=float("nan"))
     phi1, phi2 = solve_pair(prob, es)
     a, b = dense(phi1, 5), dense(phi2, 5)
     np.testing.assert_allclose(a[0], np.sqrt(0.5), atol=1e-12)

@@ -3,12 +3,13 @@ import pytest
 
 from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        EmptyRegion, InvalidRank, LambdaOutsideRegion,
-                       TooLarge, boundary_samples, brute_force_contains,
-                       build_region, construct_projector, contains,
-                       ingest_spectrum, interior_point, region_margin,
-                       subspectrum_margin)
+                       ParseError, TooLarge, boundary_samples,
+                       brute_force_contains, build_region,
+                       construct_projector, contains, ingest_spectrum,
+                       interior_point, region_margin, subspectrum_margin)
 
 from rankrange.region import chord_ends, chord_margins, chord_rule, successor
+from rankrange.svgout import render_region
 
 from clustered import clustered_phases
 
@@ -197,6 +198,39 @@ def test_interior_point_segment_region_empty():
     assert contains(region, 0j) == BOUNDARY
     assert brute_force_contains(es, 1, 0j) == BOUNDARY
     assert contains(region, 0.1 + 0.1j) == OUTSIDE
+
+
+@pytest.mark.parametrize("phases, k", [([0.0, np.pi], 1),
+                                       ([0.0, 0.0, np.pi, np.pi], 2)])
+def test_segment_region_is_sampled(phases, k):
+    # the region is the diameter [-1, 1]: its chords run along it, with
+    # margins of about +-1e-16 at its ends, which the two-point branch
+    # reads at MEMBERSHIP_TOL as contains does
+    es = ingest_spectrum(phases)
+    region = build_region(es, k)
+    assert contains(region, 0j) == BOUNDARY
+    assert brute_force_contains(es, k, 0j) == BOUNDARY
+    samples = boundary_samples(region, 9)
+    assert {samples[0], samples[-1]} == {-1 + 0j, 1 + 0j}
+    np.testing.assert_allclose(np.array(samples).imag, 0.0, atol=1e-15)
+    assert np.all(np.abs(np.diff(np.array(samples).real)) > 0.2)
+    text = render_region(region)
+    assert "polyline" in text and "empty region" not in text
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_bad_membership_tolerance_is_parse_error(tol):
+    # a NaN tolerance called the centre of the pentagon's region outside
+    region = pentagon_region()
+    assert contains(region, 0j) == INSIDE
+    with pytest.raises(ParseError, match="tol must be a finite number"):
+        contains(region, 0j, tol=tol)
+    oracle = BruteForceOracle(PENTAGON, 2)
+    assert oracle.verdict(0j) == INSIDE
+    with pytest.raises(ParseError, match="tol must be a finite number"):
+        oracle.verdict(0j, tol=tol)
+    with pytest.raises(ParseError, match="tol must be a finite number"):
+        brute_force_contains(PENTAGON, 2, 0j, tol=tol)
 
 
 def test_boundary_samples_pentagon_vertices():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankrange import (EigensolveFailed, EmptySpectrum, NotUnitary,
-                       canonical_phase, ingest_matrix, ingest_spectrum,
-                       reflect_labels)
+                       ParseError, canonical_phase, ingest_matrix,
+                       ingest_spectrum, reflect_labels)
 from rankrange.spectra import HERMITIAN_ROTATION
 
 
@@ -157,6 +157,14 @@ def test_lapack_failure_raises_eigensolve_failed(monkeypatch, solver):
 def test_not_unitary_rejected():
     with pytest.raises(NotUnitary):
         ingest_matrix(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_bad_unitarity_tolerance_is_parse_error(tol):
+    # nan > residual is False, so a NaN tolerance would pass this
+    # non-unitary matrix with phases [0, 0]
+    with pytest.raises(ParseError, match="tol must be a finite number"):
+        ingest_matrix(np.diag([2.0, 1.0]), tol=tol)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
