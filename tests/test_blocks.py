@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from rankrange import (NoSolution, blocks, build_region, decomposition,
                        ingest_spectrum, interior_point, isotropic_pair,
-                       pair_isotropy_residual, subspectrum_margin)
+                       pair_isotropy_residual, region_margin,
+                       subspectrum_margin)
 
 from clustered import clustered_phases
 
@@ -76,38 +77,42 @@ def test_block_property_wide(seed, clustered):
     assert pair_isotropy_residual(V, d) <= 1e-10
 
 
-def frame_solve_block():
-    """The shifted eigenvalues of the pair block of
-    ``test_decomposition.py::test_frame_solve_closes_pair_block``, whose
-    Newton chains miss the gate in both kernel orderings."""
-    es = ingest_spectrum(clustered_phases(44, 3, 8))
-    lam = -0.22069262232778145 + 0.6124527386670806j
-    pieces = decomposition._planned_pieces(decomposition.plan(es, 3, lam))
-    idx = [idx for kind, idx in pieces if kind == "block"]
-    assert len(idx) == 1
-    return es.eigenvalues()[np.array(idx[0]) - 1] - lam
+def first_tier_misses(monkeypatch, hard, residual):
+    """Patch the closed form so that on the block ``hard`` its residual
+    reads ``residual`` (inf: no frame formed), and count the frame solves
+    and their first seeds."""
+    calls = []
+    closed_chain, frame_solve = blocks._closed_chain, blocks.frame_solve
+
+    def missing(d, nu):
+        V, r = closed_chain(d, nu)
+        return V, np.where((d == hard).all(axis=1), residual, r)
+
+    def counted(d, k, seeds):
+        calls.append((d.copy(), seeds[0]))
+        return frame_solve(d, k, seeds)
+
+    monkeypatch.setattr(blocks, "_closed_chain", missing)
+    monkeypatch.setattr(blocks, "frame_solve", counted)
+    return calls
 
 
 def test_stacked_blocks_equal_blocks_alone(monkeypatch):
     # stacks of 1 to 4 blocks, each block == to it solved alone; one stack
-    # holds a block that needs the frame solve beside blocks that close by
-    # Newton, and only that block reaches it
-    calls = []
-    frame_solve = blocks.frame_solve
-
-    def counted(d, *args):
-        calls.append(d.copy())
-        return frame_solve(d, *args)
-
-    monkeypatch.setattr(blocks, "frame_solve", counted)
+    # holds a block on which the closed form is made to miss the gate
+    # beside blocks that close by it, and only that block reaches the frame
+    # solve, seeded first by its closed-form frame
     rng = np.random.default_rng(19)
     plain = []
-    for _ in range(12):
+    for _ in range(13):
         es, lam = feasible_instance(rng)
         plain.append(es.eigenvalues() - lam)
+    hard = plain[12]
+    closed = isotropic_pair(hard)
+    calls = first_tier_misses(monkeypatch, hard,
+                              2 * blocks.BLOCK_RESIDUAL_GATE)
     stacks = [np.array(plain[i:i + size])
               for i, size in ((0, 1), (1, 2), (3, 3), (6, 4))]
-    hard = frame_solve_block()
     stacks.append(np.array([plain[10], hard, plain[11]]))
     for stack in stacks:
         alone = [isotropic_pair(d) for d in stack]
@@ -117,9 +122,9 @@ def test_stacked_blocks_equal_blocks_alone(monkeypatch):
         for V, d in zip(alone, stack):
             assert pair_isotropy_residual(V, d) <= blocks.BLOCK_RESIDUAL_GATE
         assert np.array_equal(got, np.array(alone))
-        assert len(calls) == any(d is hard or np.array_equal(d, hard)
-                                 for d in stack)
-    assert np.array_equal(calls[0], hard)
+        assert len(calls) == any(np.array_equal(d, hard) for d in stack)
+    assert np.array_equal(calls[0][0], hard)
+    assert np.array_equal(calls[0][1], closed)
     # the stacked residual is each frame's own
     V = isotropic_pair(stacks[3])
     assert pair_isotropy_residual(V, stacks[3]).tolist() == \
@@ -144,156 +149,188 @@ def test_frame_solve_closes_seven_point_seed():
     assert V is not None and pair_isotropy_residual(V, d) <= 1e-10
 
 
-# --- the analytic-Jacobian Newton ------------------------------------------
-
-def fd_balance(nu, b1, b2, t):
-    kap = b1 + t * b2
-    scale = np.abs(kap).sum()
-    if scale == 0.0:
-        return complex(np.inf)
-    return complex((nu * np.abs(kap)).sum() / scale)
 
 
-def fd_newton_root(nu, b1, b2, t0):
-    """The damped Newton as it stood with a central-difference Jacobian
-    (step 1e-7, four extra balance calls per step)."""
-    t = t0
-    f = fd_balance(nu, b1, b2, t)
-    h = 1e-7
-    for _ in range(blocks.NEWTON_ITERS):
+def test_seven_point_support_goes_to_frame_solve(monkeypatch):
+    # the closed form is for five points; a wider support goes straight to
+    # the frame solve, from its fixed seeds, and its polish closes it
+    seen = {"polish": 0, "frame_solve": 0}
+    polish, frame_solve = blocks._polish, blocks.frame_solve
+
+    def counted_polish(*args):
+        seen["polish"] += 1
+        return polish(*args)
+
+    def counted_frame_solve(*args):
+        seen["frame_solve"] += 1
+        return frame_solve(*args)
+
+    monkeypatch.setattr(blocks, "_polish", counted_polish)
+    monkeypatch.setattr(blocks, "frame_solve", counted_frame_solve)
+    d = np.exp(2j * np.pi * np.arange(7) / 7)
+    V = isotropic_pair(d)
+    assert V.shape == (7, 2)
+    assert pair_isotropy_residual(V, d) <= blocks.BLOCK_RESIDUAL_GATE
+    assert seen["frame_solve"] == 1 and seen["polish"] >= 1
+
+
+
+def test_points_on_one_line_go_to_frame_solve(monkeypatch):
+    # eigenvalues 1 (three times) and -1 (twice) about the target 0: the
+    # points nu lie on one line through 0, the closed form's system is
+    # singular and forms no frame, and the frame solve closes the block;
+    # beside it in a stack, a block that the closed form closes is == to
+    # that block solved alone
+    calls = []
+    frame_solve = blocks.frame_solve
+
+    def counted(d, k, seeds):
+        calls.append(d.copy())
+        return frame_solve(d, k, seeds)
+
+    monkeypatch.setattr(blocks, "frame_solve", counted)
+    line = np.array([1, 1, 1, -1, -1], dtype=complex)
+    V, r = blocks._closed_chain(line[None], line[None])
+    assert r[0] == np.inf
+    good = np.exp(2j * np.pi * (np.arange(5) + [0, 0.1, -0.1, 0.2, 0]) / 5)
+    stack = np.array([good, line])
+    V = isotropic_pair(stack)
+    assert len(calls) == 1 and np.array_equal(calls[0], line)
+    assert (pair_isotropy_residual(V, stack)
+            <= blocks.BLOCK_RESIDUAL_GATE).all()
+    assert np.array_equal(V[0], isotropic_pair(good))
+
+# --- the closed form --------------------------------------------------------
+
+def scan_targets(es, k):
+    """The rate-of-use scan's targets: from the Chebyshev centre along 8
+    directions, the boundary found by 60 bisection steps on region_margin,
+    the points at 0.5, 0.9 and 0.99 of that distance whose margin exceeds
+    1e-9."""
+    region = build_region(es, k)
+    c = interior_point(region)
+    out = []
+    for u in np.exp(2j * np.pi * np.arange(8) / 8):
+        lo, hi = 0.0, 2.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if region_margin(region, c + mid * u) > 0:
+                lo = mid
+            else:
+                hi = mid
+        out += [complex(c + s * lo * u) for s in (0.5, 0.9, 0.99)
+                if region_margin(region, c + s * lo * u) > 1e-9]
+    return out
+
+
+def clustered_blocks(sizes, kinds, seeds):
+    """The distinct pair blocks (shifted eigenvalues, (B, 5)) that the
+    planned and block-first rungs propose for the scan's targets on its
+    clustered spectra ``clustered_phases([seed, n, kind], 3 + kind, n)``:
+    a seeded slice of the scan, with no solve run to find them."""
+    out = []
+    for n, k in sizes:
+        for kind in kinds:
+            for seed in seeds:
+                es = ingest_spectrum(clustered_phases([seed, n, kind],
+                                                      3 + kind, n))
+                for lam in scan_targets(es, k):
+                    pieces = decomposition._planned_pieces(
+                        decomposition.plan(es, k, lam))
+                    if not decomposition._blocks_feasible(es, pieces, lam):
+                        pieces = []
+                    pieces += decomposition._blockwise_pieces(es, k, lam) \
+                        or []
+                    out += [es.mu[np.array(idx) - 1] - lam
+                            for kind_, idx in pieces if kind_ == "block"]
+    return np.unique(np.array(out), axis=0)
+
+
+def test_clustered_blocks_close_without_frame_solve(monkeypatch):
+    # clusters of width 1e-4 at (8,3) and (11,4): the grid-seeded Newton
+    # that came before the closed form missed the gate on 39 of these
+    # blocks in both kernel orderings; the closed form closes every one
+    def no_frame_solve(*args):
+        raise AssertionError("the frame solve was reached")
+
+    monkeypatch.setattr(blocks, "frame_solve", no_frame_solve)
+    D = clustered_blocks([(8, 3), (11, 4)], (1, 2), (0, 1))
+    assert len(D) >= 250
+    V = isotropic_pair(D)
+    assert pair_isotropy_residual(V, D).max() <= 1e-14
+
+
+def test_closed_form_solves_the_balance():
+    # |kappa| solves sum_m nu_m |kappa_m| = 0, and kappa lies in the
+    # complex kernel of [Re nu; Im nu; 1], to rounding; s is |kappa|
+    rng = np.random.default_rng(25)
+    D = np.array([es.eigenvalues() - lam for es, lam in
+                  (feasible_instance(rng) for _ in range(100))])
+    D = np.concatenate([D, clustered_blocks([(8, 3)], (1, 2), (0,))])
+    nu = D / np.abs(D)
+    s, kap, ok = blocks._closed_form(nu)
+    assert ok.all()
+    scale = np.abs(kap).sum(axis=1)
+    assert (np.abs((nu * np.abs(kap)).sum(axis=1)) <= 1e-14 * scale).all()
+    for row in (nu.real, nu.imag, np.ones(nu.shape)):
+        assert (np.abs((row * kap).sum(axis=1)) <= 1e-14 * scale).all()
+    assert (np.abs(np.abs(kap) - s).max(axis=1) <= 1e-14 * scale).all()
+
+
+def reference_newton_frame(d):
+    """The first tier before the closed form, kept as a reference: with
+    b1, b2 the last two right singular vectors of [Re nu; Im nu; 1], the
+    least point t of a 48 x 48 grid on [-6, 6]^2 of the balance f(t) =
+    sum nu_m |kappa_m| / sum |kappa_m|, kappa = b1 + t b2, a damped
+    Newton from there (central differences, at most 60 steps), and the
+    rows and QR of that kappa. Returns the frame and its residual."""
+    nu = d / np.abs(d)
+    _, _, vt = np.linalg.svd(np.array([nu.real, nu.imag, np.ones(5)]))
+    b1, b2 = vt[3], vt[4]
+
+    def balance(t):
+        mags = np.abs(b1 + np.multiply.outer(t, b2))
+        return (mags * nu).sum(axis=-1) / mags.sum(axis=-1)
+
+    xs = np.linspace(-6.0, 6.0, 48)
+    grid = (xs[:, None] + 1j * xs[None, :]).ravel()
+    t = grid[np.argmin(np.abs(balance(grid)))]
+    f, h = balance(t), 1e-7
+    for _ in range(60):
         if abs(f) < 1e-16:
             break
-        fx = (fd_balance(nu, b1, b2, t + h)
-              - fd_balance(nu, b1, b2, t - h)) / (2 * h)
-        fy = (fd_balance(nu, b1, b2, t + 1j * h)
-              - fd_balance(nu, b1, b2, t - 1j * h)) / (2 * h)
+        fx = (balance(t + h) - balance(t - h)) / (2 * h)
+        fy = (balance(t + 1j * h) - balance(t - 1j * h)) / (2 * h)
         J = np.array([[fx.real, fy.real], [fx.imag, fy.imag]])
         try:
             step = np.linalg.solve(J, [-f.real, -f.imag])
         except np.linalg.LinAlgError:
             break
-        scale = 1.0
-        for _ in range(30):
-            cand = t + scale * (step[0] + 1j * step[1])
-            fc = fd_balance(nu, b1, b2, cand)
+        for scale in 0.5 ** np.arange(30):
+            fc = balance(t + scale * (step[0] + 1j * step[1]))
             if abs(fc) < abs(f):
-                t, f = cand, fc
+                t, f = t + scale * (step[0] + 1j * step[1]), fc
                 break
-            scale *= 0.5
         else:
             break
-    return t
+    kap = b1 + t * b2
+    h = 2 * np.abs(kap) / np.abs(kap).sum()
+    phi = np.angle(kap) / 2
+    rows = np.sqrt(h)[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    V, _ = np.linalg.qr(rows / np.sqrt(np.abs(d))[:, None])
+    return V, pair_isotropy_residual(V, d)
 
 
-def newton_pairs(width, count, seed):
-    """(finite-difference root, analytic root, both balances) for both
-    kernel orderings of ``count`` blocks: uniform phases (width None) or
-    2 to 4 clusters of ``width``, each at the Chebyshev centre of its
-    rank-2 region."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(count):
-        if width is None:
-            phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
-        else:
-            phases = clustered_phases([seed, i], 2 + i % 3, 5, width)
-        es = ingest_spectrum(phases)
-        lam = interior_point(build_region(es, 2))
-        if lam is None or subspectrum_margin(es, 2, lam, np.arange(5)) < 1e-12:
-            continue
+def test_closed_form_matches_newton_reference():
+    # where the grid-seeded Newton closes a block, the closed form finds
+    # the same root: the same frame, to rounding
+    rng = np.random.default_rng(7)
+    closed = 0
+    for _ in range(150):
+        es, lam = feasible_instance(rng)
         d = es.eigenvalues() - lam
-        nu = d / np.abs(d)
-        basis = blocks._kernel_basis(nu)
-        for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-            t0 = grid_root(nu, b1, b2)
-            old = fd_newton_root(nu, b1, b2, t0)
-            new = blocks._newton_root(nu, b1, b2, t0)
-            out.append((old, new, abs(fd_balance(nu, b1, b2, old)),
-                        abs(fd_balance(nu, b1, b2, new))))
-    return out
-
-
-def test_newton_root_matches_finite_differences():
-    # a root is where the balance reaches rounding level; both versions
-    # reach one from the same grid seeds, and it is the same root. Where
-    # neither does (clustered blocks whose ordering has no root), the
-    # isotropic_pair gate rejects either end point
-    roots = 0
-    for width in (None, 1e-1, 1e-2, 1e-3):
-        for old, new, f_old, f_new in newton_pairs(width, 40, 7):
-            assert (f_old < 1e-15) == (f_new < 1e-15), (width, old, new)
-            if f_old < 1e-15:
-                roots += 1
-                assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), width
-    assert roots >= 200
-
-
-def test_newton_converges_with_finite_differences_on_tight_clusters():
-    # at width 1e-4 the balance is flat near its root (|f'| ~ 1e-5), so
-    # rounding moves either root by up to ~5e-12; both still converge on
-    # the same blocks
-    pairs = newton_pairs(1e-4, 40, 8)
-    assert sum(f < 1e-15 for _, _, f, _ in pairs) >= 10
-    for old, new, f_old, f_new in pairs:
-        assert (f_old < 1e-15) == (f_new < 1e-15), (old, new)
-        if f_old < 1e-15:
-            assert abs(new - old) <= 1e-9 * max(1.0, abs(old))
-
-
-def grid_root(nu, b1, b2):
-    """``blocks._grid_root`` of one block, as a stack of one."""
-    return complex(blocks._grid_root(nu[None], b1[None], b2[None])[0])
-
-
-def reference_grid_root(nu, b1, b2):
-    """_grid_root as it stood, on the whole mirrored grid: the grid rebuilt
-    as a complex meshgrid on every call, and |kappa| taken twice."""
-    xs = blocks._GRID_XS
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    T = X + 1j * Y
-    kap = b1[:, None, None] + T[None, :, :] * b2[:, None, None]
-    scale = np.abs(kap).sum(axis=0)
-    vals = np.abs((nu[:, None, None] * np.abs(kap)).sum(axis=0)) / scale
-    idx = np.unravel_index(np.argmin(vals), vals.shape)
-    return complex(T[idx])
-
-
-def test_grid_is_mirrored():
-    xs = blocks._GRID_XS
-    assert xs.size == blocks.GRID and xs[0] == -blocks.SPAN
-    assert np.array_equal(xs, -xs[::-1])
-    assert np.abs(xs - np.linspace(-blocks.SPAN, blocks.SPAN,
-                                   blocks.GRID)).max() <= 2e-15
-
-
-def test_grid_root_matches_reference():
-    # uniform blocks and clusters of width 1e-1 to 1e-6, both kernel
-    # orderings, each at the Chebyshev centre of its rank-2 region (or the
-    # eigenvalues' mean when the region has none): the half grid finds the
-    # whole grid's point; a stack of all of them finds each one's
-    rng = np.random.default_rng(15)
-    count = 0
-    stack = []
-    for width in (None, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        for i in range(40):
-            if width is None:
-                phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
-            else:
-                phases = clustered_phases([15, i], 2 + i % 3, 5, width)
-            es = ingest_spectrum(phases)
-            lam = interior_point(build_region(es, 2))
-            if lam is None:
-                lam = complex(es.eigenvalues().mean())
-            d = es.eigenvalues() - lam
-            if np.abs(d).min() < 1e-14:
-                continue
-            nu = d / np.abs(d)
-            basis = blocks._kernel_basis(nu)
-            for b1, b2 in ((basis[-2], basis[-1]), (basis[-1], basis[-2])):
-                want = reference_grid_root(nu, b1, b2)
-                assert grid_root(nu, b1, b2) == want, (width, i)
-                stack.append((nu, b1, b2, want))
-                count += 1
-    assert count >= 500
-    nu, b1, b2, want = map(np.array, zip(*stack))
-    assert blocks._grid_root(nu, b1, b2).tolist() == want.tolist()
+        want, r = reference_newton_frame(d)
+        if r <= blocks.BLOCK_RESIDUAL_GATE:
+            closed += 1
+            assert np.abs(isotropic_pair(d) - want).max() <= 1e-12
+    assert closed >= 140

@@ -1020,7 +1020,7 @@ def test_triangle_kernel_falls_back_per_row():
 
 
 # ---------------------------------------------------------------------------
-# the fallback rungs, each reached on a clustered spectrum
+# the fallback rungs, each reached when the closed form is made to miss
 
 
 def _three_clusters():
@@ -1049,8 +1049,24 @@ def _count_rungs(monkeypatch):
     return seen
 
 
+def _first_tier_misses(monkeypatch, residual):
+    """Make every closed-form frame read ``residual`` (inf: none formed),
+    so that each pair block goes on to the frame solve."""
+    closed_chain = blocks._closed_chain
+
+    def missing(d, nu):
+        V, r = closed_chain(d, nu)
+        return V, np.full_like(r, residual)
+
+    monkeypatch.setattr(blocks, "_closed_chain", missing)
+
+
 def test_polish_closes_pair_block(monkeypatch):
+    # the closed form closes this block; made to read just above the gate,
+    # its frame is the frame solve's first seed, and one polish of it
+    # closes the block
     seen = _count_rungs(monkeypatch)
+    _first_tier_misses(monkeypatch, 2 * blocks.BLOCK_RESIDUAL_GATE)
     es = _three_clusters()
     lam = -0.911163544 - 0.32391731j
     proj = construct_projector(es, 3, lam)
@@ -1059,16 +1075,16 @@ def test_polish_closes_pair_block(monkeypatch):
 
 
 def test_frame_solve_closes_pair_block(monkeypatch):
-    seen = _count_rungs(monkeypatch)
     # three clusters of width ~1e-4; the target is 0.9 of the way from the
-    # region's Chebyshev centre to its boundary, in the +imaginary direction
+    # region's Chebyshev centre to its boundary, in the +imaginary
+    # direction. With no closed-form frame formed, the frame solve starts
+    # from its fixed seeds and closes the planned block
+    seen = _count_rungs(monkeypatch)
+    _first_tier_misses(monkeypatch, np.inf)
     es = ingest_spectrum(clustered_phases(44, 3, 8))
     lam = -0.22069262232778145 + 0.6124527386670806j
     proj = construct_projector(es, 3, lam)
     assert proj.strategy == "planned"
-    # Newton misses, the polish of the best Newton frame fails, and a later
-    # seed of isotropic_pair's own frame_solve closes the block
-    assert seen["polish"][0] is False
     assert seen["frame_solve"] == [True]
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 

@@ -12,6 +12,11 @@ On a clustered (58,20) target and an equally spaced (88,30) one, every
 rung of the construction misses. A least-squares rung once spent 13 s to
 38 s there before ``NoSolution``; with that rung gone, a miss must end in
 ``NoSolution`` within 2 s.
+
+Two clustered (8,3) targets and one clustered (11,4) target once spent
+4 s to 9 s in failed pair solves, the (8,3) ones before ``NoSolution``;
+the closed-form pair solve closes their blocks, and each must now give a
+witness that verifies within 2 s.
 """
 
 import dataclasses
@@ -118,3 +123,20 @@ def test_missed_target_ends_in_no_solution_at_once(phases, k, lam):
     with deadline(2.0):
         with pytest.raises(NoSolution):
             construct_projector(es, k, lam)
+
+
+@pytest.mark.parametrize("phases, k, lam", [
+    (clustered_phases([0, 8, 1], 4, 8), 3,
+     0.6509080611338536 + 0.5969822708560122j),
+    (clustered_phases([0, 8, 1], 4, 8), 3,
+     0.6508978340523239 + 0.5971189096968988j),
+    (clustered_phases([0, 11, 1], 4, 11), 4, -0.81224873 + 0.48334029j),
+], ids=["8-3-clustered-a", "8-3-clustered-b", "11-4-clustered"])
+def test_clustered_target_is_witness_at_once(phases, k, lam):
+    """Clustered targets whose pair blocks Newton missed: the closed form
+    closes them, and the witness verifies within 2 s."""
+    es = ingest_spectrum(phases)
+    assert contains(build_region(es, k), lam) == INSIDE
+    with deadline(2.0):
+        proj = construct_projector(es, k, lam)
+        assert verify_projector(proj.matrix, es.matrix, lam, k).passed
