@@ -26,19 +26,25 @@ Re(c c^H) >= 0. Scaled so that s = e + y1 b1 + y2 b2, the square s^2 is
 e^2 + 2 y1 e b1 + 2 y2 e b2 plus a term in span{b1^2, b1 b2, b2^2}, so the
 balance is linear in (y1, y2) and the three entries of Q less that term:
 one 5 x 5 solve, whose root is unique. A real-row frame exists when that
-s is nonnegative and Q is positive semidefinite; any other block misses
-the residual gate and goes on to a least-squares frame solve.
+s is nonnegative and Q is positive semidefinite.
+
+The system is singular, or nearly so, when the five points lie on one
+line through 0. A real diagonal form has a 2-dimensional isotropic
+subspace only when it has at least two entries of each sign, and then the
+two-segment frame solves it: each column joins one point on each side of
+0, and the two columns share no point. So the ladder is the closed form,
+then the two-segment frame, then NoSolution, with no seeds and no
+iteration; a support of other than five points is NoSolution at once.
 
 ``isotropic_pair`` takes one block or a stack of them. The stack shares one
 kernel SVD, one 5 x 5 solve, one map from kappa to rows, one QR and one
-residual; a block that misses the gate goes on alone to the frame solve.
-Each block of a stack is ``==`` to that block solved alone.
+residual; the blocks that miss the gate share one two-segment step. Each
+block of a stack is ``==`` to that block solved alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NoSolution
 
@@ -85,8 +91,11 @@ def _closed_form(nu):
     rows = np.stack([nu.real, nu.imag, np.ones(nu.shape)], axis=-2)
     _, _, vt = np.linalg.svd(rows)
     R, b1, b2 = vt[:, :3], vt[:, 3], vt[:, 4]
-    proj = R @ np.stack([nu.real, nu.imag], axis=-1)
-    e = (np.cross(proj[..., 0], proj[..., 1])[:, None] @ R)[:, 0]
+    (u0, u1, u2), (v0, v1, v2) = (R @ np.stack([nu.real, nu.imag],
+                                               axis=-1)).T
+    c = np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
+                 axis=-1)
+    e = (c[:, None] @ R)[:, 0]
     e *= np.sign(e.sum(axis=-1, keepdims=True))
     A = np.stack([2 * e * b1, 2 * e * b2, -b1 * b1, -b1 * b2, -b2 * b2],
                  axis=-1)
@@ -122,96 +131,60 @@ def _closed_chain(d, nu):
     return V, np.where(ok, pair_isotropy_residual(V, d), np.inf)
 
 
-def isotropic_pair(d: np.ndarray):
-    """Two orthonormal vectors V (n x 2) with conj(V)^T diag(d) V = 0, or
-    one such V per block of a stack d (B, n), as V (B, n, 2).
+def _two_segment(d, nu):
+    """The two-segment frame of each stacked five-point block (B, 5) whose
+    points lie on one line through 0, and its residuals: the blocks the
+    closed form cannot solve, as its system is singular there.
 
-    ``d`` holds the shifted eigenvalues (mu_m - lambda) of the block's
-    support; feasibility requires 0 inside the rank-2 region of the
-    normalized points. Deterministic: a five-point block takes the closed
-    form of ``_closed_chain``, the whole stack at once. A block whose
-    closed form misses the residual gate goes on alone to a frame solve
-    whose first seed is that closed-form frame when one was formed, as
-    does every block of a support of more than five points; NoSolution
-    when that fails too, for any block of the stack. The caller checks
-    feasibility: this solve does not score the block's margin.
+    With theta = arg(sum nu^2) / 2 the direction of the line and x the real
+    coordinate of d along it, column c joins the c-th most positive index p
+    and the c-th most negative index q as sqrt(a) e_p + sqrt(1 - a) e_q,
+    a = -x_q / (x_p - x_q), whose compression a x_p + (1 - a) x_q is 0.
+    The columns have disjoint supports, so they are orthonormal and their
+    cross term is 0. Such a frame exists only when two entries of x are
+    positive and two negative; a block of any other shape, or off the line,
+    keeps a residual above the gate."""
+    theta = np.angle((nu * nu).sum(axis=-1, keepdims=True)) / 2.0
+    x = (d * np.exp(-1j * theta)).real
+    order = np.argsort(x, axis=-1, kind="stable")
+    p, q = order[:, :-3:-1], order[:, :2]
+    xp, xq = np.take_along_axis(x, p, -1), np.take_along_axis(x, q, -1)
+    a = np.clip(np.divide(-xq, xp - xq, out=np.zeros_like(xq),
+                          where=xp > xq), 0.0, 1.0)
+    V = np.zeros(d.shape + (2,))
+    rows, cols = np.arange(len(d))[:, None], np.arange(2)
+    V[rows, p, cols] = np.sqrt(a)
+    V[rows, q, cols] = np.sqrt(1.0 - a)
+    return V, pair_isotropy_residual(V, d)
+
+
+def isotropic_pair(d: np.ndarray):
+    """Two orthonormal vectors V (5 x 2) with conj(V)^T diag(d) V = 0, or
+    one such V per block of a stack d (B, 5), as V (B, 5, 2).
+
+    ``d`` holds the shifted eigenvalues (mu_m - lambda) of the block's five
+    support points; feasibility requires 0 inside the rank-2 region of the
+    normalized points. Deterministic, with no seeds and no iteration: every
+    block takes the closed form of ``_closed_chain``, the whole stack at
+    once, and a block whose closed form misses the residual gate or forms
+    no frame takes the two-segment frame of ``_two_segment``; NoSolution
+    when that misses too, for any block of the stack, and for a support of
+    other than five points. The caller checks feasibility: this solve does
+    not score the block's margin.
     """
     d = np.asarray(d, dtype=complex)
     stack = d.reshape(-1, d.shape[-1])
-    if stack.shape[1] < 5:
-        raise NoSolution(f"pair block needs at least 5 support points, "
+    if stack.shape[1] != 5:
+        raise NoSolution(f"pair block needs 5 support points, "
                          f"got {stack.shape[1]}")
     if np.abs(stack).min() < 1e-14:
         raise NoSolution("target coincides with an eigenvalue in the block")
-    if stack.shape[1] == 5:
-        V, r = _closed_chain(stack, stack / np.abs(stack))
-    else:
-        V = np.zeros(stack.shape + (2,))
-        r = np.full(stack.shape[0], np.inf)
-    for i in np.flatnonzero(~(r <= BLOCK_RESIDUAL_GATE)):
-        lone = _lone_block(stack[i], V[i], r[i])
-        # a frame solve returns a complex frame; the closed form's are real
-        V = V.astype(np.result_type(V, lone), copy=False)
-        V[i] = lone
+    nu = stack / np.abs(stack)
+    V, r = _closed_chain(stack, nu)
+    miss = np.flatnonzero(~(r <= BLOCK_RESIDUAL_GATE))
+    if miss.size:
+        V[miss], r[miss] = _two_segment(stack[miss], nu[miss])
+        if not (r[miss] <= BLOCK_RESIDUAL_GATE).all():
+            raise NoSolution(f"block pair residual stuck at "
+                             f"{r[miss].max():.2e}")
     return V if d.ndim == 2 else V[0]
-
-
-def _lone_block(d, V, r):
-    """The frame solve of one block whose closed-form frame V (residual r,
-    inf when none was formed) missed the gate."""
-    # the complex frame solve polishes the closed-form frame first and then
-    # fixed seeds
-    rng = np.random.default_rng(0x5eed)
-    seeds = [] if r == np.inf else [V]
-    for _ in range(8):
-        W = rng.standard_normal((d.size, 2)) \
-            + 1j * rng.standard_normal((d.size, 2))
-        q, _ = np.linalg.qr(W)
-        seeds.append(q)
-    V = frame_solve(d, 2, seeds)
-    if V is not None:
-        return V
-    raise NoSolution(f"block pair residual stuck at {r:.2e}")
-
-
-def _ortho_columns(W: np.ndarray) -> np.ndarray:
-    """Map an unconstrained matrix to an isometry via the polar factor."""
-    u, _, vh = np.linalg.svd(W, full_matrices=False)
-    return u @ vh
-
-
-def _polish(V0: np.ndarray, d: np.ndarray):
-    """Least-squares refinement of an isotropic frame seeded at V0."""
-    n, k = V0.shape
-
-    def unpack(x):
-        return (x[:n * k] + 1j * x[n * k:]).reshape(n, k)
-
-    def residuals(x):
-        V = _ortho_columns(unpack(x))
-        C = V.conj().T @ (d[:, None] * V)
-        return np.concatenate([C.real.ravel(), C.imag.ravel()])
-
-    x0 = np.concatenate([V0.real.ravel(), V0.imag.ravel()])
-    sol = scipy.optimize.least_squares(residuals, x0, method="trf",
-                                       xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                                       max_nfev=400)
-    V = _ortho_columns(unpack(sol.x))
-    if pair_isotropy_residual(V, d) <= BLOCK_RESIDUAL_GATE:
-        return V
-    return None
-
-
-def frame_solve(d: np.ndarray, k: int, seeds):
-    """The pair block's fallback: a joint solve for k isotropic columns
-    over all of d, which ``isotropic_pair`` runs when the closed form
-    misses or the support has more than five points.
-
-    Runs the least-squares polish from each seed (n x k isometries) in
-    order and returns the first frame under the gate; None if all fail.
-    """
-    for V0 in seeds:
-        V = _polish(np.asarray(V0, dtype=complex), d)
-        if V is not None:
-            return V
-    return None

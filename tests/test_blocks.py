@@ -9,6 +9,7 @@ from rankrange import (NoSolution, blocks, build_region, decomposition,
                        subspectrum_margin)
 
 from clustered import clustered_phases
+from deadline import deadline
 
 
 def feasible_instance(rng):
@@ -51,8 +52,11 @@ def test_block_rejects_eigenvalue_target():
 
 
 def test_block_needs_five_points():
-    with pytest.raises(NoSolution):
-        isotropic_pair(np.array([1.0, -1.0, 1j, -1j]))
+    # four points, and seven, which the closed form does not take
+    for d in (np.array([1.0, -1.0, 1j, -1j]),
+              np.exp(2j * np.pi * np.arange(7) / 7)):
+        with pytest.raises(NoSolution):
+            isotropic_pair(d)
 
 
 @settings(max_examples=120, deadline=None)
@@ -77,40 +81,56 @@ def test_block_property_wide(seed, clustered):
     assert pair_isotropy_residual(V, d) <= 1e-10
 
 
-def first_tier_misses(monkeypatch, hard, residual):
-    """Patch the closed form so that on the block ``hard`` its residual
-    reads ``residual`` (inf: no frame formed), and count the frame solves
-    and their first seeds."""
+def counted_two_segment(monkeypatch):
+    """Record the blocks (B, 5) of each call of the two-segment step."""
     calls = []
-    closed_chain, frame_solve = blocks._closed_chain, blocks.frame_solve
+    two_segment = blocks._two_segment
 
-    def missing(d, nu):
-        V, r = closed_chain(d, nu)
-        return V, np.where((d == hard).all(axis=1), residual, r)
+    def counted(d, nu):
+        calls.append(d.copy())
+        return two_segment(d, nu)
 
-    def counted(d, k, seeds):
-        calls.append((d.copy(), seeds[0]))
-        return frame_solve(d, k, seeds)
-
-    monkeypatch.setattr(blocks, "_closed_chain", missing)
-    monkeypatch.setattr(blocks, "frame_solve", counted)
+    monkeypatch.setattr(blocks, "_two_segment", counted)
     return calls
+
+
+def collinear_blocks(seed, w, count):
+    """Shifted eigenvalues (B, 5) of blocks whose five points lie near the
+    two ends of a chord through the target, three at one end and two at the
+    other, their phases jittered by w; kept when the target lies in their
+    closed rank-2 region, as the block-first rung keeps a block."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        lam = 0.8 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        u = np.exp(2j * np.pi * rng.uniform())
+        # lam + t u lies on the unit circle at the roots t of
+        # t^2 + 2 b t + |lam|^2 - 1
+        b = (np.conj(u) * lam).real
+        root = np.sqrt(b * b + 1 - abs(lam) ** 2)
+        ends = np.angle(lam + (-b + np.array([root, -root])) * u)
+        phases = np.repeat(ends, [3, 2]) + w * rng.standard_normal(5)
+        es = ingest_spectrum(np.sort(np.mod(phases, 2 * np.pi)))
+        if subspectrum_margin(es, 2, lam, np.arange(5)) >= \
+                decomposition.BLOCK_FLOOR:
+            out.append(es.eigenvalues() - lam)
+    return np.array(out)
 
 
 def test_stacked_blocks_equal_blocks_alone(monkeypatch):
     # stacks of 1 to 4 blocks, each block == to it solved alone; one stack
-    # holds a block on which the closed form is made to miss the gate
-    # beside blocks that close by it, and only that block reaches the frame
-    # solve, seeded first by its closed-form frame
+    # holds a nearly collinear block, on which the closed form misses the
+    # gate, beside blocks that close by it, and only that block takes the
+    # two-segment frame
     rng = np.random.default_rng(19)
     plain = []
-    for _ in range(13):
+    for _ in range(12):
         es, lam = feasible_instance(rng)
         plain.append(es.eigenvalues() - lam)
-    hard = plain[12]
-    closed = isotropic_pair(hard)
-    calls = first_tier_misses(monkeypatch, hard,
-                              2 * blocks.BLOCK_RESIDUAL_GATE)
+    D = collinear_blocks(26, 1e-14, 300)
+    _, r = blocks._closed_chain(D, D / np.abs(D))
+    hard = D[np.flatnonzero(r > blocks.BLOCK_RESIDUAL_GATE)[0]]
+    calls = counted_two_segment(monkeypatch)
     stacks = [np.array(plain[i:i + size])
               for i, size in ((0, 1), (1, 2), (3, 3), (6, 4))]
     stacks.append(np.array([plain[10], hard, plain[11]]))
@@ -122,9 +142,10 @@ def test_stacked_blocks_equal_blocks_alone(monkeypatch):
         for V, d in zip(alone, stack):
             assert pair_isotropy_residual(V, d) <= blocks.BLOCK_RESIDUAL_GATE
         assert np.array_equal(got, np.array(alone))
-        assert len(calls) == any(np.array_equal(d, hard) for d in stack)
-    assert np.array_equal(calls[0][0], hard)
-    assert np.array_equal(calls[0][1], closed)
+        if any(np.array_equal(d, hard) for d in stack):
+            assert len(calls) == 1 and np.array_equal(calls[0], hard[None])
+        else:
+            assert calls == []
     # the stacked residual is each frame's own
     V = isotropic_pair(stacks[3])
     assert pair_isotropy_residual(V, stacks[3]).tolist() == \
@@ -138,67 +159,55 @@ def test_stack_with_coincident_eigenvalue_raises():
         isotropic_pair(np.array([es.eigenvalues() - 0.1j, d]))
 
 
-def test_frame_solve_closes_seven_point_seed():
-    d = np.exp(2j * np.pi * np.arange(7) / 7)
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.standard_normal((7, 2))
-                        + 1j * rng.standard_normal((7, 2)))
-    # the seed closes after about 65 function evaluations and 28 Jacobians
-    # of 2 * 7 * 2 = 28 columns each
-    V = blocks.frame_solve(d, 2, [q])
-    assert V is not None and pair_isotropy_residual(V, d) <= 1e-10
-
-
-
-
-def test_seven_point_support_goes_to_frame_solve(monkeypatch):
-    # the closed form is for five points; a wider support goes straight to
-    # the frame solve, from its fixed seeds, and its polish closes it
-    seen = {"polish": 0, "frame_solve": 0}
-    polish, frame_solve = blocks._polish, blocks.frame_solve
-
-    def counted_polish(*args):
-        seen["polish"] += 1
-        return polish(*args)
-
-    def counted_frame_solve(*args):
-        seen["frame_solve"] += 1
-        return frame_solve(*args)
-
-    monkeypatch.setattr(blocks, "_polish", counted_polish)
-    monkeypatch.setattr(blocks, "frame_solve", counted_frame_solve)
-    d = np.exp(2j * np.pi * np.arange(7) / 7)
-    V = isotropic_pair(d)
-    assert V.shape == (7, 2)
-    assert pair_isotropy_residual(V, d) <= blocks.BLOCK_RESIDUAL_GATE
-    assert seen["frame_solve"] == 1 and seen["polish"] >= 1
-
-
-
-def test_points_on_one_line_go_to_frame_solve(monkeypatch):
-    # eigenvalues 1 (three times) and -1 (twice) about the target 0: the
-    # points nu lie on one line through 0, the closed form's system is
-    # singular and forms no frame, and the frame solve closes the block;
-    # beside it in a stack, a block that the closed form closes is == to
-    # that block solved alone
-    calls = []
-    frame_solve = blocks.frame_solve
-
-    def counted(d, k, seeds):
-        calls.append(d.copy())
-        return frame_solve(d, k, seeds)
-
-    monkeypatch.setattr(blocks, "frame_solve", counted)
-    line = np.array([1, 1, 1, -1, -1], dtype=complex)
-    V, r = blocks._closed_chain(line[None], line[None])
-    assert r[0] == np.inf
+def test_points_on_one_line_take_two_segment_frame(monkeypatch):
+    # eigenvalues 1 (three times) and -1 (twice) about the target 0, turned
+    # by a few angles: the points nu lie on one line through 0, so the
+    # closed form's system is singular (unturned, it forms no frame) or
+    # nearly so, and the two-segment frame closes the block; beside it in
+    # a stack, only that block takes it, and each block is == to that
+    # block solved alone
+    calls = counted_two_segment(monkeypatch)
     good = np.exp(2j * np.pi * (np.arange(5) + [0, 0.1, -0.1, 0.2, 0]) / 5)
-    stack = np.array([good, line])
-    V = isotropic_pair(stack)
-    assert len(calls) == 1 and np.array_equal(calls[0], line)
-    assert (pair_isotropy_residual(V, stack)
-            <= blocks.BLOCK_RESIDUAL_GATE).all()
-    assert np.array_equal(V[0], isotropic_pair(good))
+    for turn in (0.0, 0.3, 1.0, np.pi / 2, 2.5):
+        line = np.exp(1j * turn) * np.array([1, 1, 1, -1, -1])
+        _, r = blocks._closed_chain(line[None], line[None])
+        assert r[0] == np.inf if turn == 0.0 \
+            else r[0] > blocks.BLOCK_RESIDUAL_GATE
+        stack = np.array([good, line])
+        calls.clear()
+        V = isotropic_pair(stack)
+        assert len(calls) == 1 and np.array_equal(calls[0], line[None])
+        assert (pair_isotropy_residual(V, stack)
+                <= blocks.BLOCK_RESIDUAL_GATE).all()
+        assert np.array_equal(V[0], isotropic_pair(good))
+        assert np.array_equal(V[1], isotropic_pair(line))
+
+
+@pytest.mark.parametrize("w, seed", [(0.0, 26), (1e-14, 26), (1e-13, 22)])
+def test_jittered_collinear_blocks_close(monkeypatch, w, seed):
+    # three points near one end of a chord through the target and two near
+    # the other: the closed form misses some of these blocks (at each seed
+    # here at least one; at w = 1e-13 about one in 250), and the
+    # two-segment frame closes each of those
+    calls = counted_two_segment(monkeypatch)
+    D = collinear_blocks(seed, w, 300)
+    assert len(D) >= 20
+    V = isotropic_pair(D)
+    assert len(calls) == 1 and len(calls[0]) >= 1
+    assert pair_isotropy_residual(V, D).max() <= blocks.BLOCK_RESIDUAL_GATE
+
+
+def test_block_without_isotropic_pair_raises_at_once():
+    # an infeasible block, five phases spread over a quarter turn about
+    # the target 0, and four points on one side of a line through 0 and one
+    # on the other: the closed form misses, the two-segment frame misses,
+    # and the solve raises with no search behind them
+    infeasible = np.exp(1j * np.array([0.1, 0.5, 0.9, 1.3, 1.7]))
+    four_one = np.array([1, 1, 1, 1, -1], dtype=complex)
+    for d in (infeasible, four_one):
+        with deadline(0.05), pytest.raises(NoSolution):
+            isotropic_pair(d)
+
 
 # --- the closed form --------------------------------------------------------
 
@@ -246,14 +255,14 @@ def clustered_blocks(sizes, kinds, seeds):
     return np.unique(np.array(out), axis=0)
 
 
-def test_clustered_blocks_close_without_frame_solve(monkeypatch):
+def test_clustered_blocks_close_without_two_segment(monkeypatch):
     # clusters of width 1e-4 at (8,3) and (11,4): the grid-seeded Newton
     # that came before the closed form missed the gate on 39 of these
     # blocks in both kernel orderings; the closed form closes every one
-    def no_frame_solve(*args):
-        raise AssertionError("the frame solve was reached")
+    def no_two_segment(*args):
+        raise AssertionError("the two-segment frame was reached")
 
-    monkeypatch.setattr(blocks, "frame_solve", no_frame_solve)
+    monkeypatch.setattr(blocks, "_two_segment", no_two_segment)
     D = clustered_blocks([(8, 3), (11, 4)], (1, 2), (0, 1))
     assert len(D) >= 250
     V = isotropic_pair(D)

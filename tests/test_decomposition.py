@@ -1020,73 +1020,57 @@ def test_triangle_kernel_falls_back_per_row():
 
 
 # ---------------------------------------------------------------------------
-# the fallback rungs, each reached when the closed form is made to miss
+# a pair block that misses every tier of the pair solve
 
 
-def _three_clusters():
-    """Eight phases in three clusters of width ~1e-4 (default_rng(48))."""
-    return ingest_spectrum(clustered_phases(48, 3, 8))
-
-
-def _count_rungs(monkeypatch):
-    """Record each _polish and frame_solve outcome (True when it returned a
-    frame)."""
-    seen = {"polish": [], "frame_solve": []}
-    polish, frame_solve = blocks._polish, blocks.frame_solve
-
-    def counted_polish(*args, **kwargs):
-        out = polish(*args, **kwargs)
-        seen["polish"].append(out is not None)
-        return out
-
-    def counted_frame_solve(*args, **kwargs):
-        out = frame_solve(*args, **kwargs)
-        seen["frame_solve"].append(out is not None)
-        return out
-
-    monkeypatch.setattr(blocks, "_polish", counted_polish)
-    monkeypatch.setattr(blocks, "frame_solve", counted_frame_solve)
-    return seen
-
-
-def _first_tier_misses(monkeypatch, residual):
-    """Make every closed-form frame read ``residual`` (inf: none formed),
-    so that each pair block goes on to the frame solve."""
-    closed_chain = blocks._closed_chain
+def _pair_solve_misses(monkeypatch, miss):
+    """Make the closed-form frame of each block for which ``miss(d)`` holds
+    read inf (none formed), so that the block takes the two-segment step,
+    and record the blocks (B, 5) of each two-segment call and their
+    residuals."""
+    seen = []
+    closed_chain, two_segment = blocks._closed_chain, blocks._two_segment
 
     def missing(d, nu):
         V, r = closed_chain(d, nu)
-        return V, np.full_like(r, residual)
+        return V, np.where(miss(d), np.inf, r)
+
+    def counted(d, nu):
+        V, r = two_segment(d, nu)
+        seen.append((d.copy(), r.copy()))
+        return V, r
 
     monkeypatch.setattr(blocks, "_closed_chain", missing)
+    monkeypatch.setattr(blocks, "_two_segment", counted)
+    return seen
 
 
-def test_polish_closes_pair_block(monkeypatch):
-    # the closed form closes this block; made to read just above the gate,
-    # its frame is the frame solve's first seed, and one polish of it
-    # closes the block
-    seen = _count_rungs(monkeypatch)
-    _first_tier_misses(monkeypatch, 2 * blocks.BLOCK_RESIDUAL_GATE)
-    es = _three_clusters()
-    lam = -0.911163544 - 0.32391731j
-    proj = construct_projector(es, 3, lam)
-    assert seen == {"polish": [True], "frame_solve": [True]}
-    assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
-
-
-def test_frame_solve_closes_pair_block(monkeypatch):
+def test_pair_block_miss_moves_construction_on(monkeypatch):
     # three clusters of width ~1e-4; the target is 0.9 of the way from the
     # region's Chebyshev centre to its boundary, in the +imaginary
-    # direction. With no closed-form frame formed, the frame solve starts
-    # from its fixed seeds and closes the planned block
-    seen = _count_rungs(monkeypatch)
-    _first_tier_misses(monkeypatch, np.inf)
+    # direction, and the planned block (1, 3, 4, 6, 7) holds it. Made to
+    # miss the closed form, that block is not on one line through the
+    # target, so the two-segment frame misses too, the pair solve raises,
+    # and the block-first rung builds the witness from another block
     es = ingest_spectrum(clustered_phases(44, 3, 8))
     lam = -0.22069262232778145 + 0.6124527386670806j
+    planned = es.mu[[0, 2, 3, 5, 6]] - lam
+    assert construct_projector(es, 3, lam).strategy == "planned"
+    seen = _pair_solve_misses(monkeypatch,
+                              lambda d: (d == planned).all(axis=1))
     proj = construct_projector(es, 3, lam)
-    assert proj.strategy == "planned"
-    assert seen["frame_solve"] == [True]
+    assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
+    assert len(seen) == 1 and np.array_equal(seen[0][0], planned[None])
+    assert seen[0][1][0] > blocks.BLOCK_RESIDUAL_GATE
+    # with every block made to miss, each block rung tries once and the
+    # construction raises NoSolution at once
+    monkeypatch.undo()
+    seen = _pair_solve_misses(monkeypatch,
+                              lambda d: np.ones(len(d), dtype=bool))
+    with deadline(2.0), pytest.raises(NoSolution):
+        construct_projector(es, 3, lam)
+    assert len(seen) == 3
 
 
 def test_regular_octagon_centre_is_built_by_block_rungs():
