@@ -52,11 +52,28 @@ def test_block_rejects_eigenvalue_target():
 
 
 def test_block_needs_five_points():
-    # four points, and seven, which the closed form does not take
-    for d in (np.array([1.0, -1.0, 1j, -1j]),
-              np.exp(2j * np.pi * np.arange(7) / 7)):
-        with pytest.raises(NoSolution):
-            isotropic_pair(d)
+    with pytest.raises(NoSolution):
+        isotropic_pair(np.array([1.0, -1.0, 1j, -1j]))
+
+
+def test_seven_point_support_raises():
+    # the seventh roots of unity hold 0 well inside their rank-2 region,
+    # but the pair solve is for five points only
+    d = np.exp(2j * np.pi * np.arange(7) / 7)
+    with deadline(0.05), pytest.raises(NoSolution):
+        isotropic_pair(d)
+
+
+def test_seven_point_support_raises_before_any_solve(monkeypatch):
+    # a support of other than five points is refused up front: neither the
+    # closed form nor the two-segment frame is called
+    def never(*args):
+        raise AssertionError("solve called for a seven-point support")
+
+    monkeypatch.setattr(blocks, "_closed_chain", never)
+    monkeypatch.setattr(blocks, "_two_segment", never)
+    with pytest.raises(NoSolution, match="5 support points, got 7"):
+        isotropic_pair(np.exp(2j * np.pi * np.arange(7) / 7))
 
 
 @settings(max_examples=120, deadline=None)

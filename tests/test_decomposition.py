@@ -1063,9 +1063,13 @@ def test_pair_block_miss_moves_construction_on(monkeypatch):
     assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
     assert len(seen) == 1 and np.array_equal(seen[0][0], planned[None])
     assert seen[0][1][0] > blocks.BLOCK_RESIDUAL_GATE
-    # with every block made to miss, each block rung tries once and the
-    # construction raises NoSolution at once
-    monkeypatch.undo()
+
+
+def test_every_pair_block_miss_raises_at_once(monkeypatch):
+    # the spectrum and target above; with every block made to miss, each
+    # block rung tries once and the construction raises NoSolution at once
+    es = ingest_spectrum(clustered_phases(44, 3, 8))
+    lam = -0.22069262232778145 + 0.6124527386670806j
     seen = _pair_solve_misses(monkeypatch,
                               lambda d: np.ones(len(d), dtype=bool))
     with deadline(2.0), pytest.raises(NoSolution):
