@@ -169,14 +169,17 @@ def isotropic_pair(d: np.ndarray):
     once, and a block whose closed form misses the residual gate or forms
     no frame takes the two-segment frame of ``_two_segment``; NoSolution
     when that misses too, for any block of the stack, and for a support of
-    other than five points. The caller checks feasibility: this solve does
-    not score the block's margin.
+    other than five points. An empty stack (0, 5) gives an empty (0, 5, 2).
+    The caller checks feasibility: this solve does not score the block's
+    margin.
     """
     d = np.asarray(d, dtype=complex)
     stack = d.reshape(-1, d.shape[-1])
     if stack.shape[1] != 5:
         raise NoSolution(f"pair block needs 5 support points, "
                          f"got {stack.shape[1]}")
+    if not len(stack):
+        return np.zeros((0, 5, 2))
     if np.abs(stack).min() < 1e-14:
         raise NoSolution("target coincides with an eigenvalue in the block")
     nu = stack / np.abs(stack)

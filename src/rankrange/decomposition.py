@@ -39,11 +39,13 @@ passes the gates:
    remainders is one more gather from the same table. The 3m indices left
    take the triangles (j, j+m, j+2m), which a positive rank-m margin of
    the remainder makes feasible;
-4. ``adaptive``: a deterministic search re-partitions the indices among
-   feasible triangles and blocks. It scores every triangle of the spectrum
-   once per construction, and each of its steps keeps the rows of that
-   table whose indices it still holds. Each step inherits the margin its
-   parent scored for it.
+4. ``adaptive``, for N = 3k-1 and 3k-2 only: the block-first step made
+   exact. Each pair block is taken from the same evenly spaced family, but
+   the remainder of every candidate whose block margin is at least
+   BLOCK_FLOOR is scored, not only of the BLOCK_SHORTLIST best, from the
+   same chord table, REMAINDER_CHUNK entries at a time. It makes one step
+   per pair block still needed, then takes the triangles (j, j+m, j+2m),
+   and it does not backtrack.
 
 When all four miss, the construction raises NoSolution.
 
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -90,6 +92,9 @@ BLOCK_FLOOR = 0.0
 # block margins first; scoring all of them would take about 81 N rows of
 # length N - 5
 BLOCK_SHORTLIST = 64
+# remainder entries that the exact block step builds at once, so that its
+# arrays stay near 8 MB each at any N: about 2^20 / N remainders a chunk
+REMAINDER_CHUNK = 1 << 20
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
@@ -414,10 +419,6 @@ def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
     return float(out[0]) if single else out
 
 
-def _margin_of(es: EigenSystem, indices, j: int, lam: complex) -> float:
-    return subspectrum_margin(es, j, lam, np.sort(indices) - 1)
-
-
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -449,7 +450,7 @@ def _try_pieces(es, lam, pieces, kk):
     ``isotropic_pair``, which then solves all the pair blocks in one
     stacked call. Each pair block arrives scored by the
     rung that proposed it, at a rank-2 margin of at least
-    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
+    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rungs), and is not
     scored again here."""
     if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
         return None
@@ -479,60 +480,6 @@ def _blocks_feasible(es, pieces, lam) -> bool:
     blks = [idx for kind, idx in pieces if kind == "block"]
     return not blks or subspectrum_margin(
         es, 2, lam, np.sort(blks, axis=1) - 1).min() >= FEASIBILITY_FLOOR
-
-
-def _feasible_triples(es, active, lam):
-    """The triangle table of ``active``: the smallest barycentric weight of
-    each index triple whose triangle holds lam, shape (T,), and the triple's
-    1-based indices, shape (T, 3), largest weight first, ties in
-    combination order, by one batched Cramer solve.
-
-    Each Cramer term depends on at most two of a triple's vertices, so it
-    is tabulated once per vertex pair and gathered per triple. A row's
-    weight therefore does not depend on the other active indices, and
-    ``_restrict`` of this table to a subset is the table of that subset."""
-    act = np.asarray(active)
-    pts = es.mu[act - 1]
-    n = act.size
-    if n < 3:
-        return np.empty(0), np.empty((0, 3), dtype=act.dtype)
-    # every a < b < c in the order of combinations(range(n), 3): each pair
-    # a < b < n - 1 in order, repeated once for each c above b
-    a, b = np.triu_indices(n - 1, 1)
-    per_pair = n - 1 - b
-    ends = np.cumsum(per_pair)
-    a, b = np.repeat(a, per_pair), np.repeat(b, per_pair)
-    c = np.arange(ends[-1]) - np.repeat(ends - per_pair, per_pair) + b + 1
-    ab, ac, bc = a * n + b, a * n + c, b * n + c
-    x, y = pts.real, pts.imag
-    X, Y = lam.real, lam.imag
-    cross = x[:, None] * y[None, :] - x[None, :] * y[:, None]
-    to_lam = X * y - x * Y
-    from_lam = x * Y - X * y
-    num_a = ((cross - to_lam[None, :]) + to_lam[:, None]).ravel()
-    num_b = ((to_lam[None, :] - cross) + from_lam[:, None]).ravel()
-    num_c = ((from_lam[None, :] - from_lam[:, None]) + cross).ravel()
-    cross = cross.ravel()
-    det = (cross[bc] - cross[ac]) + cross[ab]
-    ok = np.abs(det) > 1e-14
-    with np.errstate(divide="ignore", invalid="ignore"):
-        min_w = np.minimum(np.minimum(num_a[bc] / det, num_b[ac] / det),
-                           num_c[ab] / det)
-    feas = ok & (min_w >= -1e-12)
-    order = np.argsort(-min_w[feas], kind="stable")
-    rows = np.nonzero(feas)[0][order]
-    return min_w[rows], act[np.stack([a[rows], b[rows], c[rows]], axis=1)]
-
-
-def _restrict(table, active, dim):
-    """The rows of a triangle table whose three indices are all in
-    ``active``, in the table's order."""
-    weights, tris = table
-    inside = np.zeros(dim + 1, dtype=bool)
-    inside[list(active)] = True
-    keep = inside[tris[:, 0]] & inside[tris[:, 1]] & inside[tris[:, 2]]
-    # compress copies rows several times faster than boolean indexing
-    return weights.compress(keep), tris.compress(keep, axis=0)
 
 
 def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
@@ -705,128 +652,44 @@ def _blockwise_pieces(es, kk, lam):
                      map(tuple, act.reshape(3, -1).T.tolist())]
 
 
-def _block_candidates(es, act, lam, tris, kk, floor):
-    """5-index blocks built from vertex-sharing feasible triangles, scored
-    by the weaker of the block's own rank-2 margin and the remainder's.
-    ``act`` holds the active indices ascending; ``tris`` holds the index
-    rows of the best feasible triangles, best first. Each candidate carries
-    the positions of its remainder in ``act`` and the remainder's rank
-    kk-2 margin."""
-    top = tris[:40]
-    i, j = np.triu_indices(len(top), 1)
-    shared = (top[i][:, :, None] == top[j][:, None, :]).sum(axis=(1, 2))
-    i, j = i[shared == 1], j[shared == 1]
-    if i.size == 0:
-        return []
-    # the sorted six vertices of a pair hold its shared vertex twice, side
-    # by side: drop the second copy
-    six = np.sort(np.concatenate([top[i], top[j]], axis=1), axis=1)
-    keep = np.ones(six.shape, dtype=bool)
-    keep[:, 1:] = six[:, 1:] != six[:, :-1]
-    five = six[keep].reshape(-1, 5)
-    _, first = np.unique(five, axis=0, return_index=True)
-    five = five[np.sort(first)]     # distinct blocks, in order of first pair
-    blks = list(map(tuple, five.tolist()))
-    m_blk = subspectrum_margin(es, 2, lam, five - 1)
-    good = np.nonzero(m_blk >= floor)[0]
+def _search_pieces(es, kk, lam, act):
+    """Exact block-first pieces of the active indices ``act`` (1-based,
+    ascending) for rank kk, or None: the rung after ``_blockwise_pieces``.
+
+    With 3kk indices left they take the triangles (j, j+m, j+2m), as in
+    ``_blockwise_pieces``. Otherwise every ``_spaced_blocks`` candidate of
+    ``act`` is scored by ``_block_scores``, and the remainder of every
+    candidate whose block margin is at least BLOCK_FLOOR, not only of the
+    BLOCK_SHORTLIST best, by ``_remainder_scores``, built REMAINDER_CHUNK
+    entries at a time. Among the candidates whose remainder margin is at
+    least FEASIBILITY_FLOOR, the one with the largest min of its two
+    margins is the pair block, the first in family order among equals, and
+    the step recurses once on its remainder: one call per pair block still
+    needed, then the triangles, with no backtracking."""
+    n = act.size
+    if n == 3 * kk:
+        return [("tri", t) for t in map(tuple, act.reshape(3, -1).T.tolist())]
+    table, m_blk = _block_scores(es, act, lam)
+    good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
     if good.size == 0:
-        return []
-    rest = _remainders(act.size, np.searchsorted(act, five[good]))
-    m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
-    cands = [(min(mb, mr), blks[g], r, mr)
-             for g, mb, mr, r in zip(good.tolist(), m_blk[good].tolist(),
-                                     m_rest.tolist(), rest)
-             if mr >= floor]
-    cands.sort(key=lambda c: (-c[0], c[1]))
-    return cands
-
-
-def _search_pieces(es, kk, lam, active, table, margin=None):
-    """Deterministic re-partition of ``active`` (sorted 1-based indices)
-    into feasible triangles and 5-index pair blocks for rank kk.
-
-    ``table`` is a ``_feasible_triples`` table over a superset of
-    ``active``: the search scores the triangles once, at its root, and each
-    node keeps the rows whose indices it still holds and hands them to its
-    children. A node scores its candidate moves in batched margin calls and
-    tries the children in the order of those scores, so the nodes visited,
-    and their order, depend only on the input. Each child receives as
-    ``margin`` the rank-kk margin of its ``active`` that its parent scored;
-    only the root, called without one, scores its own."""
-    active = tuple(sorted(active))
-    n_act = len(active)
-    if kk == 1:
-        _, tris = _restrict(table, active, es.dim)
-        if len(tris):
-            return [("tri", tuple(tris[0].tolist()))]
         return None
-    if kk == 2:
-        if n_act == 5:
-            if margin is None:
-                margin = _margin_of(es, active, 2, lam)
-            if margin >= FEASIBILITY_FLOOR:
-                return [("block", active)]
-            return None
-        if n_act == 6:
-            # the 10 splits into two triangles, the one holding active[0]
-            # first, as 20 rows; the split whose least weight is largest
-            # wins, the first of equals
-            firsts = [c for c in combinations(active, 3) if c[0] == active[0]]
-            rests = [tuple(j for j in active if j not in c) for c in firsts]
-            w = solve_barycentric(es, np.array(firsts + rests), lam).min(axis=1)
-            m = np.minimum(w[:10], w[10:])
-            if np.isnan(m).all():
-                return None
-            best = int(np.nanargmax(m))
-            return [("tri", firsts[best]), ("tri", rests[best])]
+    score = m_blk[good]
+    if kk > 2:      # else nothing is left
+        step = max(1, REMAINDER_CHUNK // n)
+        m_rest = np.concatenate([
+            _remainder_scores(table, n, _remainders(
+                n, _layout_rows(n, good[s:s + step])), lam)
+            for s in range(0, good.size, step)])
+        score = np.where(m_rest >= FEASIBILITY_FLOOR,
+                         np.minimum(score, m_rest), -np.inf)
+    best = int(np.argmax(score))
+    if score[best] == -np.inf:
         return None
-    if n_act < 3 * kk - 2:
+    five = _layout_rows(n, good[best:best + 1])
+    tail = _search_pieces(es, kk - 2, lam, act[_remainders(n, five)[0]])
+    if tail is None:
         return None
-
-    blocks_required = 3 * kk - n_act  # 0, 1 or 2 pair blocks still needed
-    if margin is None:
-        margin = _margin_of(es, active, kk, lam)
-    threshold = max(FEASIBILITY_FLOOR, 0.25 * margin)
-    table = _restrict(table, active, es.dim)
-    tris = table[1][:60]
-    act = np.array(active)
-
-    def triangle_moves():
-        if not len(tris):
-            return None
-        rest = _remainders(n_act, np.searchsorted(act, tris))
-        margins = subspectrum_margin(es, kk - 1, lam, act[rest] - 1)
-        scored = [(m, idx, r)
-                  for m, idx, r in zip(margins.tolist(),
-                                       map(tuple, tris.tolist()), rest)
-                  if m >= FEASIBILITY_FLOOR]
-        scored.sort(key=lambda c: (-c[0], c[1]))
-        ordered = [c for c in scored if c[0] >= threshold] or scored
-        for m, idx, r in ordered[:12]:
-            tail = _search_pieces(es, kk - 1, lam, tuple(act[r].tolist()),
-                                  table, m)
-            if tail is not None:
-                return [("tri", idx)] + tail
-        return None
-
-    def block_moves():
-        if blocks_required < 1 or kk < 3:
-            return None
-        for _, blk, r, m in _block_candidates(es, act, lam, tris, kk,
-                                              FEASIBILITY_FLOOR)[:12]:
-            tail = _search_pieces(es, kk - 2, lam, tuple(act[r].tolist()),
-                                  table, m)
-            if tail is not None:
-                return [("block", blk)] + tail
-        return None
-
-    movers = (block_moves, triangle_moves) if blocks_required >= 2 \
-        else (triangle_moves, block_moves)
-    for mover in movers:
-        found = mover()
-        if found is not None:
-            return found
-    return None
+    return [("block", tuple(act[five[0]].tolist()))] + tail
 
 
 def _piece_gates(es: EigenSystem, lam: complex, pieces):
@@ -894,6 +757,11 @@ def _eigen_matches(es: EigenSystem, lam: complex) -> list:
 def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     """Rank-k projector P with P sigma P = lam P, built constructively.
 
+    The ladder of the module docstring: ``eigenspace``, then
+    ``caratheodory`` for k = 1 or ``planned``, then, for N = 3k-1 and
+    3k-2, ``blockwise`` and its exact form ``adaptive``. ``strategy`` names
+    the rung that built the witness.
+
     Raises LambdaOutsideRegion unless lam is strictly inside the rank-k
     region at MEMBERSHIP_TOL (k = 1 also accepts boundary points),
     UnsupportedDimension for dimension pairs without a construction,
@@ -937,14 +805,11 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
             found = _try_pieces(es, lam, pieces, k)
             if found is not None:
                 return _assemble(es, lam, found, "blockwise", pl)
-
-    everything = tuple(range(1, n + 1))
-    pieces = _search_pieces(es, k, lam, everything,
-                            _feasible_triples(es, everything, lam))
-    if pieces is not None:
-        found = _try_pieces(es, lam, pieces, k)
-        if found is not None:
-            return _assemble(es, lam, found, "adaptive", pl)
+        pieces = _search_pieces(es, k, lam, np.arange(1, n + 1))
+        if pieces is not None:
+            found = _try_pieces(es, lam, pieces, k)
+            if found is not None:
+                return _assemble(es, lam, found, "adaptive", pl)
 
     raise NoSolution(
         f"no feasible decomposition found for N={n}, k={k}, lam={lam}")

@@ -56,6 +56,11 @@ def test_block_needs_five_points():
         isotropic_pair(np.array([1.0, -1.0, 1j, -1j]))
 
 
+def test_empty_stack_gives_empty_stack():
+    V = isotropic_pair(np.empty((0, 5), dtype=complex))
+    assert V.shape == (0, 5, 2)
+
+
 def test_seven_point_support_raises():
     # the seventh roots of unity hold 0 well inside their rank-2 region,
     # but the pair solve is for five points only

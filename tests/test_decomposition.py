@@ -515,7 +515,8 @@ GIVES_UP = [
 
 
 # sizes whose default_rng(1) random_instance streams hold the targets that
-# the re-partition search cut off at its node budget
+# a re-partition search over every index triple once cut off at its node
+# budget
 BENCHMARK_STREAMS = ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20),
                      (59, 20))
 
@@ -664,7 +665,7 @@ def test_pipeline_closure_families():
             assert rep.passed, (n, k, rep.residuals)
 
 
-# --- the re-partition search and its batched scoring -----------------------
+# --- sub-spectrum margins and the exact block step -------------------------
 
 def exact_spectrum(phases):
     """The EigenSystem of exactly the sorted ``phases``, with no round trip
@@ -734,94 +735,81 @@ def test_subspectrum_margin_rejects_rank_below_one():
     assert subspectrum_margin(es, 5, 0j, np.arange(4)) == -np.inf
 
 
-def reference_triples(es, active, lam):
-    """Feasible triples by the per-triple Cramer solve before tabulation."""
-    act = np.asarray(active)
-    pts = es.eigenvalues()[act - 1]
-    trips = np.array(list(combinations(range(act.size), 3)))
-    xa, ya = pts[trips[:, 0]].real, pts[trips[:, 0]].imag
-    xb, yb = pts[trips[:, 1]].real, pts[trips[:, 1]].imag
-    xc, yc = pts[trips[:, 2]].real, pts[trips[:, 2]].imag
-    X, Y = lam.real, lam.imag
-    det = (xb * yc - xc * yb) - (xa * yc - xc * ya) + (xa * yb - xb * ya)
-    da = (xb * yc - xc * yb) - (X * yc - xc * Y) + (X * yb - xb * Y)
-    db = (X * yc - xc * Y) - (xa * yc - xc * ya) + (xa * Y - X * ya)
-    dc = (xb * Y - X * yb) - (xa * Y - X * ya) + (xa * yb - xb * ya)
-    ok = np.abs(det) > 1e-14
-    w = np.full((trips.shape[0], 3), -1.0)
-    w[ok] = np.stack([da[ok], db[ok], dc[ok]], axis=1) / det[ok, None]
-    min_w = w.min(axis=1)
-    feas = ok & (min_w >= -1e-12)
-    rows = np.nonzero(feas)[0][np.argsort(-min_w[feas], kind="stable")]
-    return [(float(min_w[r]), tuple(int(act[c]) for c in trips[r]))
-            for r in rows]
+def reference_search_pieces(es, kk, lam, act):
+    """_search_pieces with the row-form scorer: one subspectrum_margin call
+    over every candidate row and one over every remainder, then the same
+    argmax of the min of the two margins."""
+    n = act.size
+    if n == 3 * kk:
+        m = n // 3
+        return [("tri", tuple(act[[j, j + m, j + 2 * m]].tolist()))
+                for j in range(m)]
+    five = decomposition._spaced_blocks(n)
+    m_blk = subspectrum_margin(es, 2, lam, act[five] - 1)
+    good = np.nonzero(m_blk >= decomposition.BLOCK_FLOOR)[0]
+    if good.size == 0:
+        return None
+    rest = decomposition._remainders(n, five[good])
+    score = m_blk[good]
+    if kk > 2:
+        m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
+        score = np.where(m_rest >= decomposition.FEASIBILITY_FLOOR,
+                         np.minimum(score, m_rest), -np.inf)
+    best = int(np.argmax(score))
+    if score[best] == -np.inf:
+        return None
+    tail = reference_search_pieces(es, kk - 2, lam, act[rest[best]])
+    if tail is None:
+        return None
+    return [("block", tuple(act[five[good[best]]].tolist()))] + tail
 
 
-def table_rows(table):
-    """A _feasible_triples table as reference_triples' list of rows."""
-    weights, tris = table
-    assert weights.shape == (len(tris),) and tris.shape == (len(tris), 3)
-    return list(zip(weights.tolist(), map(tuple, tris.tolist())))
+def test_search_pieces_equal_row_form_reference(monkeypatch):
+    # the benchmark streams, and (154,52), whose first step's 6,930
+    # candidates take two chunks of remainders
+    cases = []
+    for n, k in BENCHMARK_STREAMS:
+        rng = np.random.default_rng(1)
+        for i in range(10):
+            es = random_instance(rng, n, i % 2 == 1)
+            cases.append((es, k, pick_target(es, k)))
+    es = ingest_spectrum(np.random.default_rng(0).uniform(0, 2 * np.pi, 154))
+    cases.append((es, 52, interior_point(build_region(es, 52))))
+    chunks = []
+    scores = decomposition._remainder_scores
+
+    def counted(table, n, rest, lam):
+        chunks.append(n)
+        return scores(table, n, rest, lam)
+
+    monkeypatch.setattr(decomposition, "_remainder_scores", counted)
+    for es, k, lam in cases:
+        act = np.arange(1, es.dim + 1)
+        got = decomposition._search_pieces(es, k, lam, act)
+        assert got is not None, (es.dim, k, lam)
+        assert got == reference_search_pieces(es, k, lam, act), \
+            (es.dim, k, lam)
+    assert chunks.count(154) == 2 and chunks.count(149) == 1
 
 
-def triple_cases():
-    rng = np.random.default_rng(8)
-    # the regular 12-gon ties many weights exactly: order must hold too
-    cases = [(ingest_spectrum(2 * np.pi * np.arange(12) / 12), 0j)]
-    for n in (5, 8, 20, 70):
-        es = ingest_spectrum(rng.uniform(0, 2 * np.pi, n))
-        cases.append((es, complex(np.mean(es.eigenvalues()))))
-    return cases
-
-
-def test_feasible_triples_match_reference():
-    for es, lam in triple_cases():
-        for active in (tuple(range(1, es.dim + 1)),
-                       tuple(range(1, es.dim + 1, 2))):
-            want = reference_triples(es, active, lam)
-            got = decomposition._feasible_triples(es, active, lam)
-            assert table_rows(got) == want
-
-
-def test_restricted_table_matches_reference():
-    # the cases above, restricted to random subsets, and restricted again
-    rng = np.random.default_rng(9)
-    for es, lam in triple_cases():
-        n = es.dim
-        table = decomposition._feasible_triples(es, tuple(range(1, n + 1)),
-                                                lam)
-        for _ in range(3):
-            outer = tuple(sorted(rng.choice(np.arange(1, n + 1),
-                                            rng.integers(3, n + 1),
-                                            replace=False).tolist()))
-            inner = tuple(sorted(rng.choice(
-                outer, rng.integers(3, len(outer) + 1), replace=False).tolist()))
-            once = decomposition._restrict(table, outer, n)
-            assert table_rows(once) == reference_triples(es, outer, lam)
-            twice = decomposition._restrict(once, inner, n)
-            assert table_rows(twice) == reference_triples(es, inner, lam)
-
-
-# (n, k, seed, target, search nodes, pieces), recorded before the scoring
-# was batched; spectra are default_rng(seed).uniform(0, 2pi, n)
+# (n, k, seed, target, pieces); spectra are default_rng(seed).uniform(0,
+# 2pi, n), searched from every index: N = 3k - 2 takes two pair blocks, so
+# 3 nodes each
 SEARCH_PINS = [
-    (13, 5, 0, 0.469036 - 0.473619j, 3,
-     [("block", (1, 4, 7, 9, 12)), ("tri", (2, 6, 10)),
-      ("block", (3, 5, 8, 11, 13))]),
-    (13, 5, 1, -0.225026 + 0.054522j, 3,
-     [("block", (1, 3, 6, 9, 11)), ("tri", (4, 8, 12)),
-      ("block", (2, 5, 7, 10, 13))]),
-    (28, 10, 0, 0.301995 - 0.262859j, 8,
-     [("block", (2, 7, 12, 19, 23)), ("tri", (1, 3, 16)),
-      ("tri", (4, 14, 20)), ("tri", (5, 13, 24)), ("tri", (8, 15, 25)),
-      ("tri", (9, 17, 27)), ("tri", (11, 21, 28)),
-      ("block", (6, 10, 18, 22, 26))]),
-    # backtracks: 11 nodes where the first choices would take 8
-    (28, 10, 9, 0.384148 - 0.555883j, 11,
-     [("block", (3, 11, 15, 20, 26)), ("tri", (10, 22, 23)),
-      ("tri", (1, 12, 16)), ("tri", (8, 19, 27)), ("tri", (4, 17, 28)),
-      ("tri", (5, 9, 21)), ("tri", (6, 13, 24)),
-      ("block", (2, 7, 14, 18, 25))]),
+    (13, 5, 0, 0.469036 - 0.473619j,
+     [("block", (1, 4, 7, 9, 12)), ("block", (3, 5, 8, 10, 13)),
+      ("tri", (2, 6, 11))]),
+    (13, 5, 1, -0.225026 + 0.054522j,
+     [("block", (1, 3, 6, 9, 11)), ("block", (2, 5, 7, 10, 13)),
+      ("tri", (4, 8, 12))]),
+    (28, 10, 0, 0.301995 - 0.262859j,
+     [("block", (1, 7, 11, 19, 23)), ("block", (2, 8, 12, 20, 25)),
+      ("tri", (3, 13, 21)), ("tri", (4, 14, 22)), ("tri", (5, 15, 24)),
+      ("tri", (6, 16, 26)), ("tri", (9, 17, 27)), ("tri", (10, 18, 28))]),
+    (28, 10, 9, 0.384148 - 0.555883j,
+     [("block", (3, 8, 14, 19, 24)), ("block", (4, 10, 16, 20, 26)),
+      ("tri", (1, 11, 21)), ("tri", (2, 12, 22)), ("tri", (5, 13, 23)),
+      ("tri", (6, 15, 25)), ("tri", (7, 17, 27)), ("tri", (9, 18, 28))]),
 ]
 
 
@@ -834,69 +822,51 @@ def test_search_tree_pinned(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(decomposition, "_search_pieces", counted)
-    for n, k, seed, lam, want_nodes, want in SEARCH_PINS:
+    for n, k, seed, lam, want in SEARCH_PINS:
         rng = np.random.default_rng(seed)
         es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
         nodes.clear()
-        everything = tuple(range(1, n + 1))
-        table = decomposition._feasible_triples(es, everything, lam)
-        got = decomposition._search_pieces(es, k, lam, everything, table)
+        got = decomposition._search_pieces(es, k, lam, np.arange(1, n + 1))
         assert got == want, (n, k, seed)
-        assert len(nodes) == want_nodes, (n, k, seed)
+        assert [a.size for a in nodes] == [n, n - 5, n - 10], (n, k, seed)
+        assert decomposition._try_pieces(es, lam, got, k) is not None
 
 
-def test_search_scores_triangles_once(monkeypatch):
-    calls, nodes = [], []
-    feasible, search = (decomposition._feasible_triples,
-                        decomposition._search_pieces)
+def test_search_takes_one_node_per_pair_block(monkeypatch):
+    nodes = []
+    search = decomposition._search_pieces
 
-    def counted_feasible(*args, **kwargs):
-        calls.append(args[1])
-        return feasible(*args, **kwargs)
-
-    def counted_search(*args, **kwargs):
-        nodes.append(args[3])
+    def counted(*args, **kwargs):
+        nodes.append(args[3].size)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(decomposition, "_feasible_triples", counted_feasible)
-    monkeypatch.setattr(decomposition, "_search_pieces", counted_search)
+    monkeypatch.setattr(decomposition, "_search_pieces", counted)
     phases, lam = GIVES_UP[0]
     proj = construct_projector(ingest_spectrum(phases), 6, lam)
     assert proj.strategy == "adaptive"
-    assert len(nodes) == 4
-    assert calls == [tuple(range(1, 17))]
+    assert nodes == [16, 11, 6]
 
 
-def test_search_inherits_node_margins(monkeypatch):
-    # the root scores its own margin; every other node receives the one its
-    # parent scored in a batch, == to scoring the node alone
-    single, inherited, nodes = [], [], []
-    margin, search = (decomposition.subspectrum_margin,
-                      decomposition._search_pieces)
+# the three (16,6) targets of the ROADMAP rate-of-use scan that only the
+# search builds: uniform seed 3, and 5 clusters seed 2, twice
+SCAN_ADAPTIVE = [
+    (np.sort(np.random.default_rng([3, 16, 0]).uniform(0, 2 * np.pi, 16)),
+     -0.2276146484301223 - 0.39988006288358613j),
+    (clustered_phases([2, 16, 2], 5, 16),
+     -0.644626334491316 + 0.4714446299164064j),
+    (clustered_phases([2, 16, 2], 5, 16),
+     -0.6446294220428578 + 0.4714415423648647j),
+]
 
-    def counted_margin(*args, **kwargs):
-        out = margin(*args, **kwargs)
-        if np.ndim(out) == 0:
-            single.append(args[1])
-        return out
 
-    def checked_search(es, kk, lam, active, table, *given):
-        nodes.append(active)
-        if given:
-            alone = margin(es, kk, lam, np.array(active) - 1)
-            inherited.append(given[0] == alone)
-        return search(es, kk, lam, active, table, *given)
-
-    monkeypatch.setattr(decomposition, "subspectrum_margin", counted_margin)
-    monkeypatch.setattr(decomposition, "_search_pieces", checked_search)
-    n, k, seed, lam, want_nodes, want = SEARCH_PINS[3]
-    es = ingest_spectrum(np.random.default_rng(seed).uniform(0, 2 * np.pi, n))
-    everything = tuple(range(1, n + 1))
-    table = decomposition._feasible_triples(es, everything, lam)
-    assert decomposition._search_pieces(es, k, lam, everything, table) == want
-    assert len(nodes) == want_nodes == 11
-    assert single == [k]
-    assert inherited == [True] * (want_nodes - 1)
+@pytest.mark.parametrize("phases, lam", SCAN_ADAPTIVE,
+                         ids=["uniform", "clustered-a", "clustered-b"])
+def test_scan_targets_past_blockwise_are_adaptive(phases, lam):
+    es = ingest_spectrum(phases)
+    with deadline(2.0):
+        proj = construct_projector(es, 6, lam)
+    assert proj.strategy == "adaptive"
+    assert verify_projector(proj.matrix, es.matrix, lam, 6).passed
 
 
 def test_triangle_solve_errors_propagate(monkeypatch):
@@ -1094,7 +1064,7 @@ def test_regular_octagon_centre_is_built_by_block_rungs():
             assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 
 
-def test_clustered_miss_past_blockwise_raises_at_once(monkeypatch):
+def test_clustered_target_past_blockwise_is_adaptive(monkeypatch):
     # six clusters of width 7e-6 holding 2 to 7 eigenvalues each: the
     # block-first rung closes this target
     phases = np.repeat([0.96099, 1.282885, 1.526565, 2.10249, 2.817509,
@@ -1105,13 +1075,14 @@ def test_clustered_miss_past_blockwise_raises_at_once(monkeypatch):
     proj = construct_projector(es, 9, lam)
     assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
-    # without that rung the search finds no partition, and no rung follows
-    # it: the miss is a typed error
+    # without that rung, the search scores every block's remainder and
+    # builds the witness
     monkeypatch.setattr(decomposition, "_blockwise_pieces",
                         lambda *args: None)
     with deadline(2.0):
-        with pytest.raises(NoSolution):
-            construct_projector(es, 9, lam)
+        proj = construct_projector(es, 9, lam)
+    assert proj.strategy == "adaptive"
+    assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
 
 
 # ---------------------------------------------------------------------------

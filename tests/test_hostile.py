@@ -1,12 +1,13 @@
 """Inputs that once ran without bound: each must finish within its own
 deadline, with a witness or with a typed error.
 
-At the Chebyshev centre of uniform spectra, the re-partition search ran
-past 250 s at (148,50) and (299,100), and at (2999,1000) its root asked
-for every one of the C(N,3) triangles (33.5 GiB). Those three must be
-built by the planned or block-first rung. The search is replaced by a
-function that raises, so a miss of the earlier rungs fails at once
-instead of allocating that table.
+At the Chebyshev centre of uniform spectra, a re-partition search over a
+table of every index triple ran past 250 s at (148,50) and (299,100), and
+at (2999,1000) it asked for all C(N,3) triangles (33.5 GiB). Those three
+must be built by the planned or block-first rung, with the search made to
+raise if reached. The exact block step that replaced that search must
+itself give a witness at the first two sizes within 10 s and 64 MiB of
+traced memory, with the block-first rung patched out.
 
 On a clustered (58,20) target and an equally spaced (88,30) one, every
 rung of the construction misses. A least-squares rung once spent 13 s to
@@ -60,6 +61,27 @@ def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
         assert verify_projector(proj.matrix, es.matrix, lam, k).passed
 
 
+@pytest.mark.parametrize("n, k", [(148, 50), (299, 100)])
+def test_forced_search_is_bounded(monkeypatch, n, k):
+    # with the block-first rung patched out, the search scores every
+    # candidate's remainder, in chunks, and builds the witness
+    monkeypatch.setattr(decomposition, "_blockwise_pieces",
+                        lambda *args: None)
+    es = ingest_spectrum(np.sort(
+        np.random.default_rng(0).uniform(0, 2 * np.pi, n)))
+    lam = interior_point(build_region(es, k))
+    with deadline(10.0):
+        tracemalloc.start()
+        try:
+            proj = construct_projector(es, k, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak
+    assert proj.strategy == "adaptive"
+    assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
 @pytest.mark.parametrize("n, k, seed, limit_mb, seconds", [
     (30_000, 1, 0, 32, 20.0),
     (2999, 1000, 3, 72, 30.0),
@@ -105,12 +127,12 @@ def test_scattered_frame_equals_gathered_frame():
 
 
 @pytest.mark.parametrize("phases, k, lam", [
-    # 4 clusters of width 1e-4: planned fails, the block-first rung gives
-    # up and the search returns None at its root
+    # 4 clusters of width 1e-4: planned fails, and no evenly spaced pair
+    # block leaves a feasible remainder, for either block-first rung
     (clustered_phases([2, 58, 1], 4, 58), 20,
      0.9185714874906576 + 0.17667316336147557j),
     # equally spaced, 0.99 of the way from the centre toward eigenvalue 1:
-    # no evenly spaced pair block is feasible, and the search finds nothing
+    # no evenly spaced pair block is feasible, for either block-first rung
     (2 * np.pi * np.arange(88) / 88, 30, 0.47445649586280525 + 0j),
 ], ids=["58-20-clustered", "88-30-spaced"])
 def test_missed_target_ends_in_no_solution_at_once(phases, k, lam):
