@@ -13,13 +13,18 @@ lies to the left of a -> b. A dead chord (endpoints within
 DEGENERATE_CHORD_TOL) carries no constraint when its k-step angular span
 is at most pi (k+1 coincident eigenvalues), and pins the region to its
 endpoint when the span is wider (the complementary N-k+1 eigenvalues
-coincide). Every region query (``contains``, ``constraint_margins``,
-``region_margin``) and every sub-spectrum scorer (``chord_margins``) scores
+coincide). The batched region queries (``constraint_margins``,
+``region_margin``) and every sub-spectrum scorer (``chord_margins``) score
 live chords with one half-plane kernel, ``_halfplane_margins``; the region
-keeps its live chords in the rows that kernel reads, built once. The
-brute-force oracle below implements the defining intersection of convex
-hulls of (N-k+1)-point sub-multisets and is used to cross-validate the
-chord semantics.
+keeps its live chords in the rows that kernel reads, built once.
+``contains`` reads a region of more than SCALAR_CHORDS live chords with the
+same kernel, and a smaller one in a plain-float loop over one tuple per
+chord, built on the region's first such query: below the cut-over numpy's
+per-call cost exceeds the loop's. The loop does the kernel's
+floating-point operations in its order, so both forms give the same least
+margin and verdict. The brute-force oracle below implements the defining
+intersection of convex hulls of (N-k+1)-point sub-multisets and is used
+to cross-validate the chord semantics.
 """
 
 from __future__ import annotations
@@ -27,17 +32,24 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import EmptyRegion, InvalidRank, TooLarge, checked_tol
+from .errors import (EmptyRegion, InvalidRank, ParseError, TooLarge,
+                     checked_tol)
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
 from .spectra import EigenSystem
 
 DEGENERATE_CHORD_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
+#: ``contains`` takes the least margin of a region with at most this many
+#: live chords in a plain-float loop, and of a larger one in the array
+#: kernel. Near the crossover: per query on random spectra (Python 3.11,
+#: 2-vCPU VM), the loop took 1.4 us at 9 chords, 3.6 at 32, 4.3 at 40 and
+#: 4.8 at 44, the kernel 4.5-4.8 us at every one of those sizes
+SCALAR_CHORDS = 40
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -76,8 +88,10 @@ class ChordTable:
     ``_halfplane_margins`` reads: a tuple (ax, ay, ex, ey, length) of
     read-only, contiguous arrays, one entry per live chord, holding the x
     and y of endpoint_a, of the edge b - a, and the edge length.
-    ``contains`` reads them as they are, with no unpacking of a 2-D array
-    or reshaping; ``constraint_margins`` reshapes them only to broadcast
+    ``contains`` reads them as they are above SCALAR_CHORDS live chords,
+    with no unpacking of a 2-D array or reshaping, and at or below it reads
+    ``OmegaRegion.halfplane_tuples``, the same values as one float tuple
+    per chord; ``constraint_margins`` reshapes them only to broadcast
     against an array z.
     """
     endpoint_a: np.ndarray
@@ -112,6 +126,13 @@ class OmegaRegion:
             for i, (ca, cb, s, lv, sp) in enumerate(zip(
                 t.endpoint_a.tolist(), t.endpoint_b.tolist(),
                 t.inward_sign.tolist(), t.live.tolist(), t.span.tolist())))
+
+    @functools.cached_property
+    def halfplane_tuples(self) -> tuple:
+        """``table.halfplanes`` as one (ax, ay, ex, ey, length) tuple of
+        floats per live chord, the rows of ``contains``' plain-float loop;
+        built on its first read."""
+        return tuple(zip(*(r.tolist() for r in self.table.halfplanes)))
 
     def halfplanes(self):
         return [c for c in self.constraints
@@ -223,6 +244,27 @@ def region_margin(region: OmegaRegion, z):
     return m
 
 
+def _least_halfplane_margin(region: OmegaRegion, x, y):
+    """The least inward margin at (x, y) over the region's live chords,
+    +inf when none is live. Up to SCALAR_CHORDS chords, a plain-float loop
+    over ``region.halfplane_tuples`` computes each margin as ``((y - ay) *
+    ex - (x - ax) * ey) / length``, the floating-point operations of
+    ``_halfplane_margins`` in its order, so the least margin is ``==`` to
+    the kernel's; above it, one ``_halfplane_margins`` call on the table's
+    rows and one ``np.minimum.reduce``. A NaN margin never compares below
+    another, so the loop may skip one that the kernel would return."""
+    rows = region.table.halfplanes
+    if len(rows[0]) > SCALAR_CHORDS:
+        return np.minimum.reduce(_halfplane_margins(rows, x, y),
+                                 initial=np.inf)
+    least = inf
+    for ax, ay, ex, ey, length in region.halfplane_tuples:
+        m = ((y - ay) * ex - (x - ax) * ey) / length
+        if m < least:
+            least = m
+    return least
+
+
 def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> str:
     """Membership verdict: inside | boundary | outside.
 
@@ -230,16 +272,20 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     every point constraint matched within tol. boundary: within tol of an
     active constraint while violating none by more than tol.
 
-    The least half-plane margin is one ``_halfplane_margins`` call on the
-    table's rows and one ``np.minimum.reduce`` (+inf when no chord is
-    live); the point constraints are visited only when the region has
-    some and z passes the other two tests. A NaN z is outside; a negative
-    or non-finite tol raises ParseError.
+    The least half-plane margin is ``_least_halfplane_margin``: a
+    plain-float loop on a region of at most SCALAR_CHORDS live chords,
+    where numpy's per-call cost exceeds the loop's, and the array kernel
+    on a larger one, both ``==``. The point constraints are visited only
+    when the region has some and z passes the other two tests. A NaN or
+    infinite z is outside, whatever margin either form reads: ``abs(z)``
+    is NaN or inf, so z fails the disk test. A negative or non-finite tol
+    raises ParseError.
     """
     tol = checked_tol(tol)
-    hp_min = np.minimum.reduce(
-        _halfplane_margins(region.table.halfplanes, z.real, z.imag),
-        initial=np.inf)
+    # a numpy scalar z would run the plain-float loop in numpy's scalar
+    # arithmetic, about twice as slow (same values)
+    z = complex(z)
+    hp_min = _least_halfplane_margin(region, z.real, z.imag)
     weak_ok = hp_min >= -tol and 1.0 - abs(z) >= -tol
     if weak_ok and region.point_constraints:
         weak_ok = max(abs(z - p) for p in region.point_constraints) <= tol
@@ -401,9 +447,9 @@ def boundary_polygon(region: OmegaRegion):
 def boundary_samples(region: OmegaRegion, count: int = 64):
     """Points along the region boundary, counterclockwise, vertices included;
     each edge is sampled at uniform length. Raises EmptyRegion when there is
-    nothing to sample."""
+    nothing to sample and ParseError when count is below 3."""
     if count < 3:
-        raise InvalidRank("count must be at least 3")
+        raise ParseError(f"count must be at least 3, got {count!r}")
     poly = boundary_polygon(region)
     if not poly:
         raise EmptyRegion("region is empty at sampling resolution")

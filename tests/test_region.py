@@ -8,7 +8,9 @@ from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        construct_projector, contains, ingest_spectrum,
                        interior_point, region_margin, subspectrum_margin)
 
-from rankrange.region import chord_ends, chord_margins, chord_rule, successor
+from rankrange import region as region_module
+from rankrange.region import (SCALAR_CHORDS, chord_ends, chord_margins,
+                              chord_rule, successor)
 from rankrange.svgout import render_region
 
 from clustered import clustered_phases
@@ -102,7 +104,7 @@ def test_rank_equal_to_dimension():
     assert contains(build_region(ident, 3), 1 + 0j) == INSIDE
 
 
-def test_oracle_equivalence_random():
+def test_oracle_equivalence_random(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(12):
         n = int(rng.integers(5, 10))
@@ -113,15 +115,18 @@ def test_oracle_equivalence_random():
         region = build_region(es, k)
         oracle = BruteForceOracle(es, k)
         zs = rng.uniform(-1, 1, (60, 2))
-        for x, y in zs:
-            z = complex(x, y)
-            if abs(z) > 1:
-                continue
-            if abs(region_margin(region, z)) <= 1e-7:
-                continue
-            if abs(oracle.margin(z)) <= 1e-7:
-                continue
-            assert contains(region, z) == oracle.verdict(z), (n, k, z)
+        # contains through the array kernel, then the plain-float loop
+        for cut in (0, 10 ** 9):
+            monkeypatch.setattr(region_module, "SCALAR_CHORDS", cut)
+            for x, y in zs:
+                z = complex(x, y)
+                if abs(z) > 1:
+                    continue
+                if abs(region_margin(region, z)) <= 1e-7:
+                    continue
+                if abs(oracle.margin(z)) <= 1e-7:
+                    continue
+                assert contains(region, z) == oracle.verdict(z), (n, k, z)
 
 
 def test_monotonicity_in_k():
@@ -231,6 +236,28 @@ def test_bad_membership_tolerance_is_parse_error(tol):
         oracle.verdict(0j, tol=tol)
     with pytest.raises(ParseError, match="tol must be a finite number"):
         brute_force_contains(PENTAGON, 2, 0j, tol=tol)
+
+
+@pytest.mark.parametrize("n,k", [(12, 4), (64, 21)])
+@pytest.mark.parametrize("z", [float("nan"), complex(float("nan"), 0.0),
+                               complex(0.0, float("inf")),
+                               complex(float("-inf"), 0.0)])
+def test_nan_or_infinite_z_is_outside(n, k, z):
+    # one region on each side of the cut-over: the plain-float loop skips
+    # a NaN margin that the array kernel returns, and the disk test must
+    # call z outside under both
+    es = ingest_spectrum(np.sort(np.random.default_rng(n).uniform(
+        0, 2 * np.pi, n)))
+    region = build_region(es, k)
+    assert (region.table.live.sum() <= SCALAR_CHORDS) == (n == 12)
+    with np.errstate(invalid="ignore"):
+        assert contains(region, z) == OUTSIDE
+
+
+@pytest.mark.parametrize("count", [2, 0, -5])
+def test_boundary_samples_count_below_three_is_parse_error(count):
+    with pytest.raises(ParseError, match="count must be at least 3"):
+        boundary_samples(pentagon_region(), count)
 
 
 def test_boundary_samples_pentagon_vertices():

@@ -16,10 +16,13 @@ from rankrange import (BruteForceOracle, build_region, constraint_margins,
                        contains, ingest_spectrum, interior_point,
                        region_margin)
 from rankrange.geometry import convex_hull, line_margin
+from rankrange import region as region_module
 from rankrange.region import (BOUNDARY, DEGENERATE_CHORD_TOL, INSIDE,
-                              MEMBERSHIP_TOL, OUTSIDE)
+                              MEMBERSHIP_TOL, OUTSIDE, SCALAR_CHORDS,
+                              _least_halfplane_margin)
 from rankrange.spectra import TWO_PI
 
+from clustered import clustered_phases
 from planar import point_segment_distance
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def test_chord_constraints_equal_old(phases, k):
 
 
 @pytest.mark.parametrize("phases,k", CASES)
-def test_margins_and_verdicts_equal_old(phases, k):
+def test_margins_and_verdicts_equal_old(phases, k, monkeypatch):
     es = ingest_spectrum(phases)
     region = build_region(es, k)
     rows, points = _old_chords(es, k)
@@ -238,9 +241,96 @@ def test_margins_and_verdicts_equal_old(phases, k):
                               _old_constraint_margins(rows, z))
         assert np.array_equal(region_margin(region, z),
                               _old_region_margin(rows, points, z))
+    # contains through both forms of its least margin
+    queries = zs.tolist() + _edge_queries(rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        for z in zs.tolist() + _edge_queries(rows):
-            assert contains(region, z) == _old_contains(rows, points, z), z
+        old = [_old_contains(rows, points, z) for z in queries]
+        for cut in FORMS.values():
+            monkeypatch.setattr(region_module, "SCALAR_CHORDS", cut)
+            assert [contains(region, z) for z in queries] == old
+
+
+# ---------------------------------------------------------------------------
+# contains' two forms of the least margin
+
+#: SCALAR_CHORDS values that send every region through the array kernel, and
+#: every region through the plain-float loop
+FORMS = {"kernel": 0, "loop": 10 ** 9}
+
+
+def _form_spectra(kind, n, rng):
+    """(phases, k) pairs of size n: random; clustered; or coincident, with
+    k + 1 equal eigenvalues (dead chords that add no constraint) and with
+    n - k + 1 (dead chords that pin the region)."""
+    ks = sorted({1, max(1, n // 3), n - 1})
+    if kind == "random":
+        return [(np.sort(rng.uniform(0, 2 * np.pi, n)), k) for k in ks]
+    if kind == "clustered":
+        return [(clustered_phases(int(rng.integers(1 << 30)), 3, n), k)
+                for k in ks]
+    out = []
+    for k in ks:
+        for equal in {k + 1, n - k + 1}:
+            out.append((np.sort(np.r_[np.full(equal, 0.4), rng.uniform(
+                0, 2 * np.pi, n - equal)]), k))
+    return out
+
+
+def _near_chords(region, rng):
+    """Points in the disk, and points 0 and +-1e-12 from the midpoints of
+    about eight live chords along their inward normals."""
+    zs = list(rng.uniform(-0.8, 0.8, 16) + 1j * rng.uniform(-0.8, 0.8, 16))
+    ax, ay, ex, ey, length = region.table.halfplanes
+    for i in range(0, len(ax), max(1, len(ax) // 8)):
+        mid = complex(ax[i] + ex[i] / 2, ay[i] + ey[i] / 2)
+        normal = 1j * complex(ex[i], ey[i]) / length[i]
+        zs += [mid + s * 1e-12 * normal for s in (0.0, 1.0, -1.0)]
+    return zs
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "coincident"])
+def test_least_margin_of_both_forms_is_equal(kind, monkeypatch):
+    # every live-chord count from 3 to twice the cut-over
+    rng = np.random.default_rng(["random", "clustered",
+                                 "coincident"].index(kind))
+    for n in range(3, 2 * SCALAR_CHORDS + 1):
+        for phases, k in _form_spectra(kind, n, rng):
+            region = build_region(ingest_spectrum(phases), k)
+            zs = _near_chords(region, rng)
+            least = {}
+            for form, cut in FORMS.items():
+                monkeypatch.setattr(region_module, "SCALAR_CHORDS", cut)
+                least[form] = [_least_halfplane_margin(region, z.real, z.imag)
+                               for z in zs]
+            assert least["loop"] == least["kernel"], (n, k)
+
+
+def test_contains_form_follows_live_chord_count(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("contains called the array kernel")
+
+    es, regions = {}, {}
+    for n, k in ((12, 4), (64, 21)):
+        es[n] = ingest_spectrum(np.sort(np.random.default_rng(n).uniform(
+            0, 2 * np.pi, n)))
+        regions[n] = build_region(es[n], k)
+    small, large = regions[12], regions[64]
+    assert small.table.live.sum() <= SCALAR_CHORDS < large.table.live.sum()
+    zs = _near_chords(small, np.random.default_rng(1)) + [0j, 1.2j]
+    # below the cut-over, the plain-float loop alone
+    monkeypatch.setattr(region_module, "_halfplane_margins", refuse)
+    rows, points = _old_chords(es[12], 4)
+    for z in zs:
+        assert contains(small, z) == _old_contains(rows, points, z), z
+    with pytest.raises(AssertionError, match="array kernel"):
+        contains(large, 0j)
+    # above it, the kernel alone: no row tuples are built
+    monkeypatch.undo()
+    rows, points = _old_chords(es[64], 21)
+    for z in zs:
+        assert contains(large, z) == _old_contains(rows, points, z), z
+    assert "halfplane_tuples" not in vars(large)
+    assert len(small.halfplane_tuples) == 12
 
 
 def test_halfplane_rows_are_read_only():

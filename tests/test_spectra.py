@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rankrange import (EigensolveFailed, EmptySpectrum, NotUnitary,
                        ParseError, canonical_phase, ingest_matrix,
                        ingest_spectrum, reflect_labels)
-from rankrange.spectra import HERMITIAN_ROTATION
+from rankrange.spectra import DEFAULT_TOL, HERMITIAN_ROTATION
 
 
 def random_unitary(rng, n):
@@ -118,6 +118,51 @@ def test_ingest_matches_schur_reference(name):
     res = np.abs(u @ es.basis - es.basis * np.exp(1j * es.phases)[None, :])
     assert res.max() <= 1e-10 and es.eigen_residual <= 1e-10
     assert np.linalg.norm(es.basis.conj().T @ es.basis - np.eye(n)) <= 1e-10
+
+
+def _recorded_solves(monkeypatch):
+    """The column count of every scipy.linalg eigh and schur call, by
+    name, as ingest_matrix makes them."""
+    seen = {"eigh": [], "schur": []}
+    for name, calls in seen.items():
+        def record(a, *args, _solve=getattr(scipy.linalg, name),
+                   _calls=calls, **kwargs):
+            _calls.append(a.shape[1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, record)
+    return seen
+
+
+def test_paired_spectrum_is_split_before_its_schur(monkeypatch):
+    # e^{i(alpha +- 0.7)} share one eigenvalue of H at alpha: unrotated, one
+    # Schur of all N columns; one turn to SPLIT_ROTATION parts the pairs
+    n = 300
+    rng = np.random.default_rng(29)
+    phases = np.repeat([ALPHA - 0.7, ALPHA + 0.7], n // 2)
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    seen = _recorded_solves(monkeypatch)
+    es = ingest_matrix(u)
+    assert len(seen["eigh"]) == 2
+    assert seen["schur"] and max(seen["schur"]) <= n // 2
+    assert es.eigen_residual <= DEFAULT_TOL
+    assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
+
+
+def test_one_eigenvalue_above_half_is_not_rotated(monkeypatch):
+    # no rotation parts one eigenvalue: its cluster's columns are
+    # eigenvectors already, so the first eigh is kept
+    n = 60
+    rng = np.random.default_rng(30)
+    phases = np.r_[np.full(40, 2.5), rng.uniform(0.0, 2 * np.pi, n - 40)]
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    seen = _recorded_solves(monkeypatch)
+    es = ingest_matrix(u)
+    assert seen["eigh"] == [n]
+    assert max(seen["schur"]) == 40
+    assert es.eigen_residual <= DEFAULT_TOL
+    assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
 
 
 def test_ingest_real_orthogonal():
