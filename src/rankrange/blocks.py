@@ -168,10 +168,10 @@ def isotropic_pair(d: np.ndarray):
     block takes the closed form of ``_closed_chain``, the whole stack at
     once, and a block whose closed form misses the residual gate or forms
     no frame takes the two-segment frame of ``_two_segment``; NoSolution
-    when that misses too, for any block of the stack, and for a support of
-    other than five points. An empty stack (0, 5) gives an empty (0, 5, 2).
-    The caller checks feasibility: this solve does not score the block's
-    margin.
+    when that misses too, for any block of the stack, for a support of
+    other than five points, and for a point that is not finite. An empty
+    stack (0, 5) gives an empty (0, 5, 2). The caller checks feasibility:
+    this solve does not score the block's margin.
     """
     d = np.asarray(d, dtype=complex)
     stack = d.reshape(-1, d.shape[-1])
@@ -180,6 +180,8 @@ def isotropic_pair(d: np.ndarray):
                          f"got {stack.shape[1]}")
     if not len(stack):
         return np.zeros((0, 5, 2))
+    if not np.isfinite(stack).all():
+        raise NoSolution("pair block has a point that is not finite")
     if np.abs(stack).min() < 1e-14:
         raise NoSolution("target coincides with an eigenvalue in the block")
     nu = stack / np.abs(stack)

@@ -30,24 +30,21 @@ passes the gates:
    eigenvalues);
 3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
    evenly spaced 5-index candidate with the best min of its own rank-2
-   margin and its remainder's margin. Each step scores one chord table
-   (n starts by the few spans near 2n/5 that the candidates' chords take,
+   margin and its remainder's margin, one step per pair block still
+   needed, with no backtracking. Each step scores one chord table (n
+   starts by the few spans near 2n/5 that the candidates' chords take,
    and the six spans r .. r+5 of a remainder's rank-r chords); the layout
    of the candidates is built once per size and cached, stored by chord
    so that each candidate's min is 5 contiguous gathers. A partition
    picks the BLOCK_SHORTLIST best blocks, and each chord of their
-   remainders is one more gather from the same table. The 3m indices left
-   take the triangles (j, j+m, j+2m), which a positive rank-m margin of
-   the remainder makes feasible;
-4. ``adaptive``, for N = 3k-1 and 3k-2 only: the block-first step made
-   exact. Each pair block is taken from the same evenly spaced family, but
-   the remainder of every candidate whose block margin is at least
-   BLOCK_FLOOR is scored, not only of the BLOCK_SHORTLIST best, from the
-   same chord table, REMAINDER_CHUNK entries at a time. It makes one step
-   per pair block still needed, then takes the triangles (j, j+m, j+2m),
-   and it does not backtrack.
+   remainders is one more gather from the same table; only when none of
+   them leaves a feasible remainder does the step score the remainder of
+   every candidate whose block margin is at least BLOCK_FLOOR,
+   REMAINDER_CHUNK entries at a time. The 3m indices left take the
+   triangles (j, j+m, j+2m), which a positive rank-m margin of the
+   remainder makes feasible.
 
-When all four miss, the construction raises NoSolution.
+When all three miss, the construction raises NoSolution.
 
 Margins of sub-spectra, ``subspectrum_margin(es, j, lam, rows)``, take
 their chord ends from ``region.chord_ends`` and score them with
@@ -67,9 +64,9 @@ from itertools import product
 import numpy as np
 
 from . import blocks
-from .errors import (GramFailure, InvalidRank, LambdaOutsideRegion,
-                     NoConvexSolution, NoSolution, ShapeMismatch,
-                     UnsupportedDimension)
+from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
+                     NoSolution, ShapeMismatch, UnsupportedDimension,
+                     checked_rank)
 from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
                      chord_ends, chord_margins, contains, successor)
 from .spectra import EigenSystem, ReflectionMap, reflect_labels
@@ -88,11 +85,12 @@ FEASIBILITY_FLOOR = 1e-9
 # k = 3, and isotropic_pair still solves a block that holds it on its
 # boundary
 BLOCK_FLOOR = 0.0
-# pair-block candidates whose remainders the block-first rung scores, best
-# block margins first; scoring all of them would take about 81 N rows of
-# length N - 5
+# pair-block candidates whose remainders a block-first step scores first,
+# best block margins first; scoring all of them takes about 81 N rows of
+# length N - 5, which the step builds only when these leave no feasible
+# remainder
 BLOCK_SHORTLIST = 64
-# remainder entries that the exact block step builds at once, so that its
+# remainder entries that a block-first step builds at once, so that its
 # arrays stay near 8 MB each at any N: about 2^20 / N remainders a chunk
 REMAINDER_CHUNK = 1 << 20
 
@@ -404,10 +402,9 @@ def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
     ``region.chord_margins``, which the pair-block scorer ``_block_scores``
     shares, so a sub-spectrum's margin is ``==`` to ``region_margin`` of
     the region built on it. A rank j above the sub-spectrum size gives
-    -inf; j < 1 raises InvalidRank.
+    -inf; j < 1, or a j that is not an integer, raises InvalidRank.
     """
-    if j < 1:
-        raise InvalidRank(f"rank j={j} must be positive")
+    j = checked_rank(j)
     single = np.ndim(rows) == 1
     rows = np.atleast_2d(rows)
     if rows.shape[1] == 0 or j > rows.shape[1]:
@@ -450,7 +447,7 @@ def _try_pieces(es, lam, pieces, kk):
     ``isotropic_pair``, which then solves all the pair blocks in one
     stacked call. Each pair block arrives scored by the
     rung that proposed it, at a rank-2 margin of at least
-    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rungs), and is not
+    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
     scored again here."""
     if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
         return None
@@ -611,85 +608,64 @@ def _shortlist(good, m):
     return good[np.argsort(-m, kind="stable")[:BLOCK_SHORTLIST]]
 
 
-def _blockwise_pieces(es, kk, lam):
-    """Block-first pieces for N = 3kk-1 (one pair block) or 3kk-2 (two),
-    or None.
-
-    Each block still needed is the evenly spaced candidate (``_spaced_blocks``
-    of the indices left) with the best min of its own rank-2 margin and its
-    remainder's rank kk-2 margin. Each step scores one chord table
-    (``_block_scores``): every candidate's block margin is the min of 5 of
-    its entries, and each remainder chord of the BLOCK_SHORTLIST best
-    blocks is one more (``_remainder_scores``). The 3m indices left then
-    take the triangles (j, j+m, j+2m): the rank-m region of 3m points is
-    the intersection of those triangles (Li and Sze, Proc. AMS 136, 2008),
-    so the remainder's positive margin makes each feasible. A block may
-    hold the target on the boundary of its own rank-2 region
-    (BLOCK_FLOOR)."""
-    act = np.arange(1, es.dim + 1)
-    pieces = []
-    while act.size < 3 * kk:
-        table, m_blk = _block_scores(es, act, lam)
-        good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
-        if good.size == 0:
-            return None
-        good = _shortlist(good, m_blk[good])
-        five = _layout_rows(act.size, good)
-        rest = _remainders(act.size, five)
-        if kk == 2:
-            m_rest = np.full(good.size, np.inf)    # nothing is left
-        else:
-            m_rest = _remainder_scores(table, act.size, rest, lam)
-        best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
-        if m_rest[best] < FEASIBILITY_FLOOR:
-            return None
-        pieces.append(("block", tuple(act[five[best]].tolist())))
-        act = act[rest[best]]
-        kk -= 2
-    # triangle j is (act[j], act[j + m], act[j + 2m]): column j of act
-    # read as 3 rows of m
-    return pieces + [("tri", t) for t in
-                     map(tuple, act.reshape(3, -1).T.tolist())]
-
-
 def _search_pieces(es, kk, lam, act):
-    """Exact block-first pieces of the active indices ``act`` (1-based,
-    ascending) for rank kk, or None: the rung after ``_blockwise_pieces``.
+    """Block-first pieces of the active indices ``act`` (1-based,
+    ascending) for rank kk, or None: the ``blockwise`` rung, for N = 3kk-1
+    (one pair block) or 3kk-2 (two).
 
-    With 3kk indices left they take the triangles (j, j+m, j+2m), as in
-    ``_blockwise_pieces``. Otherwise every ``_spaced_blocks`` candidate of
-    ``act`` is scored by ``_block_scores``, and the remainder of every
-    candidate whose block margin is at least BLOCK_FLOOR, not only of the
-    BLOCK_SHORTLIST best, by ``_remainder_scores``, built REMAINDER_CHUNK
-    entries at a time. Among the candidates whose remainder margin is at
-    least FEASIBILITY_FLOOR, the one with the largest min of its two
-    margins is the pair block, the first in family order among equals, and
-    the step recurses once on its remainder: one call per pair block still
-    needed, then the triangles, with no backtracking."""
+    With 3kk indices left they take the triangles (j, j+m, j+2m): the
+    rank-m region of 3m points is the intersection of those triangles (Li
+    and Sze, Proc. AMS 136, 2008), so the remainder's positive margin makes
+    each feasible. Otherwise one step picks the pair block and recurses
+    once on its remainder, with no backtracking. It scores one chord table
+    (``_block_scores``): every ``_spaced_blocks`` candidate's rank-2 margin
+    is the min of 5 of its entries. Among the candidates whose block margin
+    is at least BLOCK_FLOOR (a block may hold the target on the boundary of
+    its own rank-2 region), it scores the remainders of the BLOCK_SHORTLIST
+    best (``_shortlist``), each chord one more gather from the table
+    (``_remainder_scores``), and picks ``_best_block`` among them; only
+    when that finds none, it scores the remainder of every candidate, in
+    family order."""
     n = act.size
     if n == 3 * kk:
+        # triangle j is (act[j], act[j + m], act[j + 2m]): column j of act
+        # read as 3 rows of m
         return [("tri", t) for t in map(tuple, act.reshape(3, -1).T.tolist())]
     table, m_blk = _block_scores(es, act, lam)
     good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
-    if good.size == 0:
+    for cand in (_shortlist(good, m_blk[good]), good):
+        best = _best_block(table, n, kk, cand, m_blk[cand], lam)
+        if best is not None:
+            break
+    else:
         return None
-    score = m_blk[good]
-    if kk > 2:      # else nothing is left
-        step = max(1, REMAINDER_CHUNK // n)
-        m_rest = np.concatenate([
-            _remainder_scores(table, n, _remainders(
-                n, _layout_rows(n, good[s:s + step])), lam)
-            for s in range(0, good.size, step)])
-        score = np.where(m_rest >= FEASIBILITY_FLOOR,
-                         np.minimum(score, m_rest), -np.inf)
-    best = int(np.argmax(score))
-    if score[best] == -np.inf:
-        return None
-    five = _layout_rows(n, good[best:best + 1])
+    five = _layout_rows(n, cand[best:best + 1])
     tail = _search_pieces(es, kk - 2, lam, act[_remainders(n, five)[0]])
     if tail is None:
         return None
     return [("block", tuple(act[five[0]].tolist()))] + tail
+
+
+def _best_block(table, n, kk, cand, m_blk, lam):
+    """The position in ``cand`` of the pair block of one block-first step,
+    or None: among the candidates whose remainder margin is at least
+    FEASIBILITY_FLOOR, the largest min of the block margin ``m_blk`` and
+    the remainder margin, the first in the order of ``cand`` among equals.
+    The remainders are built REMAINDER_CHUNK entries at a time; at kk = 2
+    nothing is left, and the block margin alone decides."""
+    if cand.size == 0:
+        return None
+    score = m_blk
+    if kk > 2:
+        step = max(1, REMAINDER_CHUNK // n)
+        m_rest = np.concatenate([
+            _remainder_scores(table, n, _remainders(
+                n, _layout_rows(n, cand[s:s + step])), lam)
+            for s in range(0, cand.size, step)])
+        score = np.where(m_rest >= FEASIBILITY_FLOOR,
+                         np.minimum(score, m_rest), -np.inf)
+    best = int(np.argmax(score))
+    return None if score[best] == -np.inf else best
 
 
 def _piece_gates(es: EigenSystem, lam: complex, pieces):
@@ -759,8 +735,9 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
 
     The ladder of the module docstring: ``eigenspace``, then
     ``caratheodory`` for k = 1 or ``planned``, then, for N = 3k-1 and
-    3k-2, ``blockwise`` and its exact form ``adaptive``. ``strategy`` names
-    the rung that built the witness.
+    3k-2, ``blockwise``, whose steps score every candidate only where
+    their shortlist gives up. ``strategy`` names the rung that built the
+    witness.
 
     Raises LambdaOutsideRegion unless lam is strictly inside the rank-k
     region at MEMBERSHIP_TOL (k = 1 also accepts boundary points),
@@ -800,16 +777,11 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
             return _assemble(es, lam, found, "planned", pl)
 
     if pl.pairings:
-        pieces = _blockwise_pieces(es, k, lam)
-        if pieces is not None:
-            found = _try_pieces(es, lam, pieces, k)
-            if found is not None:
-                return _assemble(es, lam, found, "blockwise", pl)
         pieces = _search_pieces(es, k, lam, np.arange(1, n + 1))
         if pieces is not None:
             found = _try_pieces(es, lam, pieces, k)
             if found is not None:
-                return _assemble(es, lam, found, "adaptive", pl)
+                return _assemble(es, lam, found, "blockwise", pl)
 
     raise NoSolution(
         f"no feasible decomposition found for N={n}, k={k}, lam={lam}")

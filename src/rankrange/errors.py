@@ -1,10 +1,12 @@
-"""Exception hierarchy, and the one check of a caller's tolerance.
+"""Exception hierarchy, and the one check each of a caller's tolerance
+and rank.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 contract: 1 usage/parse, 2 mathematical rejection, 3 internal invariant
 violation.
 """
 
+import operator
 from math import inf
 
 
@@ -52,6 +54,20 @@ class EmptySpectrum(MathRejection):
 
 class InvalidRank(MathRejection):
     pass
+
+
+def checked_rank(k, n=inf) -> int:
+    """``k`` as an int when it is an integer (numpy's included) in 1..n,
+    else InvalidRank: a float rank would otherwise fail untyped, deep in
+    the index arithmetic. Every function that reads a caller's rank calls
+    this where it reads it."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidRank(f"rank {k!r} is not an integer") from None
+    if not 1 <= k <= n:
+        raise InvalidRank(f"rank k={k} outside 1..{n}")
+    return k
 
 
 class TooLarge(MathRejection):

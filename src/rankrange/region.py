@@ -37,7 +37,7 @@ from math import comb, inf
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import (EmptyRegion, InvalidRank, ParseError, TooLarge,
+from .errors import (EmptyRegion, ParseError, TooLarge, checked_rank,
                      checked_tol)
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
 from .spectra import EigenSystem
@@ -171,8 +171,7 @@ def build_region(es: EigenSystem, k: int) -> OmegaRegion:
     i+k cyclic, and the point constraints of its pinning chords, each
     distinct endpoint once."""
     n = es.dim
-    if k < 1 or k > n:
-        raise InvalidRank(f"rank k={k} outside 1..{n}")
+    k = checked_rank(k, n)
     start = np.arange(n)
     t0, t1, a, b = chord_ends(es, start, successor(start, k, n))
     edge, length, live, pinned = chord_rule(t0, t1, a, b)
@@ -313,8 +312,7 @@ class BruteForceOracle:
 
     def __init__(self, es: EigenSystem, k: int):
         n = es.dim
-        if k < 1 or k > n:
-            raise InvalidRank(f"rank k={k} outside 1..{n}")
+        k = checked_rank(k, n)
         if n > self.MAX_DIM:
             raise TooLarge(
                 f"N={n} exceeds brute-force guard {self.MAX_DIM}")

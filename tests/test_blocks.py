@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,22 @@ def test_block_rejects_eigenvalue_target():
 def test_block_needs_five_points():
     with pytest.raises(NoSolution):
         isotropic_pair(np.array([1.0, -1.0, 1j, -1j]))
+
+
+def test_non_finite_block_raises_without_warning():
+    # a NaN point passed the near-zero test, and an infinite one made NaN
+    # in the normalisation: each warned, then raised LinAlgError from the
+    # closed form's SVD
+    es, lam = feasible_instance(np.random.default_rng(3))
+    good = es.eigenvalues() - lam
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+        block = good.copy()
+        block[2] = bad
+        for d in (block, np.stack([good, block])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NoSolution, match="not finite"):
+                    isotropic_pair(d)
 
 
 def test_empty_stack_gives_empty_stack():
@@ -270,8 +288,8 @@ def clustered_blocks(sizes, kinds, seeds):
                         decomposition.plan(es, k, lam))
                     if not decomposition._blocks_feasible(es, pieces, lam):
                         pieces = []
-                    pieces += decomposition._blockwise_pieces(es, k, lam) \
-                        or []
+                    pieces += decomposition._search_pieces(
+                        es, k, lam, np.arange(1, n + 1)) or []
                     out += [es.mu[np.array(idx) - 1] - lam
                             for kind_, idx in pieces if kind_ == "block"]
     return np.unique(np.array(out), axis=0)

@@ -502,10 +502,10 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
 
 # --- the frame is the result -----------------------------------------------
 
-# (16,6) targets near the region's boundary at which the block-first rung
-# gives up and the search closes: a uniform spectrum and one of five
-# clusters, each 0.99 of the way from the region's Chebyshev centre to its
-# boundary
+# (16,6) targets near the region's boundary at which the first block-first
+# step's shortlist gives up and the step closes them by scoring every
+# candidate: a uniform spectrum and one of five clusters, each 0.99 of the
+# way from the region's Chebyshev centre to its boundary
 GIVES_UP = [
     (np.sort(np.random.default_rng([3, 16, 0]).uniform(0, 2 * np.pi, 16)),
      -0.20417225604445027 - 0.40022583722061833j),
@@ -522,9 +522,10 @@ BENCHMARK_STREAMS = ((13, 5), (28, 10), (29, 10), (44, 15), (58, 20),
 
 
 def _one_per_strategy(conjugate=True):
-    """(es, k, lam, strategy) reaching each rung of the ladder;
-    matrix inputs by default, so the frame is mapped out of the eigenbasis,
-    else spectrum inputs of the same eigenvalues."""
+    """(es, k, lam, strategy) reaching each rung of the ladder, and a
+    ``blockwise`` witness whose first step scores every candidate; matrix
+    inputs by default, so the frame is mapped out of the eigenbasis, else
+    spectrum inputs of the same eigenvalues."""
     if conjugate:
         cases = [(ingest_matrix(np.eye(5)), 2, 1.0 + 0j, "eigenspace")]
     else:
@@ -539,7 +540,7 @@ def _one_per_strategy(conjugate=True):
         es = ingest_matrix(q @ np.diag(np.exp(1j * phases)) @ q.conj().T)
     else:
         es = ingest_spectrum(phases)
-    cases.append((es, 6, lam, "adaptive"))
+    cases.append((es, 6, lam, "blockwise"))
     return cases
 
 
@@ -735,10 +736,25 @@ def test_subspectrum_margin_rejects_rank_below_one():
     assert subspectrum_margin(es, 5, 0j, np.arange(4)) == -np.inf
 
 
-def reference_search_pieces(es, kk, lam, act):
+def test_subspectrum_margin_rejects_rank_that_is_not_an_integer():
+    es = exact_spectrum([0.0, 1.0, 2.0, 3.0, 4.0])
+    rows = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+    for j in (2.0, 2.5, np.float64(2.0), "2"):
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(es, j, 0j, rows)
+        with pytest.raises(InvalidRank):
+            subspectrum_margin(es, j, 0j, rows[0])
+    want = subspectrum_margin(es, 2, 0j, rows)
+    for j in (np.int64(2), np.int8(2)):
+        assert subspectrum_margin(es, j, 0j, rows).tolist() == want.tolist()
+
+
+def reference_search_pieces(es, kk, lam, act, shortlist=True):
     """_search_pieces with the row-form scorer: one subspectrum_margin call
-    over every candidate row and one over every remainder, then the same
-    argmax of the min of the two margins."""
+    over every candidate row, the shortlist by a full sort (none when
+    ``shortlist`` is False), then one call over the remainders of the
+    shortlist and, only when it has no feasible remainder, one over every
+    candidate's, with the same argmax of the min of the two margins."""
     n = act.size
     if n == 3 * kk:
         m = n // 3
@@ -747,32 +763,51 @@ def reference_search_pieces(es, kk, lam, act):
     five = decomposition._spaced_blocks(n)
     m_blk = subspectrum_margin(es, 2, lam, act[five] - 1)
     good = np.nonzero(m_blk >= decomposition.BLOCK_FLOOR)[0]
-    if good.size == 0:
+    short = full_sort_shortlist(good, m_blk[good]) if shortlist else good[:0]
+    for cand in (short, good):
+        if cand.size == 0:
+            continue
+        rest = decomposition._remainders(n, five[cand])
+        score = m_blk[cand]
+        if kk > 2:
+            m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
+            score = np.where(m_rest >= decomposition.FEASIBILITY_FLOOR,
+                             np.minimum(score, m_rest), -np.inf)
+        best = int(np.argmax(score))
+        if score[best] > -np.inf:
+            break
+    else:
         return None
-    rest = decomposition._remainders(n, five[good])
-    score = m_blk[good]
-    if kk > 2:
-        m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
-        score = np.where(m_rest >= decomposition.FEASIBILITY_FLOOR,
-                         np.minimum(score, m_rest), -np.inf)
-    best = int(np.argmax(score))
-    if score[best] == -np.inf:
-        return None
-    tail = reference_search_pieces(es, kk - 2, lam, act[rest[best]])
+    tail = reference_search_pieces(es, kk - 2, lam, act[rest[best]],
+                                   shortlist)
     if tail is None:
         return None
-    return [("block", tuple(act[five[good[best]]].tolist()))] + tail
+    return [("block", tuple(act[five[cand[best]]].tolist()))] + tail
 
 
-def test_search_pieces_equal_row_form_reference(monkeypatch):
-    # the benchmark streams, and (154,52), whose first step's 6,930
-    # candidates take two chunks of remainders
+def no_shortlist(good, m):
+    """A ``_shortlist`` that gives up at once, so that every step scores
+    the remainder of every candidate."""
+    return good[:0]
+
+
+def stream_cases(count):
+    """(es, k, lam) of the first ``count`` default_rng(1) instances of each
+    of the BENCHMARK_STREAMS sizes."""
     cases = []
     for n, k in BENCHMARK_STREAMS:
         rng = np.random.default_rng(1)
-        for i in range(10):
+        for i in range(count):
             es = random_instance(rng, n, i % 2 == 1)
             cases.append((es, k, pick_target(es, k)))
+    return cases
+
+
+def test_search_pieces_equal_row_form_reference(monkeypatch):
+    # with the shortlist made to give up, every step scores every
+    # candidate: the benchmark streams, and (154,52), whose first step's
+    # 6,930 candidates take two chunks of remainders
+    cases = stream_cases(10)
     es = ingest_spectrum(np.random.default_rng(0).uniform(0, 2 * np.pi, 154))
     cases.append((es, 52, interior_point(build_region(es, 52))))
     chunks = []
@@ -783,18 +818,20 @@ def test_search_pieces_equal_row_form_reference(monkeypatch):
         return scores(table, n, rest, lam)
 
     monkeypatch.setattr(decomposition, "_remainder_scores", counted)
+    monkeypatch.setattr(decomposition, "_shortlist", no_shortlist)
     for es, k, lam in cases:
         act = np.arange(1, es.dim + 1)
         got = decomposition._search_pieces(es, k, lam, act)
         assert got is not None, (es.dim, k, lam)
-        assert got == reference_search_pieces(es, k, lam, act), \
+        assert got == reference_search_pieces(es, k, lam, act, False), \
             (es.dim, k, lam)
     assert chunks.count(154) == 2 and chunks.count(149) == 1
 
 
 # (n, k, seed, target, pieces); spectra are default_rng(seed).uniform(0,
-# 2pi, n), searched from every index: N = 3k - 2 takes two pair blocks, so
-# 3 nodes each
+# 2pi, n), searched from every index with the shortlist made to give up, so
+# that every step scores every candidate: N = 3k - 2 takes two pair
+# blocks, so 3 nodes each
 SEARCH_PINS = [
     (13, 5, 0, 0.469036 - 0.473619j,
      [("block", (1, 4, 7, 9, 12)), ("block", (3, 5, 8, 10, 13)),
@@ -822,6 +859,7 @@ def test_search_tree_pinned(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(decomposition, "_search_pieces", counted)
+    monkeypatch.setattr(decomposition, "_shortlist", no_shortlist)
     for n, k, seed, lam, want in SEARCH_PINS:
         rng = np.random.default_rng(seed)
         es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
@@ -843,13 +881,14 @@ def test_search_takes_one_node_per_pair_block(monkeypatch):
     monkeypatch.setattr(decomposition, "_search_pieces", counted)
     phases, lam = GIVES_UP[0]
     proj = construct_projector(ingest_spectrum(phases), 6, lam)
-    assert proj.strategy == "adaptive"
+    assert proj.strategy == "blockwise"
     assert nodes == [16, 11, 6]
 
 
-# the three (16,6) targets of the ROADMAP rate-of-use scan that only the
-# search builds: uniform seed 3, and 5 clusters seed 2, twice
-SCAN_ADAPTIVE = [
+# the three (16,6) targets of the ROADMAP rate-of-use scan at which the
+# first step's shortlist gives up: uniform seed 3, and 5 clusters seed 2,
+# twice
+SCAN_PAST_SHORTLIST = [
     (np.sort(np.random.default_rng([3, 16, 0]).uniform(0, 2 * np.pi, 16)),
      -0.2276146484301223 - 0.39988006288358613j),
     (clustered_phases([2, 16, 2], 5, 16),
@@ -859,14 +898,35 @@ SCAN_ADAPTIVE = [
 ]
 
 
-@pytest.mark.parametrize("phases, lam", SCAN_ADAPTIVE,
+def record_steps(monkeypatch):
+    """Record, for each pick of a block-first step, how many candidates it
+    weighed and whether it found a block."""
+    steps = []
+    pick = decomposition._best_block
+
+    def counted(table, n, kk, cand, m_blk, lam):
+        best = pick(table, n, kk, cand, m_blk, lam)
+        steps.append((cand.size, best is not None))
+        return best
+
+    monkeypatch.setattr(decomposition, "_best_block", counted)
+    return steps
+
+
+@pytest.mark.parametrize("phases, lam", SCAN_PAST_SHORTLIST,
                          ids=["uniform", "clustered-a", "clustered-b"])
-def test_scan_targets_past_blockwise_are_adaptive(phases, lam):
+def test_scan_targets_past_shortlist_are_blockwise(monkeypatch, phases, lam):
+    # the first step's shortlist of 64 leaves no feasible remainder; the
+    # step then weighs every candidate (200 or 174) and finds one, and
+    # the second step's shortlist finds its block
+    steps = record_steps(monkeypatch)
     es = ingest_spectrum(phases)
     with deadline(2.0):
         proj = construct_projector(es, 6, lam)
-    assert proj.strategy == "adaptive"
+    assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 6).passed
+    assert [found for _, found in steps] == [False, True, True]
+    assert steps[0][0] == decomposition.BLOCK_SHORTLIST < steps[1][0]
 
 
 def test_triangle_solve_errors_propagate(monkeypatch):
@@ -1036,15 +1096,16 @@ def test_pair_block_miss_moves_construction_on(monkeypatch):
 
 
 def test_every_pair_block_miss_raises_at_once(monkeypatch):
-    # the spectrum and target above; with every block made to miss, each
-    # block rung tries once and the construction raises NoSolution at once
+    # the spectrum and target above; with every block made to miss, the
+    # planned and blockwise rungs each try once and the construction raises
+    # NoSolution at once
     es = ingest_spectrum(clustered_phases(44, 3, 8))
     lam = -0.22069262232778145 + 0.6124527386670806j
     seen = _pair_solve_misses(monkeypatch,
                               lambda d: np.ones(len(d), dtype=bool))
     with deadline(2.0), pytest.raises(NoSolution):
         construct_projector(es, 3, lam)
-    assert len(seen) == 3
+    assert len(seen) == 2
 
 
 def test_regular_octagon_centre_is_built_by_block_rungs():
@@ -1064,9 +1125,9 @@ def test_regular_octagon_centre_is_built_by_block_rungs():
             assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
 
 
-def test_clustered_target_past_blockwise_is_adaptive(monkeypatch):
+def test_clustered_target_closes_past_shortlist(monkeypatch):
     # six clusters of width 7e-6 holding 2 to 7 eigenvalues each: the
-    # block-first rung closes this target
+    # block-first rung closes this target from its shortlists
     phases = np.repeat([0.96099, 1.282885, 1.526565, 2.10249, 2.817509,
                         4.643176], [5, 3, 2, 5, 4, 7])
     es = ingest_spectrum(np.sort(
@@ -1075,13 +1136,12 @@ def test_clustered_target_past_blockwise_is_adaptive(monkeypatch):
     proj = construct_projector(es, 9, lam)
     assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
-    # without that rung, the search scores every block's remainder and
-    # builds the witness
-    monkeypatch.setattr(decomposition, "_blockwise_pieces",
-                        lambda *args: None)
+    # with the shortlist made to give up, each step scores every block's
+    # remainder and builds the witness
+    monkeypatch.setattr(decomposition, "_shortlist", no_shortlist)
     with deadline(2.0):
         proj = construct_projector(es, 9, lam)
-    assert proj.strategy == "adaptive"
+    assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, 9).passed
 
 
@@ -1274,45 +1334,14 @@ def test_remainder_scores_equal_row_form():
     assert dead > 0 and pinned > 0
 
 
-def reference_blockwise_pieces(es, kk, lam):
-    """_blockwise_pieces with the row-form block scorer: one
-    subspectrum_margin call over every candidate row."""
-    act = np.arange(1, es.dim + 1)
-    pieces = []
-    while act.size < 3 * kk:
-        five = decomposition._spaced_blocks(act.size)
-        m_blk = subspectrum_margin(es, 2, lam, act[five] - 1)
-        good = np.nonzero(m_blk >= decomposition.BLOCK_FLOOR)[0]
-        if good.size == 0:
-            return None
-        good = good[np.argsort(-m_blk[good], kind="stable")
-                    [:decomposition.BLOCK_SHORTLIST]]
-        rest = decomposition._remainders(act.size, five[good])
-        if kk == 2:
-            m_rest = np.full(good.size, np.inf)
-        else:
-            m_rest = subspectrum_margin(es, kk - 2, lam, act[rest] - 1)
-        best = int(np.argmax(np.minimum(m_blk[good], m_rest)))
-        if m_rest[best] < decomposition.FEASIBILITY_FLOOR:
-            return None
-        pieces.append(("block", tuple(act[five[good[best]]].tolist())))
-        act = act[rest[best]]
-        kk -= 2
-    m = act.size // 3
-    return pieces + [("tri", tuple(act[[j, j + m, j + 2 * m]].tolist()))
-                     for j in range(m)]
-
-
 def test_blockwise_pieces_equal_row_form_scorer():
+    # unpatched: the shortlist closes every step of the streams, and gives
+    # up at the first step of the GIVES_UP targets
     cases = [(ingest_spectrum(phases), 6, lam) for phases, lam in GIVES_UP]
-    for n, k in BENCHMARK_STREAMS:
-        rng = np.random.default_rng(1)
-        for i in range(20):
-            es = random_instance(rng, n, i % 2 == 1)
-            cases.append((es, k, pick_target(es, k)))
-    for es, k, lam in cases:
-        assert decomposition._blockwise_pieces(es, k, lam) == \
-            reference_blockwise_pieces(es, k, lam), (es.dim, k, lam)
+    for es, k, lam in cases + stream_cases(20):
+        act = np.arange(1, es.dim + 1)
+        assert decomposition._search_pieces(es, k, lam, act) == \
+            reference_search_pieces(es, k, lam, act), (es.dim, k, lam)
 
 
 def test_blockwise_pentagon_has_no_remainder(monkeypatch):
@@ -1330,7 +1359,7 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
 
     monkeypatch.setattr(decomposition, "subspectrum_margin", counted)
     monkeypatch.setattr(decomposition, "chord_margins", counted_chords)
-    pieces = decomposition._blockwise_pieces(PENTAGON, 2, 0j)
+    pieces = decomposition._search_pieces(PENTAGON, 2, 0j, np.arange(1, 6))
     assert pieces == [("block", (1, 2, 3, 4, 5))]
     # one rank-2 scoring, from the block's 5 x 1 chord table; the empty
     # remainder is not scored: rank 0 would raise InvalidRank
@@ -1344,9 +1373,10 @@ def test_blockwise_is_deterministic():
     for n, k in ((58, 20), (59, 20)):
         es = random_instance(np.random.default_rng(2), n, False)
         lam = pick_target(es, k)
-        first = decomposition._blockwise_pieces(es, k, lam)
+        act = np.arange(1, n + 1)
+        first = decomposition._search_pieces(es, k, lam, act)
         assert first is not None
-        assert decomposition._blockwise_pieces(es, k, lam) == first
+        assert decomposition._search_pieces(es, k, lam, act) == first
         # 3k - n pair blocks and triangles that partition the indices
         assert [kind for kind, _ in first].count("block") == 3 * k - n
         assert sorted(j for _, idx in first for j in idx) == \
@@ -1354,11 +1384,9 @@ def test_blockwise_is_deterministic():
 
 
 def test_blockwise_closes_benchmark_streams(monkeypatch):
-    # the search must not be reached
-    def no_search(*args, **kwargs):
-        raise AssertionError("the search was reached")
-
-    monkeypatch.setattr(decomposition, "_search_pieces", no_search)
+    # every step's shortlist finds its block: no step scores every
+    # candidate
+    steps = record_steps(monkeypatch)
     for n, k in BENCHMARK_STREAMS:
         rng = np.random.default_rng(1)
         strategies = []
@@ -1370,12 +1398,20 @@ def test_blockwise_closes_benchmark_streams(monkeypatch):
             assert verify_projector(proj.matrix, es.matrix, lam, k).passed
         assert set(strategies) <= {"planned", "blockwise"}, (n, k)
         assert "blockwise" in strategies, (n, k)
+    assert steps and all(found for _, found in steps)
+    assert max(size for size, _ in steps) <= decomposition.BLOCK_SHORTLIST
 
 
-def test_blockwise_gives_up_to_search():
+def test_blockwise_gives_up_to_search(monkeypatch):
+    # the first step's shortlist of 64 leaves no feasible remainder, so
+    # the step scores every candidate's and finds a block; the next step's
+    # shortlist finds its own
+    steps = record_steps(monkeypatch)
     for phases, lam in GIVES_UP:
         es = ingest_spectrum(phases)
-        assert decomposition._blockwise_pieces(es, 6, lam) is None
+        steps.clear()
         proj = construct_projector(es, 6, lam)
-        assert proj.strategy == "adaptive"
+        assert proj.strategy == "blockwise"
         assert verify_projector(proj.matrix, es.matrix, lam, 6).passed
+        assert [found for _, found in steps] == [False, True, True]
+        assert steps[0][0] == decomposition.BLOCK_SHORTLIST < steps[1][0]

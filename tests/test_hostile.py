@@ -4,10 +4,11 @@ deadline, with a witness or with a typed error.
 At the Chebyshev centre of uniform spectra, a re-partition search over a
 table of every index triple ran past 250 s at (148,50) and (299,100), and
 at (2999,1000) it asked for all C(N,3) triangles (33.5 GiB). Those three
-must be built by the planned or block-first rung, with the search made to
-raise if reached. The exact block step that replaced that search must
-itself give a witness at the first two sizes within 10 s and 64 MiB of
-traced memory, with the block-first rung patched out.
+must be built by the planned or block-first rung, with no block-first step
+scoring more than its shortlist. With the shortlist made to give up, so
+that every step scores the remainder of every candidate, the block-first
+rung must still give a witness at the first two sizes within 10 s and 64
+MiB of traced memory.
 
 On a clustered (58,20) target and an equally spaced (88,30) one, every
 rung of the construction misses. A least-squares rung once spent 13 s to
@@ -40,10 +41,14 @@ from deadline import deadline
     (2999, 1000, 3, 30.0),
 ])
 def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the re-partition search was reached")
+    scores = decomposition._remainder_scores
 
-    monkeypatch.setattr(decomposition, "_search_pieces", no_search)
+    def shortlisted(table, size, rest, lam):
+        # a step that scores every candidate reads more remainders
+        assert len(rest) <= decomposition.BLOCK_SHORTLIST, len(rest)
+        return scores(table, size, rest, lam)
+
+    monkeypatch.setattr(decomposition, "_remainder_scores", shortlisted)
     with deadline(seconds):
         es = ingest_spectrum(np.sort(
             np.random.default_rng(seed).uniform(0, 2 * np.pi, n)))
@@ -63,10 +68,9 @@ def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
 
 @pytest.mark.parametrize("n, k", [(148, 50), (299, 100)])
 def test_forced_search_is_bounded(monkeypatch, n, k):
-    # with the block-first rung patched out, the search scores every
-    # candidate's remainder, in chunks, and builds the witness
-    monkeypatch.setattr(decomposition, "_blockwise_pieces",
-                        lambda *args: None)
+    # with the shortlist made to give up, each block-first step scores
+    # every candidate's remainder, in chunks, and builds the witness
+    monkeypatch.setattr(decomposition, "_shortlist", lambda good, m: good[:0])
     es = ingest_spectrum(np.sort(
         np.random.default_rng(0).uniform(0, 2 * np.pi, n)))
     lam = interior_point(build_region(es, k))
@@ -78,7 +82,7 @@ def test_forced_search_is_bounded(monkeypatch, n, k):
         finally:
             tracemalloc.stop()
     assert peak <= 64 * 2**20, peak
-    assert proj.strategy == "adaptive"
+    assert proj.strategy == "blockwise"
     assert verify_projector(proj.matrix, es.matrix, lam, k).passed
 
 
@@ -127,12 +131,13 @@ def test_scattered_frame_equals_gathered_frame():
 
 
 @pytest.mark.parametrize("phases, k, lam", [
-    # 4 clusters of width 1e-4: planned fails, and no evenly spaced pair
-    # block leaves a feasible remainder, for either block-first rung
+    # 4 clusters of width 1e-4: planned fails, and the first block-first
+    # step leaves a remainder none of whose evenly spaced pair blocks holds
+    # the target
     (clustered_phases([2, 58, 1], 4, 58), 20,
      0.9185714874906576 + 0.17667316336147557j),
     # equally spaced, 0.99 of the way from the centre toward eigenvalue 1:
-    # no evenly spaced pair block is feasible, for either block-first rung
+    # no evenly spaced pair block is feasible
     (2 * np.pi * np.arange(88) / 88, 30, 0.47445649586280525 + 0j),
 ], ids=["58-20-clustered", "88-30-spaced"])
 def test_missed_target_ends_in_no_solution_at_once(phases, k, lam):

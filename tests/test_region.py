@@ -92,6 +92,29 @@ def test_invalid_rank():
         build_region(PENTAGON, 6)
 
 
+def test_rank_that_is_not_an_integer_is_invalid():
+    # a float rank raised an untyped TypeError from the index arithmetic;
+    # numpy integers are ranks
+    es = ingest_spectrum(2 * np.pi * np.arange(9) / 9 + 0.1)
+    for k in (3.0, 2.5, np.float64(3.0), "3", None):
+        with pytest.raises(InvalidRank):
+            build_region(es, k)
+        with pytest.raises(InvalidRank):
+            BruteForceOracle(es, k)
+    # the construction reads the rank through build_region
+    for k in (3.0, 2.5):
+        with pytest.raises(InvalidRank):
+            construct_projector(es, k, 0j)
+    for k in (np.int64(3), np.int32(3), np.uint8(3)):
+        region = build_region(es, k)
+        assert region.k == 3 and type(region.k) is int
+        assert region_margin(region, 0j) == region_margin(
+            build_region(es, 3), 0j)
+        assert BruteForceOracle(es, k).margin(0j) == \
+            BruteForceOracle(es, 3).margin(0j)
+        assert construct_projector(es, k, 0j).rank == 3
+
+
 def test_rank_equal_to_dimension():
     # k = N: every chord degenerates with a full-turn span, pinning the
     # region to each eigenvalue simultaneously: empty for distinct phases
