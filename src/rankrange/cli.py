@@ -152,12 +152,13 @@ def _cmd_project(args, tol):
         if lam is None:
             raise MathRejection("region has no usable interior target")
     proj = construct_projector(es, args.k, lam)
-    report = verify_projector(proj.matrix, es.matrix, lam, args.k)
+    P = proj.matrix
+    report = verify_projector(P, es.matrix, lam, args.k)
     if not report.passed:
         raise InternalInvariantError(
             f"the {proj.strategy} witness fails its dense check: "
             f"{json.dumps(report.residuals, sort_keys=True)}")
-    doc = io_mod.projector_to_doc(proj, report.residuals)
+    doc = io_mod.projector_to_doc(P, proj.rank, proj.target, report.residuals)
     text = io_mod.dump(doc, args.out)
     if args.out is None:
         print(text)

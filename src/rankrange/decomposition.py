@@ -23,36 +23,38 @@ It climbs one ladder of strategies and returns the first witness that
 passes the gates:
 
 1. ``eigenspace``: k eigenvalues at the target are their own witness;
-2. ``caratheodory`` for k = 1 (the fan triangles of the hull solved in one
-   ``solve_barycentric`` call), else ``planned``: the plan's own pieces,
-   its pair blocks first checked for feasibility in one margin call (the
-   target must lie in the rank-2 region of each block's own 5
-   eigenvalues);
-3. ``blockwise``, for N = 3k-1 and 3k-2 only: each pair block is the
-   evenly spaced 5-index candidate with the best min of its own rank-2
-   margin and its remainder's margin, one step per pair block still
-   needed, with no backtracking. Each step scores one chord table (n
-   starts by the few spans near 2n/5 that the candidates' chords take,
-   and the six spans r .. r+5 of a remainder's rank-r chords); the layout
-   of the candidates is built once per size and cached, stored by chord
-   so that each candidate's min is 5 contiguous gathers. A partition
-   picks the BLOCK_SHORTLIST best blocks, and each chord of their
-   remainders is one more gather from the same table; only when none of
-   them leaves a feasible remainder does the step score the remainder of
-   every candidate whose block margin is at least BLOCK_FLOOR,
-   REMAINDER_CHUNK entries at a time. The 3m indices left take the
-   triangles (j, j+m, j+2m), which a positive rank-m margin of the
+2. ``caratheodory`` for k = 1: the fan triangles of the hull solved in one
+   ``solve_barycentric`` call;
+3. one block-first call (``_search_pieces``) for N = 3k, 3k-1 and 3k-2,
+   after ``plan`` has checked the dimension and recorded the paper's
+   template. At N = 3k it is the leaf alone, the template's triangles (m,
+   k+m, 2k+m), labelled ``planned``. At 3k-1 and 3k-2 it is ``blockwise``:
+   each pair block is the 5-index candidate, evenly spaced or the paper's
+   shared-vertex block, with the best min of its own rank-2 margin and its
+   remainder's margin, one step per pair block still needed, with no
+   backtracking. Each step scores one chord table (n starts by the few
+   spans that the candidates' chords take, and the six spans r .. r+5 of a
+   remainder's rank-r chords); the layout of the candidates is built once
+   per size and cached, stored by chord so that each candidate's min is 5
+   contiguous gathers. A partition picks the BLOCK_SHORTLIST best blocks,
+   and each chord of their remainders is one more gather from the same
+   table; only when none of them leaves a feasible remainder does the step
+   score the remainder of every candidate whose block margin is at least
+   BLOCK_FLOOR, REMAINDER_CHUNK entries at a time. The 3m indices left take
+   the triangles (j, j+m, j+2m), which a positive rank-m margin of the
    remainder makes feasible.
 
-When all three miss, the construction raises NoSolution.
+When the call misses, the construction raises NoSolution.
 
 Margins of sub-spectra, ``subspectrum_margin(es, j, lam, rows)``, take
 their chord ends from ``region.chord_ends`` and score them with
 ``region.chord_margins``: the region and every scorer share one chord-end
-rule and one chord rule. Each pair block's rank-2 margin is scored once,
-by the rung that proposes it; every triangle of a candidate is solved
-before any of its blocks, so one with an infeasible triangle never pays
-the pair solve.
+rule and one chord rule. The construction reads its margins from the
+block-first chord table, and ``subspectrum_margin`` is the row-form
+reference that table is ``==`` to. Each pair block's rank-2 margin is
+scored once, by the step that proposes it; every triangle of a candidate
+is solved before any of its blocks, so one with an infeasible triangle
+never pays the pair solve.
 """
 
 from __future__ import annotations
@@ -137,7 +139,14 @@ class Projector:
     ``caratheodory`` witnesses are one piece each.
     The frame W takes, stack after stack and piece after piece, the c
     columns ``basis[:, rows[g]] @ coef[g]``; ``basis`` None is the
-    standard basis of a spectrum input."""
+    standard basis of a spectrum input.
+
+    ``plan`` is the paper's template that ``plan`` chose for the size and
+    target: its case, triangles and branch (``vertex1`` or ``reflected``
+    at N = 3k-1, ``case1`` or ``case2`` at 3k-2). At N = 3k the witness's
+    triangles are the template's; at 3k-1 and 3k-2 its pair blocks come
+    from the block-first family, which holds the template's first block
+    among its candidates but need not pick it. ``eigenspace`` has None."""
     pieces: tuple = field(repr=False)
     dim: int
     basis: np.ndarray = field(repr=False)
@@ -420,23 +429,7 @@ def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
 # synthesis
 
 
-def _planned_pieces(pl: DecompositionPlan):
-    """(kind, data) synthesis pieces for a plan: 'block' for each pairing's
-    5-index union, 'tri' for every unpaired triangle."""
-    paired_positions = set()
-    pieces = []
-    for p in pl.pairings:
-        paired_positions.update((p.first, p.second))
-        support = sorted(set(pl.triangles[p.first].indices)
-                         | set(pl.triangles[p.second].indices))
-        pieces.append(("block", tuple(support)))
-    for pos, t in enumerate(pl.triangles):
-        if pos not in paired_positions:
-            pieces.append(("tri", t.indices))
-    return pieces
-
-
-def _try_pieces(es, lam, pieces, kk):
+def _try_pieces(es, lam, pieces):
     """The stacked pieces (see ``Projector``) of a candidate partition, or
     None when one of them is infeasible: its pair blocks, rows (B, 5) and
     isotropic pairs (B, 5, 2), then its triangles, rows (T, 3) and the
@@ -445,12 +438,9 @@ def _try_pieces(es, lam, pieces, kk):
     Every triangle is solved first, in one ``solve_barycentric`` call, so
     a candidate with a triangle that has no weights never pays
     ``isotropic_pair``, which then solves all the pair blocks in one
-    stacked call. Each pair block arrives scored by the
-    rung that proposed it, at a rank-2 margin of at least
-    FEASIBILITY_FLOOR (BLOCK_FLOOR for the block-first rung), and is not
-    scored again here."""
-    if sum(1 if kind == "tri" else 2 for kind, _ in pieces) != kk:
-        return None
+    stacked call. Each pair block arrives scored by the block-first step
+    that proposed it, at a rank-2 margin of at least BLOCK_FLOOR, and is
+    not scored again here."""
     tris, blks = ([idx for kind, idx in pieces if kind == want]
                   for want in ("tri", "block"))
     out = []
@@ -471,14 +461,6 @@ def _try_pieces(es, lam, pieces, kk):
     return out
 
 
-def _blocks_feasible(es, pieces, lam) -> bool:
-    """Whether every pair block of ``pieces`` has a rank-2 margin of at least
-    FEASIBILITY_FLOOR, scored in one row-form call."""
-    blks = [idx for kind, idx in pieces if kind == "block"]
-    return not blks or subspectrum_margin(
-        es, 2, lam, np.sort(blks, axis=1) - 1).min() >= FEASIBILITY_FLOOR
-
-
 def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
     """Positions 0..n-1 left after removing each row of ``chosen`` (distinct
     positions per row), one ascending row per row of ``chosen``."""
@@ -489,17 +471,28 @@ def _remainders(n: int, chosen: np.ndarray) -> np.ndarray:
 
 
 def _spaced_blocks(n: int) -> np.ndarray:
-    """Evenly spaced 5-position pair-block candidates on positions 0..n-1.
+    """The 5-position pair-block candidates on positions 0..n-1: the evenly
+    spaced ones and the paper's.
 
-    The rows are j + (0, g1, g2, g3, g4) mod n for every start j, with each
-    g_i within 1 of round(i*n/5) and 0 < g1 < g2 < g3 < g4 < n, each row
-    sorted, start by start, and no repeat built: row (j, p) repeats an
-    earlier row exactly when p rotated to its position c > 0 is a pattern
-    too and j + g_c wraps past n, so p keeps the starts j < n - max g_c."""
+    The rows are j + (0, g1, g2, g3, g4) mod n for every start j, each row
+    sorted, start by start. The patterns are every (g1, .., g4) with each
+    g_i within 1 of round(i*n/5) and 0 < g1 < g2 < g3 < g4 < n, then, when
+    it is not one of them, the paper's shared-vertex block: cyclic gaps (a,
+    d, a, d, a) with d = 3 - n mod 3 and a = (n - 2d) / 3, the union of the
+    triangles (1, k+1, 2k+1) and (1, k, 2k) at n = 3k-1, and of (1, k-1,
+    2k-1) and (1, k+1, 2k+1) at n = 3k-2. No repeat is built: row (j, p)
+    repeats an earlier row exactly when p rotated to its position c > 0 is
+    a pattern too and j + g_c wraps past n, so p keeps the starts j < n -
+    max g_c."""
     near = np.rint(np.arange(1, 5) * n / 5).astype(int)
     offs = near + np.array(list(product((-1, 0, 1), repeat=4)))
     offs = offs[(offs[:, 0] > 0) & (offs[:, 3] < n)
                 & (np.diff(offs, axis=1) > 0).all(axis=1)]
+    d = 3 - n % 3
+    a = (n - 2 * d) // 3
+    paper = np.cumsum([a, d, a, d])
+    if a > 0 and not (offs == paper).all(axis=1).any():
+        offs = np.concatenate([offs, paper[None]])
     offs = np.concatenate([np.zeros((len(offs), 1), dtype=int), offs], axis=1)
     # a pattern is fixed by its 5 cyclic gaps, a rotation by them rolled
     gaps = np.diff(offs, axis=1, append=n).tolist()
@@ -610,13 +603,14 @@ def _shortlist(good, m):
 
 def _search_pieces(es, kk, lam, act):
     """Block-first pieces of the active indices ``act`` (1-based,
-    ascending) for rank kk, or None: the ``blockwise`` rung, for N = 3kk-1
-    (one pair block) or 3kk-2 (two).
+    ascending) for rank kk, or None: the one call of ``construct_projector``
+    for N = 3kk (the leaf alone), 3kk-1 (one pair block) or 3kk-2 (two).
 
     With 3kk indices left they take the triangles (j, j+m, j+2m): the
     rank-m region of 3m points is the intersection of those triangles (Li
     and Sze, Proc. AMS 136, 2008), so the remainder's positive margin makes
-    each feasible. Otherwise one step picks the pair block and recurses
+    each feasible; at N = 3kk these are the paper's triangles (m, kk+m,
+    2kk+m). Otherwise one step picks the pair block and recurses
     once on its remainder, with no backtracking. It scores one chord table
     (``_block_scores``): every ``_spaced_blocks`` candidate's rank-2 margin
     is the min of 5 of its entries. Among the candidates whose block margin
@@ -734,21 +728,23 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     """Rank-k projector P with P sigma P = lam P, built constructively.
 
     The ladder of the module docstring: ``eigenspace``, then
-    ``caratheodory`` for k = 1 or ``planned``, then, for N = 3k-1 and
-    3k-2, ``blockwise``, whose steps score every candidate only where
-    their shortlist gives up. ``strategy`` names the rung that built the
-    witness.
+    ``caratheodory`` for k = 1, else ``plan`` and one block-first call,
+    whose steps score every candidate only where their shortlist gives up.
+    ``strategy`` names the rung that built the witness: ``planned`` at N =
+    3k, whose triangles are the template's, and ``blockwise`` at 3k-1 and
+    3k-2, whose ``plan`` records the paper's template and branch while the
+    pair blocks come from the block-first family.
 
-    Raises LambdaOutsideRegion unless lam is strictly inside the rank-k
-    region at MEMBERSHIP_TOL (k = 1 also accepts boundary points),
-    UnsupportedDimension for dimension pairs without a construction,
-    GramFailure if an internal orthonormality check fails, and NoSolution
-    when every rung misses.
+    Raises InvalidRank unless k is an integer in 1..N, LambdaOutsideRegion
+    unless lam is strictly inside the rank-k region at MEMBERSHIP_TOL (k =
+    1 also accepts boundary points), UnsupportedDimension for dimension
+    pairs without a construction, GramFailure if an internal
+    orthonormality check fails, and NoSolution when the block-first call
+    misses.
     """
     n = es.dim
+    k = checked_rank(k, n)
     lam = complex(lam)
-    if k < 1 or k > n:
-        raise UnsupportedDimension(f"rank k={k} outside 1..{n}")
 
     region = build_region(es, k)
     verdict = contains(region, lam)
@@ -770,21 +766,13 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
         return caratheodory_rank1(es, lam)
 
     pl = plan(es, k, lam)
-    pieces = _planned_pieces(pl)
-    if _blocks_feasible(es, pieces, lam):
-        found = _try_pieces(es, lam, pieces, k)
-        if found is not None:
-            return _assemble(es, lam, found, "planned", pl)
-
-    if pl.pairings:
-        pieces = _search_pieces(es, k, lam, np.arange(1, n + 1))
-        if pieces is not None:
-            found = _try_pieces(es, lam, pieces, k)
-            if found is not None:
-                return _assemble(es, lam, found, "blockwise", pl)
-
-    raise NoSolution(
-        f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
+    pieces = _search_pieces(es, k, lam, np.arange(1, n + 1))
+    found = None if pieces is None else _try_pieces(es, lam, pieces)
+    if found is None:
+        raise NoSolution(
+            f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
+    return _assemble(es, lam, found,
+                     "blockwise" if pl.pairings else "planned", pl)
 
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:

@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .decomposition import DecompositionPlan, Projector
+from .decomposition import DecompositionPlan
 from .errors import ParseError
 from .region import OmegaRegion
 from .spectra import EigenSystem, ingest_matrix, ingest_spectrum
@@ -72,14 +72,14 @@ def region_to_doc(region: OmegaRegion) -> dict:
     return {"k": region.k, "constraints": constraints}
 
 
-def projector_to_doc(proj: Projector, residuals: dict) -> dict:
-    """The projector document of ``proj``, with the residuals its dense
-    check reported (see ``verify_projector``)."""
-    P = proj.matrix
+def projector_to_doc(P, k: int, lam: complex, residuals: dict) -> dict:
+    """The projector document of the dense rank-k projector P onto the
+    target lam, with the residuals its dense check reported (see
+    ``verify_projector``); ``projector_from_doc`` reads it back."""
     return {
         "n": P.shape[0],
-        "k": proj.rank,
-        "lambda": [proj.target.real, proj.target.imag],
+        "k": k,
+        "lambda": [lam.real, lam.imag],
         "re": P.real.tolist(),
         "im": P.imag.tolist(),
         "residuals": residuals,

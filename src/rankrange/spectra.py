@@ -139,12 +139,12 @@ def _rotated_eigh(A: np.ndarray, alpha: float, driver: str):
 def _hermitian_eigensystem(A: np.ndarray):
     """Eigenvalues, an orthonormal eigenbasis V and the product A V of the
     unitary A, from one ``eigh`` of its rotated Hermitian part and a
-    complex Schur of each cluster's compression; only a cluster's columns
-    of A V are formed again, after their rotation. When the largest
-    cluster holds more than half the columns and is not one eigenvalue of
-    A (a column of it has residual ||A v - q v|| of CLUSTER_GAP or more, q
-    its Rayleigh quotient), the ``eigh`` is taken once more at
-    SPLIT_ROTATION. Raises LinAlgError when LAPACK fails."""
+    complex Schur of each cluster's compression; the columns of A V of the
+    rotated clusters are formed again in one product after their Schurs.
+    When the largest cluster holds more than half the columns and is not
+    one eigenvalue of A (a column of it has residual ||A v - q v|| of
+    CLUSTER_GAP or more, q its Rayleigh quotient), the ``eigh`` is taken
+    once more at SPLIT_ROTATION. Raises LinAlgError when LAPACK fails."""
     n = A.shape[0]
     V, AV, evals, cuts = _rotated_eigh(A, HERMITIAN_ROTATION, "evr")
     sizes = np.diff(cuts)
@@ -158,13 +158,16 @@ def _hermitian_eigensystem(A: np.ndarray):
         V, AV, evals, cuts = _rotated_eigh(A, SPLIT_ROTATION, "evd")
     # only a group of two or more needs its Schur; singletons are skipped
     # without a Python step each
-    for g in np.flatnonzero(np.diff(cuts) > 1).tolist():
-        lo, hi = int(cuts[g]), int(cuts[g + 1])
-        T, Z = scipy.linalg.schur(V[:, lo:hi].conj().T @ AV[:, lo:hi],
+    groups = [slice(int(cuts[g]), int(cuts[g + 1]))
+              for g in np.flatnonzero(np.diff(cuts) > 1).tolist()]
+    for cols in groups:
+        T, Z = scipy.linalg.schur(V[:, cols].conj().T @ AV[:, cols],
                                   output="complex", check_finite=False)
-        V[:, lo:hi] = V[:, lo:hi] @ Z
-        AV[:, lo:hi] = A @ V[:, lo:hi]
-        evals[lo:hi] = np.diag(T)
+        V[:, cols] = V[:, cols] @ Z
+        evals[cols] = np.diag(T)
+    if groups:
+        cols = np.r_[tuple(groups)]
+        AV[:, cols] = A @ V[:, cols]
     return evals, V, AV
 
 

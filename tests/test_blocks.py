@@ -272,11 +272,24 @@ def scan_targets(es, k):
     return out
 
 
+def template_blocks(es, k, lam):
+    """The pair blocks (1-based index rows) of the paper's template that
+    ``plan`` picks for lam whose rank-2 margin is at least
+    FEASIBILITY_FLOOR: each pairing's union of two triangles."""
+    pl = decomposition.plan(es, k, lam)
+    rows = [sorted(set(pl.triangles[p.first].indices)
+                   | set(pl.triangles[p.second].indices))
+            for p in pl.pairings]
+    return [row for row in rows if subspectrum_margin(
+        es, 2, lam, np.array(row) - 1) >= decomposition.FEASIBILITY_FLOOR]
+
+
 def clustered_blocks(sizes, kinds, seeds):
-    """The distinct pair blocks (shifted eigenvalues, (B, 5)) that the
-    planned and block-first rungs propose for the scan's targets on its
-    clustered spectra ``clustered_phases([seed, n, kind], 3 + kind, n)``:
-    a seeded slice of the scan, with no solve run to find them."""
+    """The distinct pair blocks (shifted eigenvalues, (B, 5)) of the paper's
+    template (``template_blocks``) and of the block-first rung for the
+    scan's targets on its clustered spectra ``clustered_phases([seed, n,
+    kind], 3 + kind, n)``: a seeded slice of the scan, with no solve run to
+    find them."""
     out = []
     for n, k in sizes:
         for kind in kinds:
@@ -284,14 +297,11 @@ def clustered_blocks(sizes, kinds, seeds):
                 es = ingest_spectrum(clustered_phases([seed, n, kind],
                                                       3 + kind, n))
                 for lam in scan_targets(es, k):
-                    pieces = decomposition._planned_pieces(
-                        decomposition.plan(es, k, lam))
-                    if not decomposition._blocks_feasible(es, pieces, lam):
-                        pieces = []
-                    pieces += decomposition._search_pieces(
+                    pieces = decomposition._search_pieces(
                         es, k, lam, np.arange(1, n + 1)) or []
-                    out += [es.mu[np.array(idx) - 1] - lam
-                            for kind_, idx in pieces if kind_ == "block"]
+                    rows = template_blocks(es, k, lam) + [
+                        idx for kind_, idx in pieces if kind_ == "block"]
+                    out += [es.mu[np.array(idx) - 1] - lam for idx in rows]
     return np.unique(np.array(out), axis=0)
 
 

@@ -301,6 +301,18 @@ def test_boundary_lambda_rejected_for_k2():
         construct_projector(PENTAGON, 2, mid)
 
 
+def test_construct_rejects_rank_that_is_not_in_range():
+    # k is read before anything else: a string, None, a float, and an
+    # integer outside 1..N are each InvalidRank (exit code 2), not an
+    # untyped TypeError or UnsupportedDimension
+    es = ingest_spectrum(np.linspace(0.1, 6.0, 9))
+    for k in ("3", None, 2.5, np.float64(3.0), 0, -1, 10):
+        with pytest.raises(InvalidRank):
+            construct_projector(es, k, 0j)
+    assert InvalidRank.exit_code == 2
+    assert construct_projector(es, np.int64(3), 0j).rank == 3
+
+
 def test_unsupported_dimension_construct():
     es = ingest_spectrum(np.linspace(0.1, 6.0, 7))
     lam = interior_point(build_region(es, 3))
@@ -601,7 +613,7 @@ def test_lazy_frame_equals_dense_product():
 
 def test_overlapping_pieces_raise_gram_failure():
     found = decomposition._try_pieces(PENTAGON, 0j,
-                                      [("block", (1, 2, 3, 4, 5))], 2)
+                                      [("block", (1, 2, 3, 4, 5))])
     assert decomposition._assemble(PENTAGON, 0j, found, "blockwise",
                                    None).rank == 2
     # the same block twice, or a triangle on two of its rows: the gates of
@@ -867,7 +879,7 @@ def test_search_tree_pinned(monkeypatch):
         got = decomposition._search_pieces(es, k, lam, np.arange(1, n + 1))
         assert got == want, (n, k, seed)
         assert [a.size for a in nodes] == [n, n - 5, n - 10], (n, k, seed)
-        assert decomposition._try_pieces(es, lam, got, k) is not None
+        assert decomposition._try_pieces(es, lam, got) is not None
 
 
 def test_search_takes_one_node_per_pair_block(monkeypatch):
@@ -1046,7 +1058,7 @@ def test_triangle_kernel_falls_back_per_row():
     assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
     assert assert_kernel_rows(es, tris, 0.99 * lam) == 2
     assert decomposition._try_pieces(es, 0.99 * lam,
-                                     [("tri", (1, 2, 3))], 1) is None
+                                     [("tri", (1, 2, 3))]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1075,37 +1087,23 @@ def _pair_solve_misses(monkeypatch, miss):
     return seen
 
 
-def test_pair_block_miss_moves_construction_on(monkeypatch):
+def test_every_pair_block_miss_raises_at_once(monkeypatch):
     # three clusters of width ~1e-4; the target is 0.9 of the way from the
     # region's Chebyshev centre to its boundary, in the +imaginary
-    # direction, and the planned block (1, 3, 4, 6, 7) holds it. Made to
-    # miss the closed form, that block is not on one line through the
-    # target, so the two-segment frame misses too, the pair solve raises,
-    # and the block-first rung builds the witness from another block
+    # direction. Made to miss the closed form, the block that the
+    # block-first call picks, (1, 2, 5, 6, 8), is not on one line through
+    # the target, so the two-segment frame misses too: the one pair solve
+    # raises, and the construction raises NoSolution at once
     es = ingest_spectrum(clustered_phases(44, 3, 8))
     lam = -0.22069262232778145 + 0.6124527386670806j
-    planned = es.mu[[0, 2, 3, 5, 6]] - lam
-    assert construct_projector(es, 3, lam).strategy == "planned"
-    seen = _pair_solve_misses(monkeypatch,
-                              lambda d: (d == planned).all(axis=1))
-    proj = construct_projector(es, 3, lam)
-    assert proj.strategy == "blockwise"
-    assert verify_projector(proj.matrix, es.matrix, lam, 3).passed
-    assert len(seen) == 1 and np.array_equal(seen[0][0], planned[None])
-    assert seen[0][1][0] > blocks.BLOCK_RESIDUAL_GATE
-
-
-def test_every_pair_block_miss_raises_at_once(monkeypatch):
-    # the spectrum and target above; with every block made to miss, the
-    # planned and blockwise rungs each try once and the construction raises
-    # NoSolution at once
-    es = ingest_spectrum(clustered_phases(44, 3, 8))
-    lam = -0.22069262232778145 + 0.6124527386670806j
+    picked = es.mu[[0, 1, 4, 5, 7]] - lam
+    assert construct_projector(es, 3, lam).strategy == "blockwise"
     seen = _pair_solve_misses(monkeypatch,
                               lambda d: np.ones(len(d), dtype=bool))
     with deadline(2.0), pytest.raises(NoSolution):
         construct_projector(es, 3, lam)
-    assert len(seen) == 2
+    assert len(seen) == 1 and np.array_equal(seen[0][0], picked[None])
+    assert seen[0][1][0] > blocks.BLOCK_RESIDUAL_GATE
 
 
 def test_regular_octagon_centre_is_built_by_block_rungs():
@@ -1149,16 +1147,22 @@ def test_clustered_target_closes_past_shortlist(monkeypatch):
 # the block-first rung
 
 
-def reference_spaced_blocks(n):
+def reference_spaced_blocks(n, paper=True):
     """_spaced_blocks by enumeration: every start, every offset pattern in
-    product order, each sorted row kept at its first occurrence."""
+    product order and then, if ``paper``, the paper's shared-vertex
+    pattern, cyclic gaps (a, d, a, d, a) with d = 3 - n mod 3, each sorted
+    row kept at its first occurrence."""
     near = [round(i * n / 5) for i in range(1, 5)]
+    patterns = [[x + y for x, y in zip(near, delta)]
+                for delta in product((-1, 0, 1), repeat=4)]
+    patterns = [g for g in patterns if 0 < g[0] < g[1] < g[2] < g[3] < n]
+    d = 3 - n % 3
+    a = (n - 2 * d) // 3
+    if paper and a > 0:
+        patterns.append([a, a + d, 2 * a + d, 2 * a + 2 * d])
     seen, out = set(), []
     for j in range(n):
-        for delta in product((-1, 0, 1), repeat=4):
-            g = [a + b for a, b in zip(near, delta)]
-            if not 0 < g[0] < g[1] < g[2] < g[3] < n:
-                continue
+        for g in patterns:
             row = tuple(sorted((j + x) % n for x in [0] + g))
             if row not in seen:
                 seen.add(row)
@@ -1175,6 +1179,50 @@ def test_spaced_blocks_rows():
         assert (np.diff(rows, axis=1) > 0).all()
         assert rows.min() >= 0 and rows.max() < n
     assert decomposition._spaced_blocks(5).tolist() == [[0, 1, 2, 3, 4]]
+
+
+def test_plan_first_pair_block_is_a_spaced_block():
+    # the first pair block of the paper's template, in every branch of the
+    # weak-vertex probes, is a candidate of the block-first family
+    C = decomposition
+    shapes = [(3 * k - 1, k, C.CASE_THREE_K_MINUS_1, pivot)
+              for k in range(2, 21) for pivot in (None, 2 * k + 1)]
+    shapes += [(3 * k - 2, k, case, pivot) for k in range(5, 21)
+               for case in (C.CASE_THREE_K_MINUS_2_C1,
+                            C.CASE_THREE_K_MINUS_2_C2)
+               for pivot in (None, k - 1)]
+    branches = set()
+    for n, k, case, pivot in shapes:
+        pl = C._plan_template(case, k, n, pivot)
+        branches.add(pl.branch)
+        p = pl.pairings[0]
+        block = set(pl.triangles[p.first].indices) \
+            | set(pl.triangles[p.second].indices)
+        rows = set(map(tuple, C._spaced_blocks(n).tolist()))
+        assert tuple(sorted(j - 1 for j in block)) in rows, (n, k, case,
+                                                             pivot)
+    assert branches == {"vertex1", "reflected", "case1", "case2"}
+
+
+def test_only_the_papers_block_closes_pinned_target(monkeypatch):
+    # 4 clusters of width 1e-4 at (58,20): the paper's template built this
+    # target, and the block-first family builds it from the paper's
+    # shared-vertex block; from evenly spaced blocks alone the block-first
+    # call misses
+    es = ingest_spectrum(clustered_phases([2, 58, 1], 4, 58))
+    lam = 0.9185665663696683 + 0.1766741316192685j
+    with deadline(2.0):
+        proj = construct_projector(es, 20, lam)
+    assert proj.strategy == "blockwise"
+    assert verify_projector(proj.matrix, es.matrix, lam, 20).passed
+    monkeypatch.setattr(decomposition, "_spaced_blocks", lambda n: np.array(
+        reference_spaced_blocks(n, paper=False)))
+    decomposition._block_layout.cache_clear()
+    try:
+        with deadline(2.0), pytest.raises(NoSolution):
+            construct_projector(es, 20, lam)
+    finally:
+        decomposition._block_layout.cache_clear()
 
 
 def test_block_layout_is_cached_and_read_only():
@@ -1364,7 +1412,7 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
     # one rank-2 scoring, from the block's 5 x 1 chord table; the empty
     # remainder is not scored: rank 0 would raise InvalidRank
     assert ranks == [] and tables == [(5, 1)]
-    found = decomposition._try_pieces(PENTAGON, 0j, pieces, 2)
+    found = decomposition._try_pieces(PENTAGON, 0j, pieces)
     proj = decomposition._assemble(PENTAGON, 0j, found, "blockwise", None)
     assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
 

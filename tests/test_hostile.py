@@ -4,16 +4,17 @@ deadline, with a witness or with a typed error.
 At the Chebyshev centre of uniform spectra, a re-partition search over a
 table of every index triple ran past 250 s at (148,50) and (299,100), and
 at (2999,1000) it asked for all C(N,3) triangles (33.5 GiB). Those three
-must be built by the planned or block-first rung, with no block-first step
+must be built by the block-first rung, with no block-first step
 scoring more than its shortlist. With the shortlist made to give up, so
 that every step scores the remainder of every candidate, the block-first
 rung must still give a witness at the first two sizes within 10 s and 64
 MiB of traced memory.
 
-On a clustered (58,20) target and an equally spaced (88,30) one, every
-rung of the construction misses. A least-squares rung once spent 13 s to
-38 s there before ``NoSolution``; with that rung gone, a miss must end in
-``NoSolution`` within 2 s.
+On a clustered (58,20) target and equally spaced (88,30) and (89,30)
+ones, no partition into evenly spaced pair blocks exists. A least-squares
+rung once spent 13 s to 38 s on the first two before ``NoSolution``; with
+the paper's shared-vertex block in the block-first family, each must give
+a witness that verifies within 2 s.
 
 Two clustered (8,3) targets and one clustered (11,4) target once spent
 4 s to 9 s in failed pair solves, the (8,3) ones before ``NoSolution``;
@@ -27,7 +28,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankrange import (INSIDE, NoSolution, build_region, construct_projector,
+from rankrange import (INSIDE, build_region, construct_projector,
                        contains, decomposition, ingest_spectrum,
                        interior_point, verify_projector)
 
@@ -54,7 +55,7 @@ def test_large_construction_finishes(monkeypatch, n, k, seed, seconds):
             np.random.default_rng(seed).uniform(0, 2 * np.pi, n)))
         lam = interior_point(build_region(es, k))
         proj = construct_projector(es, k, lam)
-    assert proj.strategy in ("planned", "blockwise")
+    assert proj.strategy == "blockwise"
     # the frame form of the check: for a spectrum input sigma is diagonal,
     # so P sigma P = lam P reads W^H diag(mu) W = lam I on the frame W
     W = proj.frame
@@ -131,25 +132,25 @@ def test_scattered_frame_equals_gathered_frame():
 
 
 @pytest.mark.parametrize("phases, k, lam", [
-    # 4 clusters of width 1e-4: planned fails, and the first block-first
-    # step leaves a remainder none of whose evenly spaced pair blocks holds
-    # the target
+    # 4 clusters of width 1e-4: the first block-first step leaves a
+    # remainder none of whose evenly spaced pair blocks holds the target
     (clustered_phases([2, 58, 1], 4, 58), 20,
      0.9185714874906576 + 0.17667316336147557j),
     # equally spaced, 0.99 of the way from the centre toward eigenvalue 1:
     # no evenly spaced pair block is feasible
     (2 * np.pi * np.arange(88) / 88, 30, 0.47445649586280525 + 0j),
-], ids=["58-20-clustered", "88-30-spaced"])
-def test_missed_target_ends_in_no_solution_at_once(phases, k, lam):
-    """Strictly interior targets that every rung misses: the miss is a
-    typed error within 2 s. Once the block-first rung widens its family of
-    blocks (ROADMAP item 1), these targets become witnesses and this test
-    is to be flipped to verify them."""
+    (2 * np.pi * np.arange(89) / 89, 30, 0.4848779828041661 + 0j),
+], ids=["58-20-clustered", "88-30-spaced", "89-30-spaced"])
+def test_missed_target_is_blockwise_witness_at_once(phases, k, lam):
+    """Strictly interior targets that no partition into evenly spaced pair
+    blocks builds: with the paper's shared-vertex block in the block-first
+    family, each is a blockwise witness that verifies within 2 s."""
     es = ingest_spectrum(phases)
     assert contains(build_region(es, k), lam) == INSIDE
     with deadline(2.0):
-        with pytest.raises(NoSolution):
-            construct_projector(es, k, lam)
+        proj = construct_projector(es, k, lam)
+        assert proj.strategy == "blockwise"
+        assert verify_projector(proj.matrix, es.matrix, lam, k).passed
 
 
 @pytest.mark.parametrize("phases, k, lam", [

@@ -6,7 +6,7 @@ import pytest
 from rankrange import ParseError, build_region, cli, ingest_spectrum
 from rankrange import io as io_mod
 from rankrange.cli import run
-from rankrange.decomposition import VerificationReport
+from rankrange.decomposition import Projector, VerificationReport
 from rankrange.io import (dump, ingest_document, matrix_to_doc,
                           projector_from_doc, region_to_doc)
 from rankrange.svgout import render_region
@@ -95,6 +95,26 @@ def test_cli_project_verify_roundtrip(pentagon_file, matrix_file, tmp_path,
         if line.startswith("compression:"):
             value = float(line.split()[1])
             assert abs(value - residuals["compression"]) <= 1e-12
+
+
+def test_cli_project_forms_dense_projector_once(pentagon_file, tmp_path,
+                                                monkeypatch):
+    # the dense P that the check reads is the one written
+    formed = []
+    dense = Projector.matrix
+
+    def counted(self):
+        formed.append(self)
+        return dense.fget(self)
+
+    monkeypatch.setattr(Projector, "matrix", property(counted))
+    proj_path = tmp_path / "proj.json"
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--out", str(proj_path)]) == 0
+    assert len(formed) == 1
+    P, k, lam, _ = projector_from_doc(json.loads(proj_path.read_text()))
+    assert np.array_equal(P, formed[0].matrix)
+    assert (k, lam) == (2, 0j)
 
 
 def test_cli_project_verify_at_tol_zero(pentagon_file, tmp_path, capsys):

@@ -165,6 +165,39 @@ def test_one_eigenvalue_above_half_is_not_rotated(monkeypatch):
     assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
 
 
+def test_tight_cluster_about_alpha_takes_one_eigh(monkeypatch):
+    # 600 eigenvalues within 1e-3 rad of alpha are one cluster of H, but
+    # their H-eigenvalues are distinct and eigh's columns are eigenvectors
+    # to about 1e-8, under CLUSTER_GAP: the first eigh is kept
+    n = 600
+    rng = np.random.default_rng(32)
+    phases = ALPHA + rng.uniform(-1e-3, 1e-3, n)
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    seen = _recorded_solves(monkeypatch)
+    es = ingest_matrix(u)
+    assert seen["eigh"] == [n]
+    assert es.eigen_residual <= DEFAULT_TOL
+    assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
+
+
+def test_two_tight_groups_about_alpha_are_split(monkeypatch):
+    # e^{i(alpha +- 1e-4)} share one eigenvalue of H at alpha, and the
+    # columns mix them (residual about 1e-4); at SPLIT_ROTATION they are
+    # 1.7e-4 apart in H, so the retry parts them into two Schurs of N/2
+    n = 300
+    rng = np.random.default_rng(33)
+    phases = np.repeat([ALPHA - 1e-4, ALPHA + 1e-4], n // 2)
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    seen = _recorded_solves(monkeypatch)
+    es = ingest_matrix(u)
+    assert len(seen["eigh"]) == 2
+    assert sorted(seen["schur"]) == [n // 2, n // 2]
+    assert es.eigen_residual <= DEFAULT_TOL
+    assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
+
+
 def test_ingest_real_orthogonal():
     # a real orthogonal matrix: the spectrum is symmetric about 0
     rng = np.random.default_rng(11)
