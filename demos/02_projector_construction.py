@@ -4,10 +4,12 @@ Constructing a compression projector
 
 For dimensions N in {3k-2 (k >= 5), 3k-1, 3k} the package builds, for any
 strict interior target lambda of the rank-k region, an explicit rank-k
-orthogonal projector P with P sigma P = lambda P. The plan covers the
-spectrum with k triangles; vectors on disjoint triangles are square roots
-of barycentric weights, and the one or two shared-vertex pairs are solved
-jointly so the compression is scalar on the whole span. It exits 1 if the
+orthogonal projector P with P sigma P = lambda P. The paper's template
+covers the spectrum with k triangles, one or two pairs of them sharing a
+vertex. The witness is built on its own supports: vectors on disjoint
+triangles are square roots of barycentric weights, and each 5-index pair
+block carries two jointly solved vectors, so the compression is scalar on
+the whole span. Its blocks need not be the template's. It exits 1 if the
 verification fails or the projector's rank is not 5.
 """
 
@@ -33,12 +35,16 @@ lam = interior_point(region)
 print(f"target lambda = {lam:.4f}")
 
 pl = plan(es, 5, lam)
-print(f"plan case: {pl.dimension_case} (branch {pl.branch})")
-print("triangles:", [t.indices for t in pl.triangles])
-print("pairings:", [(p.first, p.second, p.shared) for p in pl.pairings])
+print(f"paper's template: {pl.dimension_case} (branch {pl.branch})")
+print("  triangles:", [t.indices for t in pl.triangles])
+print("  pairings:", [(p.first, p.second, p.shared) for p in pl.pairings])
 
 proj = construct_projector(es, 5, lam)
-print(f"synthesis strategy: {proj.strategy}, frame {proj.frame.shape}")
+print(f"witness: strategy {proj.strategy}, frame {proj.frame.shape}")
+# each piece stack holds 0-based rows: 5-index pair blocks, then triangles
+for rows, coef in proj.pieces:
+    kind = "pair blocks" if coef.shape[2] == 2 else "triangles"
+    print(f"  {kind}:", list(map(tuple, (rows + 1).tolist())))
 
 # the result is the 13 x 5 frame W; P = W W^H is formed on demand
 P = proj.matrix

@@ -54,7 +54,7 @@ matrix = workdir / "matrix.json"
 mat = np.diag(np.exp(2j * np.pi * np.arange(8) / 8))
 matrix.write_text(json.dumps(
     {"n": 8, "re": mat.real.tolist(), "im": mat.imag.tolist()}))
-expect(0, ["verify", str(matrix), "--k", "3", "--projector", str(proj)])
+expect(0, ["verify", str(matrix), "--projector", str(proj)])
 
 print("== unsupported dimension is a clean exit 2 ==")
 seven = workdir / "seven.json"

@@ -37,11 +37,10 @@ class ReportRecord:
     k: int
     target: complex
     case: str
-    branch: str
     conjugated: bool
     seed: int
-    passed: bool
-    residuals: dict
+    passed: bool = True
+    residuals: dict = field(default_factory=dict)
     skipped: str = None
     wall_ms: float = 0.0
     strategy: str = ""    # the construction rung that built the witness
@@ -50,8 +49,7 @@ class ReportRecord:
         doc = {
             "n": self.n, "k": self.k,
             "lambda": [self.target.real, self.target.imag],
-            "case": self.case, "branch": self.branch,
-            "strategy": self.strategy,
+            "case": self.case, "strategy": self.strategy,
             "conjugated": self.conjugated, "seed": self.seed,
             "pass": self.passed, "residuals": self.residuals,
             "wall_ms": round(self.wall_ms, 3),
@@ -89,31 +87,22 @@ def run_one(es: EigenSystem, k: int, case: str, conjugated: bool,
             seed: int) -> ReportRecord:
     start = time.perf_counter()
     target = pick_target(es, k)
+    rec = ReportRecord(es.dim, k, 0j if target is None else complex(target),
+                       case, conjugated, seed)
     if target is None:
-        return ReportRecord(es.dim, k, 0j, case, "", conjugated, seed,
-                            passed=True, residuals={},
-                            skipped="empty region",
-                            wall_ms=1e3 * (time.perf_counter() - start))
-    try:
-        proj = construct_projector(es, k, target)
-        report = verify_projector(proj.matrix, es.matrix, target, k)
-        branch = proj.plan.branch if proj.plan is not None and proj.plan.branch \
-            else proj.strategy
-        return ReportRecord(es.dim, k, complex(target), case, branch,
-                            conjugated, seed, passed=report.passed,
-                            residuals=report.residuals,
-                            wall_ms=1e3 * (time.perf_counter() - start),
-                            strategy=proj.strategy)
-    except MathRejection as exc:
-        return ReportRecord(es.dim, k, complex(target), case, "", conjugated,
-                            seed, passed=True, residuals={},
-                            skipped=f"rejected: {exc}",
-                            wall_ms=1e3 * (time.perf_counter() - start))
-    except RankRangeError as exc:
-        return ReportRecord(es.dim, k, complex(target), case, "", conjugated,
-                            seed, passed=False,
-                            residuals={"error": str(exc)},
-                            wall_ms=1e3 * (time.perf_counter() - start))
+        rec.skipped = "empty region"
+    else:
+        try:
+            proj = construct_projector(es, k, target)
+            report = verify_projector(proj.matrix, es.matrix, target, k)
+            rec.passed, rec.residuals = report.passed, report.residuals
+            rec.strategy = proj.strategy
+        except MathRejection as exc:
+            rec.skipped = f"rejected: {exc}"
+        except RankRangeError as exc:
+            rec.passed, rec.residuals = False, {"error": str(exc)}
+    rec.wall_ms = 1e3 * (time.perf_counter() - start)
+    return rec
 
 
 def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
@@ -140,9 +129,10 @@ def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
 
 
 def branch_counts(records) -> dict:
+    """The records that were not skipped, counted by (case, strategy)."""
     out = {}
     for r in records:
         if r.skipped:
             continue
-        out[(r.case, r.branch)] = out.get((r.case, r.branch), 0) + 1
+        out[(r.case, r.strategy)] = out.get((r.case, r.strategy), 0) + 1
     return out

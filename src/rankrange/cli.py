@@ -27,7 +27,7 @@ import numpy as np
 from . import battery as battery_mod
 from . import io as io_mod
 from . import svgout
-from .decomposition import construct_projector, verify_projector
+from .decomposition import construct_projector, plan, verify_projector
 from .errors import (InternalInvariantError, MathRejection, ParseError,
                      RankRangeError, checked_tol)
 from .region import BruteForceOracle, build_region, contains
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the decomposition plan JSON here")
 
     p = sub.add_parser("verify", help="recheck a projector JSON")
-    common(p)
+    common(p, needs_k=False)
     p.add_argument("--lambda", dest="target", default=None,
                    help="target override as RE,IM (default: from the file)")
     p.add_argument("--projector", required=True,
@@ -158,16 +158,18 @@ def _cmd_project(args, tol):
         raise InternalInvariantError(
             f"the {proj.strategy} witness fails its dense check: "
             f"{json.dumps(report.residuals, sort_keys=True)}")
+    if args.plan_out:
+        # the paper's template, made before anything is written; an
+        # eigenspace witness, at any (N, k), has none
+        plan_doc = {"case": proj.strategy, "triangles": [], "pairings": [],
+                    "reflected": False} if proj.strategy == "eigenspace" \
+            else io_mod.plan_to_doc(plan(es, args.k, lam))
     doc = io_mod.projector_to_doc(P, proj.rank, proj.target, report.residuals)
     text = io_mod.dump(doc, args.out)
     if args.out is None:
         print(text)
     if args.plan_out:
-        if proj.plan is not None:
-            io_mod.dump(io_mod.plan_to_doc(proj.plan), args.plan_out)
-        else:
-            io_mod.dump({"case": proj.strategy, "triangles": [],
-                         "pairings": [], "reflected": False}, args.plan_out)
+        io_mod.dump(plan_doc, args.plan_out)
     for key, value in sorted(report.residuals.items()):
         print(f"{key}: {value:.3e}", file=sys.stderr)
     return 0
@@ -175,8 +177,7 @@ def _cmd_project(args, tol):
 
 def _cmd_verify(args, tol):
     es = io_mod.load_input(args.input, tol)
-    with open(args.projector) as fh:
-        doc = json.load(fh)
+    doc = io_mod.read_json(args.projector)
     P, k, lam, _ = io_mod.projector_from_doc(doc)
     if args.target is not None:
         lam = _parse_complex(args.target)

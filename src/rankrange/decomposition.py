@@ -1,13 +1,14 @@
-"""Plan selection, vector synthesis and projector assembly.
+"""Dimension families, the paper's templates, synthesis and assembly.
 
-``plan`` emits the combinatorial template for each supported dimension
-family: k disjoint triangles for N = 3k, one shared-vertex pairing for
-N = 3k-1, two pairings for N = 3k-2 (k >= 5), and a direct convex
-decomposition for k = 1. Weak-vertex probes decide the branch; when the
-opening vertex is heavy the whole template is reflected through an
-orientation-reversing relabeling and mapped back. The probes run on every
-call, one triangle solve; each template is built and checked once per
-shape and shared.
+``dimension_case`` holds the rule of the supported dimension families: N =
+3k, N = 3k-1 (k >= 2), N = 3k-2 (k >= 5) and k = 1. ``plan`` emits the
+paper's combinatorial template for each: k disjoint triangles for N = 3k,
+one shared-vertex pairing for N = 3k-1, two pairings for N = 3k-2, and a
+direct convex decomposition for k = 1. Weak-vertex probes decide the
+branch; when the opening vertex is heavy the whole template is reflected
+through an orientation-reversing relabeling and mapped back. The
+templates are the reference that the acceptance criteria check and that
+``project --plan`` writes; no construction reads them.
 
 ``construct_projector`` builds a witness whose compression of the input
 matrix is the scalar target, and keeps it as its pieces: on each disjoint
@@ -26,11 +27,11 @@ passes the gates:
 2. ``caratheodory`` for k = 1: the fan triangles of the hull solved in one
    ``solve_barycentric`` call;
 3. one block-first call (``_search_pieces``) for N = 3k, 3k-1 and 3k-2,
-   after ``plan`` has checked the dimension and recorded the paper's
-   template. At N = 3k it is the leaf alone, the template's triangles (m,
-   k+m, 2k+m), labelled ``planned``. At 3k-1 and 3k-2 it is ``blockwise``:
-   each pair block is the 5-index candidate, evenly spaced or the paper's
-   shared-vertex block, with the best min of its own rank-2 margin and its
+   once ``dimension_case`` has checked the dimension. At N = 3k it is the
+   leaf alone, the paper's triangles (m, k+m, 2k+m), labelled
+   ``planned``. At 3k-1 and 3k-2 it is ``blockwise``: each pair block is
+   the 5-index candidate, evenly spaced or the paper's shared-vertex
+   block, with the best min of its own rank-2 margin and its
    remainder's margin, one step per pair block still needed, with no
    backtracking. Each step scores one chord table (n starts by the few
    spans that the candidates' chords take, and the six spans r .. r+5 of a
@@ -44,7 +45,9 @@ passes the gates:
    the triangles (j, j+m, j+2m), which a positive rank-m margin of the
    remainder makes feasible.
 
-When the call misses, the construction raises NoSolution.
+When the call misses, the construction raises NoSolution. The witness is
+its own record: its ``strategy`` names the rung, and its pieces the
+supports it was built on.
 
 Margins of sub-spectra, ``subspectrum_margin(es, j, lam, rows)``, take
 their chord ends from ``region.chord_ends`` and score them with
@@ -60,6 +63,7 @@ never pays the pair solve.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -98,6 +102,7 @@ REMAINDER_CHUNK = 1 << 20
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
+CASE_THREE_K_MINUS_2 = "three_k_minus_2"
 CASE_THREE_K_MINUS_2_C1 = "three_k_minus_2_case1"
 CASE_THREE_K_MINUS_2_C2 = "three_k_minus_2_case2"
 CASE_RANK_1 = "rank1"
@@ -121,12 +126,6 @@ class DecompositionPlan:
     branch: str = None
     rank1_support: tuple = None
 
-    def covered(self):
-        out = []
-        for t in self.triangles:
-            out.extend(t.indices)
-        return out
-
 
 @dataclass(frozen=True)
 class Projector:
@@ -139,20 +138,12 @@ class Projector:
     ``caratheodory`` witnesses are one piece each.
     The frame W takes, stack after stack and piece after piece, the c
     columns ``basis[:, rows[g]] @ coef[g]``; ``basis`` None is the
-    standard basis of a spectrum input.
-
-    ``plan`` is the paper's template that ``plan`` chose for the size and
-    target: its case, triangles and branch (``vertex1`` or ``reflected``
-    at N = 3k-1, ``case1`` or ``case2`` at 3k-2). At N = 3k the witness's
-    triangles are the template's; at 3k-1 and 3k-2 its pair blocks come
-    from the block-first family, which holds the template's first block
-    among its candidates but need not pick it. ``eigenspace`` has None."""
+    standard basis of a spectrum input."""
     pieces: tuple = field(repr=False)
     dim: int
     basis: np.ndarray = field(repr=False)
     target: complex
     strategy: str
-    plan: DecompositionPlan = field(default=None, repr=False)
 
     @functools.cached_property
     def frame(self) -> np.ndarray:
@@ -236,19 +227,15 @@ def _tri(pattern, refl, n):
 
 
 def _check_plan(plan: DecompositionPlan):
-    n, k = plan.dim, plan.k
-    counts = {}
-    for j in plan.covered():
-        counts[j] = counts.get(j, 0) + 1
+    counts = Counter(j for t in plan.triangles for j in t.indices)
     shared = {p.shared for p in plan.pairings}
-    for j in range(1, n + 1):
+    for j in range(1, plan.dim + 1):
         expected = 2 if j in shared else 1
-        if counts.get(j, 0) != expected:
-            raise NoSolution(
-                f"plan covers index {j} {counts.get(j, 0)} times, "
-                f"expected {expected}")
+        if counts[j] != expected:
+            raise NoSolution(f"plan covers index {j} {counts[j]} times, "
+                             f"expected {expected}")
     for t in plan.triangles:
-        if not validate_triangle(t, k):
+        if not validate_triangle(t, plan.k):
             raise NoSolution(f"planned triangle {t.indices} violates gap rule")
     for p in plan.pairings:
         for pos in (p.first, p.second):
@@ -256,35 +243,41 @@ def _check_plan(plan: DecompositionPlan):
                 raise NoSolution("pairing vertex missing from its triangle")
 
 
-def plan(es: EigenSystem, k: int, lam: complex) -> DecompositionPlan:
-    """Dimension dispatch and weak-vertex branching (pure combinatorics).
-
-    The probes run on every call; the plan they select is built and
-    checked once per shape (``_plan_template``) and shared."""
-    n = es.dim
-    lam = complex(lam)
-    if k < 1:
-        raise UnsupportedDimension(f"rank k={k} must be positive")
+def dimension_case(n: int, k) -> tuple:
+    """``checked_rank(k, n)`` and the first family that holds (n, k), so
+    that (3, 1) is CASE_THREE_K; UnsupportedDimension if none does."""
+    k = checked_rank(k, n)
     if n == 3 * k:
-        return _plan_template(CASE_THREE_K, k, n, None)
+        return k, CASE_THREE_K
     if n == 3 * k - 1 and k >= 2:
-        return _plan_three_k_minus_1(es, k, lam)
+        return k, CASE_THREE_K_MINUS_1
     if n == 3 * k - 2 and k >= 5:
-        return _plan_three_k_minus_2(es, k, lam)
+        return k, CASE_THREE_K_MINUS_2
     if k == 1:
-        return _plan_rank1(es, lam)
-    raise UnsupportedDimension(
-        f"no construction for N={n}, k={k}; supported: N=3k, N=3k-1 "
-        f"(k>=2), N=3k-2 (k>=5), k=1")
+        return k, CASE_RANK_1
+    raise UnsupportedDimension(f"no construction for N={n}, k={k}; supported: "
+                               "N=3k, N=3k-1 (k>=2), N=3k-2 (k>=5), k=1")
 
 
-# one plan per (case, k, N, pivot); a 3k-2 size has 4 shapes
-@functools.lru_cache(maxsize=64)
+def plan(es: EigenSystem, k: int, lam: complex) -> DecompositionPlan:
+    """The paper's template for (N, k) and lam: dimension dispatch by
+    ``dimension_case`` and weak-vertex branching (pure combinatorics)."""
+    k, case = dimension_case(es.dim, k)
+    lam = complex(lam)
+    if case == CASE_THREE_K_MINUS_1:
+        return _plan_three_k_minus_1(es, k, lam)
+    if case == CASE_THREE_K_MINUS_2:
+        return _plan_three_k_minus_2(es, k, lam)
+    if case == CASE_RANK_1:
+        return DecompositionPlan(case, 1, es.dim, (), (), rank1_support=tuple(
+            _caratheodory_support(es, lam)[0]))
+    return _plan_template(case, k, es.dim, None)
+
+
 def _plan_template(case: str, k: int, n: int, pivot) -> DecompositionPlan:
     """The plan of one shape, its triangles relabeled through the
     reflection about ``pivot`` (None: not reflected), checked by
-    ``_check_plan`` once; NoSolution, which is not cached, if the check
-    fails."""
+    ``_check_plan``; NoSolution if the check fails."""
     refl = None if pivot is None else ReflectionMap(pivot=pivot, dim=n)
     if case == CASE_THREE_K:
         patterns, shared, branch = three_k_patterns(k), (), None
@@ -306,11 +299,11 @@ def _plan_template(case: str, k: int, n: int, pivot) -> DecompositionPlan:
 
 def _plan_three_k_minus_1(es: EigenSystem, k: int, lam: complex):
     probe = triangle(1, k + 1, 2 * k + 1, dim=es.dim)
-    pivot = None
-    if solve_barycentric(es, probe, lam).weight_of(1) > 0.5:
-        # vertex 2k+1 is necessarily weak; renumber so it plays vertex 1
-        pivot = 2 * k + 1
-    return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim, pivot)
+    # if vertex 1 is heavy, vertex 2k+1 is necessarily weak; renumber so it
+    # plays vertex 1
+    heavy = solve_barycentric(es, probe, lam).weight_of(1) > 0.5
+    return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim,
+                          2 * k + 1 if heavy else None)
 
 
 def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
@@ -336,12 +329,6 @@ def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
     case = CASE_THREE_K_MINUS_2_C1 if second <= 0.5 \
         else CASE_THREE_K_MINUS_2_C2
     return _plan_template(case, k, n, None if refl is None else refl.pivot)
-
-
-def _plan_rank1(es: EigenSystem, lam: complex) -> DecompositionPlan:
-    support, _ = _caratheodory_support(es, lam)
-    return DecompositionPlan(CASE_RANK_1, 1, es.dim, (), (),
-                             rank1_support=tuple(support))
 
 
 def _segment_distances(lam, a, b):
@@ -677,8 +664,8 @@ def _piece_gates(es: EigenSystem, lam: complex, pieces):
     return gram, diag, comp
 
 
-def _assemble(es: EigenSystem, lam: complex, pieces, strategy: str,
-              pl: DecompositionPlan) -> Projector:
+def _assemble(es: EigenSystem, lam: complex, pieces,
+              strategy: str) -> Projector:
     """Gate the stacked pieces of a witness and return its Projector.
 
     The supports must be disjoint, else GramFailure. Then the Gram V^H V
@@ -701,7 +688,7 @@ def _assemble(es: EigenSystem, lam: complex, pieces, strategy: str,
         raise GramFailure(f"off-diagonal compression residual {comp:.2e}")
     return Projector(pieces=tuple(pieces), dim=es.dim,
                      basis=None if es.standard_basis else es.basis,
-                     target=lam, strategy=strategy, plan=pl)
+                     target=lam, strategy=strategy)
 
 
 def projector_residuals(P, sigma, lam, k) -> dict:
@@ -728,12 +715,13 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     """Rank-k projector P with P sigma P = lam P, built constructively.
 
     The ladder of the module docstring: ``eigenspace``, then
-    ``caratheodory`` for k = 1, else ``plan`` and one block-first call,
-    whose steps score every candidate only where their shortlist gives up.
-    ``strategy`` names the rung that built the witness: ``planned`` at N =
-    3k, whose triangles are the template's, and ``blockwise`` at 3k-1 and
-    3k-2, whose ``plan`` records the paper's template and branch while the
-    pair blocks come from the block-first family.
+    ``caratheodory`` for k = 1, else one block-first call, whose steps
+    score every candidate only where their shortlist gives up. ``plan`` is
+    not called: ``dimension_case`` checks the dimension, and the witness is
+    its own record. ``strategy`` names the rung that built it: ``planned``
+    at N = 3k, whose triangles are the paper's, and ``blockwise`` at 3k-1
+    and 3k-2, whose pair blocks come from the block-first family and need
+    not be those of the paper's template.
 
     Raises InvalidRank unless k is an integer in 1..N, LambdaOutsideRegion
     unless lam is strictly inside the rank-k region at MEMBERSHIP_TOL (k =
@@ -758,21 +746,20 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     if len(close) >= k:
         return _assemble(es, lam, [(np.array([close[:k]]),
                                     np.eye(k, dtype=complex)[None])],
-                         "eigenspace", None)
+                         "eigenspace")
 
-    if k == 1 and n != 3:
-        # plan's rank-1 case ((3, 1) is three_k): the plan is the
-        # Caratheodory support, so build it from a single scan
+    _, case = dimension_case(n, k)
+    if case == CASE_RANK_1:
+        # (3, 1) is three_k; any other rank-1 witness is one support scan
         return caratheodory_rank1(es, lam)
 
-    pl = plan(es, k, lam)
     pieces = _search_pieces(es, k, lam, np.arange(1, n + 1))
     found = None if pieces is None else _try_pieces(es, lam, pieces)
     if found is None:
         raise NoSolution(
             f"no feasible decomposition found for N={n}, k={k}, lam={lam}")
     return _assemble(es, lam, found,
-                     "blockwise" if pl.pairings else "planned", pl)
+                     "planned" if case == CASE_THREE_K else "blockwise")
 
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:
@@ -780,11 +767,9 @@ def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:
     lam = complex(lam)
     support, weights = _caratheodory_support(es, lam)
     v = np.sqrt(np.maximum(0.0, weights)).astype(complex)
-    pl = DecompositionPlan(CASE_RANK_1, 1, es.dim, (), (),
-                           rank1_support=tuple(support))
     return _assemble(es, lam, [(np.array([support]) - 1,
                                 (v / np.linalg.norm(v))[None, :, None])],
-                     "caratheodory", pl)
+                     "caratheodory")
 
 
 @dataclass(frozen=True)

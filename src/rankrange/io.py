@@ -23,12 +23,32 @@ from .region import OmegaRegion
 from .spectra import EigenSystem, ingest_matrix, ingest_spectrum
 
 
+def _integer(doc, key: str) -> int:
+    """``doc[key]`` when it is an integer, else ParseError: ``int()``
+    would read 2.5 as 2."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParseError(f"field {key!r} must be an integer")
+    return int(value)
+
+
+def _reals(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array when it holds only numbers, else
+    ParseError."""
+    try:
+        value = np.asarray(doc[key])
+        if value.dtype.kind in "iuf":
+            return value.astype(float)
+    except (KeyError, ValueError):
+        pass
+    raise ParseError(f"field {key!r} must hold numbers")
+
+
 def _as_matrix(doc) -> np.ndarray:
-    n = int(doc["n"])
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
+    n = _integer(doc, "n")
+    re, im = _reals(doc, "re"), _reals(doc, "im")
     if re.shape != (n, n) or im.shape != (n, n):
-        raise ParseError(f"matrix arrays must be {n}x{n}")
+        raise ParseError(f"arrays 're' and 'im' must be {n}x{n}")
     return re + 1j * im
 
 
@@ -37,14 +57,18 @@ def matrix_to_doc(A) -> dict:
     return {"n": A.shape[0], "re": A.real.tolist(), "im": A.imag.tolist()}
 
 
-def load_input(path, tol: float) -> EigenSystem:
-    """Read either a matrix document or a spectrum document."""
+def read_json(path):
+    """The JSON document at ``path``; ParseError if it is not JSON."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-    return ingest_document(doc, tol)
+
+
+def load_input(path, tol: float) -> EigenSystem:
+    """Read either a matrix document or a spectrum document."""
+    return ingest_document(read_json(path), tol)
 
 
 def ingest_document(doc, tol: float) -> EigenSystem:
@@ -87,19 +111,18 @@ def projector_to_doc(P, k: int, lam: complex, residuals: dict) -> dict:
 
 
 def projector_from_doc(doc: dict):
-    n = int(doc["n"])
-    P = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-    if P.shape != (n, n):
-        raise ParseError(f"projector arrays must be {n}x{n}")
-    lam = complex(doc["lambda"][0], doc["lambda"][1])
-    return P, int(doc["k"]), lam, doc.get("residuals", {})
+    """The matrix, rank, target and residuals of a projector document;
+    ParseError for a non-integer n or k, or a malformed lambda, re or im."""
+    P = _as_matrix(doc)
+    lam = _reals(doc, "lambda")
+    if lam.shape != (2,):
+        raise ParseError("field 'lambda' must be [re, im]")
+    return P, _integer(doc, "k"), complex(*lam), doc.get("residuals", {})
 
 
 def plan_to_doc(plan: DecompositionPlan) -> dict:
-    if plan.dimension_case == "rank1":
-        triangles = [list(plan.rank1_support)]
-    else:
-        triangles = [list(t.indices) for t in plan.triangles]
+    triangles = [list(plan.rank1_support)] if plan.rank1_support \
+        else [list(t.indices) for t in plan.triangles]
     return {
         "case": plan.dimension_case,
         "triangles": triangles,

@@ -62,7 +62,8 @@ def seeded_instances(seed, n, count, conjugate_half=True, min_margin=1e-3,
 
 
 def run_family(n_of_k, ks, seed):
-    """Construct + verify 50 instances per k; returns branch counters."""
+    """Construct + verify 50 instances per k; returns the counters of the
+    branches of the paper's template (``plan``) at their targets."""
     counters = {}
     for k in ks:
         n = n_of_k(k)
@@ -72,7 +73,8 @@ def run_family(n_of_k, ks, seed):
             assert rep.passed, (n, k, rep.residuals)
             for key, thr in THRESHOLDS.items():
                 assert rep.residuals[key] <= thr, (n, k, key, rep.residuals)
-            branch = proj.plan.branch if proj.plan is not None else "shortcut"
+            branch = "shortcut" if proj.strategy == "eigenspace" \
+                else plan(es, k, lam).branch
             counters[branch] = counters.get(branch, 0) + 1
     return counters
 

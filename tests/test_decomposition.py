@@ -22,6 +22,7 @@ from rankrange.triangles import _edge_or_vertex, _full_solves
 
 from clustered import clustered_phases
 from deadline import deadline
+from test_blocks import scan_targets
 from test_triangles import _old_solve_barycentric
 
 PENTAGON = ingest_spectrum(2 * np.pi * np.arange(5) / 5)
@@ -161,9 +162,9 @@ def test_plan_reflected_instances_still_cover():
 
 
 def test_plan_template_is_shared(monkeypatch):
-    # the weak-vertex probe runs on every call, one triangle solve; the
-    # plan it selects is built and checked once per shape and returned
-    # again; a 3k-2 plan solves its probes in one call of three rows
+    # the weak-vertex probe runs on every call, one triangle solve, and
+    # equal shapes give equal plans; a 3k-2 plan solves its probes in one
+    # call of three rows
     probes = []
     solve = decomposition.solve_barycentric
 
@@ -174,18 +175,17 @@ def test_plan_template_is_shared(monkeypatch):
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     first = plan(PENTAGON, 2, 0j)
     again = plan(PENTAGON, 2, 0.01 + 0.02j)
-    assert again is first and probes == [1, 1]
+    assert again == first and probes == [1, 1]
     other = ingest_spectrum(np.sort(np.random.default_rng(3).uniform(
         0, 2 * np.pi, 5)))
     lam = interior_point(build_region(other, 2))
     pl = plan(other, 2, lam)
     assert probes == [1, 1, 1]
-    assert (pl is first) == (pl.branch == first.branch)
+    assert (pl == first) == (pl.branch == first.branch)
     es13 = ingest_spectrum(np.sort(np.random.default_rng(4).uniform(
         0, 2 * np.pi, 13)))
     plan(es13, 5, interior_point(build_region(es13, 5)))
     assert probes == [1, 1, 1, 3]
-    assert decomposition._plan_template.cache_info().maxsize is not None
 
 
 def test_plan_template_rejects_broken_pattern(monkeypatch):
@@ -199,14 +199,9 @@ def test_plan_template_rejects_broken_pattern(monkeypatch):
     es = ingest_spectrum(np.sort(np.random.default_rng(6).uniform(
         0, 2 * np.pi, 11)))
     lam = interior_point(build_region(es, 4))
-    decomposition._plan_template.cache_clear()
     monkeypatch.setattr(decomposition, "three_k_minus_1_patterns", broken)
-    try:
-        for _ in range(2):      # a failed check is not cached
-            with pytest.raises(NoSolution, match="covers index"):
-                plan(es, 4, lam)
-    finally:
-        decomposition._plan_template.cache_clear()
+    with pytest.raises(NoSolution, match="covers index"):
+        plan(es, 4, lam)
 
 
 def test_plan_unsupported_dimensions():
@@ -214,6 +209,48 @@ def test_plan_unsupported_dimensions():
         es = ingest_spectrum(np.linspace(0.1, 6.0, n))
         with pytest.raises(UnsupportedDimension):
             plan(es, k, 0.05 + 0.05j)
+
+
+@pytest.mark.parametrize("k", [3.0, "3", None, 0, -1, 10], ids=repr)
+def test_plan_reads_its_rank_typed(k):
+    # plan reads its rank as construct_projector does, through
+    # dimension_case and checked_rank: a rank that is not an integer in
+    # 1..N raises InvalidRank, never a bare TypeError or
+    # UnsupportedDimension
+    es = ingest_spectrum(2 * np.pi * np.arange(9) / 9)
+    with pytest.raises(InvalidRank):
+        plan(es, k, 0.05 + 0.05j)
+    with pytest.raises(InvalidRank):
+        decomposition.dimension_case(9, k)
+
+
+def test_construction_never_plans(monkeypatch):
+    # at 3k-1 and 3k-2 the witness makes one solve_barycentric call, for
+    # the triangles of its block-first call, and no probe: plan is not
+    # called, nor are its probes or its template
+    solves = []
+    solve = decomposition.solve_barycentric
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the construction reached the template")
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", counted)
+    for name in ("plan", "_plan_template", "reflect_labels"):
+        monkeypatch.setattr(decomposition, name, forbidden)
+    for n, k in ((8, 3), (11, 4), (13, 5), (16, 6), (28, 10), (29, 10)):
+        rng = np.random.default_rng([n, k])
+        for i in range(4):
+            es = random_instance(rng, n, i % 2 == 1)
+            lam = pick_target(es, k)
+            solves.clear()
+            proj = construct_projector(es, k, lam)
+            assert proj.strategy == "blockwise", (n, k, i)
+            assert len(solves) == 1, (n, k, i)
+            assert np.shape(solves[0]) == (k - 2 * (3 * k - n), 3)
 
 
 # --- construction ----------------------------------------------------------
@@ -375,15 +412,15 @@ def test_rank1_construct_scans_once(monkeypatch):
         scans.clear()
         got = construct_projector(es, 1, lam)
         assert len(scans) == 1, lam
-        assert got.strategy == "caratheodory"
-        assert got.plan == want.plan == want_plan
+        assert got.strategy == want.strategy == "caratheodory"
+        assert tuple(got.pieces[0][0][0] + 1) == want_plan.rank1_support
         assert np.array_equal(got.matrix, want.matrix)
         assert np.array_equal(got.frame, want.frame)
     assert len(wants[2][1].rank1_support) == 2
     # (3, 1) is N = 3k: it keeps the three_k route and never scans
     scans.clear()
     got = construct_projector(ingest_spectrum([0.0, 2.0, 4.0]), 1, 0j)
-    assert got.plan.dimension_case == "three_k" and scans == []
+    assert got.strategy == "planned" and scans == []
 
 
 def test_rank1_outside_rejected():
@@ -614,8 +651,8 @@ def test_lazy_frame_equals_dense_product():
 def test_overlapping_pieces_raise_gram_failure():
     found = decomposition._try_pieces(PENTAGON, 0j,
                                       [("block", (1, 2, 3, 4, 5))])
-    assert decomposition._assemble(PENTAGON, 0j, found, "blockwise",
-                                   None).rank == 2
+    assert decomposition._assemble(PENTAGON, 0j, found,
+                                   "blockwise").rank == 2
     # the same block twice, or a triangle on two of its rows: the gates of
     # each piece alone would pass
     rows, coef = found[0]
@@ -624,7 +661,7 @@ def test_overlapping_pieces_raise_gram_failure():
     for pieces in ([(rows, coef), (rows, coef)],
                    [(rows, coef), (tri_rows, tri_coef)]):
         with pytest.raises(GramFailure, match="overlap"):
-            decomposition._assemble(PENTAGON, 0j, pieces, "blockwise", None)
+            decomposition._assemble(PENTAGON, 0j, pieces, "blockwise")
 
 
 def test_construct_runs_no_dense_check(monkeypatch):
@@ -923,6 +960,43 @@ def record_steps(monkeypatch):
 
     monkeypatch.setattr(decomposition, "_best_block", counted)
     return steps
+
+
+def test_first_step_score_is_region_margin(monkeypatch):
+    # the first block-first step's chosen score, the min of its block
+    # margin and its remainder margin, is the target's margin in the rank-k
+    # region, to 1e-9 relative: the split gives up none of its depth; on
+    # the scan's spectra of seed 0, uniform and clustered of kinds 1 and 2
+    picks = []
+    pick = decomposition._best_block
+
+    def scored(table, n, kk, cand, m_blk, lam):
+        best = pick(table, n, kk, cand, m_blk, lam)
+        if best is not None:
+            score = m_blk[best]
+            if kk > 2:
+                rest = decomposition._remainders(
+                    n, decomposition._layout_rows(n, cand[best:best + 1]))
+                score = min(score, decomposition._remainder_scores(
+                    table, n, rest, lam)[0])
+            picks.append(score)
+        return best
+
+    monkeypatch.setattr(decomposition, "_best_block", scored)
+    checked = 0
+    for (n, k), kind in product([(8, 3), (11, 4), (13, 5), (16, 6), (29, 10)],
+                                (0, 1, 2)):
+        es = ingest_spectrum(clustered_phases([0, n, kind], 3 + kind, n)
+                             if kind else np.sort(np.random.default_rng(
+                                 [0, n, 0]).uniform(0, 2 * np.pi, n)))
+        region = build_region(es, k)
+        for lam in scan_targets(es, k)[::6]:
+            picks.clear()
+            construct_projector(es, k, lam)
+            want = region_margin(region, lam)
+            assert abs(picks[0] - want) <= 1e-9 * abs(want), (n, k, lam)
+            checked += 1
+    assert checked == 58
 
 
 @pytest.mark.parametrize("phases, lam", SCAN_PAST_SHORTLIST,
@@ -1413,7 +1487,7 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
     # remainder is not scored: rank 0 would raise InvalidRank
     assert ranks == [] and tables == [(5, 1)]
     found = decomposition._try_pieces(PENTAGON, 0j, pieces)
-    proj = decomposition._assemble(PENTAGON, 0j, found, "blockwise", None)
+    proj = decomposition._assemble(PENTAGON, 0j, found, "blockwise")
     assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
 
 

@@ -85,8 +85,7 @@ def test_cli_project_verify_roundtrip(pentagon_file, matrix_file, tmp_path,
     assert k == 2 and lam == 0j
     assert residuals["compression"] <= 1e-8
 
-    code = run(["verify", matrix_file, "--k", "2",
-                "--projector", proj_path])
+    code = run(["verify", matrix_file, "--projector", proj_path])
     assert code == 0
     out = capsys.readouterr().out
     assert "pass" in out
@@ -124,11 +123,48 @@ def test_cli_project_verify_at_tol_zero(pentagon_file, tmp_path, capsys):
     assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
                 "--tol", "0", "--out", proj_path]) == 0
     capsys.readouterr()
-    assert run(["verify", pentagon_file, "--k", "2", "--projector",
+    assert run(["verify", pentagon_file, "--projector",
                 proj_path, "--tol", "0"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "pass"
     assert "compression: " in out and "(<= 1.0e-08)" in out
+
+
+def test_cli_verify_takes_no_rank(pentagon_file, tmp_path, capsys):
+    # verify reads the rank from the projector document; a --k that it
+    # would never read is a usage error, not a check that passes
+    proj_path = str(tmp_path / "p.json")
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--out", proj_path]) == 0
+    assert run(["verify", pentagon_file, "--projector", proj_path]) == 0
+    capsys.readouterr()
+    assert run(["verify", pentagon_file, "--k", "2", "--projector",
+                proj_path]) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 2.5), ("k", "x"), ("k", None), ("k", True), ("n", 5.0),
+    ("n", "5"), ("lambda", [0.0]), ("lambda", ["0", "0"]), ("lambda", None),
+    ("re", "x"), ("im", [[0.0]]), ("re", None),
+    ("k", ...), ("n", ...), ("lambda", ...), ("re", ...), ("im", ...)],
+    ids=repr)
+def test_cli_verify_bad_projector_document(pentagon_file, tmp_path, capsys,
+                                           field, value):
+    # a non-integer n or k, or a missing or non-numeric lambda, re or im
+    # (``...``: the field is missing), is a parse error, exit 1: never
+    # read as another rank nor escaping the command
+    proj_path = tmp_path / "p.json"
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--out", str(proj_path)]) == 0
+    doc = json.loads(proj_path.read_text())
+    if value is ...:
+        del doc[field]
+    else:
+        doc[field] = value
+    proj_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", pentagon_file, "--projector", str(proj_path)]) == 1
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_cli_project_fails_loudly(pentagon_file, tmp_path, monkeypatch,
@@ -315,6 +351,20 @@ def test_malformed_document_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]")
     assert run(["spectrum", str(path)]) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "x"), ("n", None), ("n", 2.0), ("re", "x"), ("im", [[1, [2]]])],
+    ids=repr)
+def test_matrix_input_fields_are_parsed(tmp_path, capsys, field, value):
+    # a matrix input reads its fields as a projector document does: a
+    # non-integer n, or re or im that are not numbers, exits 1
+    doc = matrix_to_doc(np.eye(2))
+    doc[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run(["spectrum", str(path)]) == 1
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_cli_project_plan_output(pentagon_file, tmp_path):
