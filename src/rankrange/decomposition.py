@@ -72,7 +72,7 @@ import numpy as np
 from . import blocks
 from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
                      NoSolution, ShapeMismatch, UnsupportedDimension,
-                     checked_rank)
+                     checked_complex, checked_rank)
 from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
                      chord_ends, chord_margins, contains, successor)
 from .spectra import EigenSystem, ReflectionMap, reflect_labels
@@ -263,7 +263,7 @@ def plan(es: EigenSystem, k: int, lam: complex) -> DecompositionPlan:
     """The paper's template for (N, k) and lam: dimension dispatch by
     ``dimension_case`` and weak-vertex branching (pure combinatorics)."""
     k, case = dimension_case(es.dim, k)
-    lam = complex(lam)
+    lam = checked_complex(lam)
     if case == CASE_THREE_K_MINUS_1:
         return _plan_three_k_minus_1(es, k, lam)
     if case == CASE_THREE_K_MINUS_2:
@@ -732,7 +732,7 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
     """
     n = es.dim
     k = checked_rank(k, n)
-    lam = complex(lam)
+    lam = checked_complex(lam)
 
     region = build_region(es, k)
     verdict = contains(region, lam)
@@ -764,7 +764,7 @@ def construct_projector(es: EigenSystem, k: int, lam: complex) -> Projector:
 
 def caratheodory_rank1(es: EigenSystem, lam: complex) -> Projector:
     """Rank-1 witness: at most three eigenvalues whose hull carries lam."""
-    lam = complex(lam)
+    lam = checked_complex(lam)
     support, weights = _caratheodory_support(es, lam)
     v = np.sqrt(np.maximum(0.0, weights)).astype(complex)
     return _assemble(es, lam, [(np.array([support]) - 1,
@@ -781,7 +781,10 @@ class VerificationReport:
 
 def verify_projector(P, sigma, lam: complex, k: int) -> VerificationReport:
     """Standalone recheck of an alleged projector against a matrix, each
-    residual against its fixed bound in ``projector_thresholds``."""
+    residual against its fixed bound in ``projector_thresholds``. Raises
+    ShapeMismatch for a non-square P or one of another shape than sigma,
+    ParseError for a lam that ``complex()`` cannot read, and InvalidRank
+    unless k is an integer in 1..N."""
     P = np.asarray(P, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -789,7 +792,8 @@ def verify_projector(P, sigma, lam: complex, k: int) -> VerificationReport:
     if P.shape != sigma.shape:
         raise ShapeMismatch(
             f"projector {P.shape} does not match matrix {sigma.shape}")
-    residuals = projector_residuals(P, sigma, complex(lam), k)
+    residuals = projector_residuals(P, sigma, checked_complex(lam),
+                                    checked_rank(k, P.shape[0]))
     th = projector_thresholds()
     passed = all(residuals[key] <= th[key] for key in th)
     return VerificationReport(residuals=residuals, thresholds=th,

@@ -1,5 +1,5 @@
-"""Exception hierarchy, and the one check each of a caller's tolerance
-and rank.
+"""Exception hierarchy, and the one check each of a caller's tolerance,
+target and rank.
 
 Every error carries an ``exit_code`` so the CLI can map failures onto its
 contract: 1 usage/parse, 2 mathematical rejection, 3 internal invariant
@@ -21,13 +21,28 @@ class ParseError(RankRangeError):
 
 def checked_tol(value: float, source: str = "tol") -> float:
     """``value`` when it is a finite number >= 0, else ParseError: a
-    negative or NaN tolerance would silently flip verdicts. Every function
-    that reads a caller's tolerance calls this where it reads it."""
-    # one chained comparison, False for NaN: contains pays it on each call
-    if not 0.0 <= value < inf:
+    negative or NaN tolerance would silently flip verdicts, and one that is
+    not a number would fail untyped. Every function that reads a caller's
+    tolerance calls this where it reads it."""
+    # one chained comparison, False for NaN: contains pays it on each call;
+    # a value that does not compare as a number raises TypeError there (an
+    # array of several, ValueError)
+    try:
+        if 0.0 <= value < inf:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ParseError(f"{source} must be a finite number >= 0, got {value!r}")
+
+
+def checked_complex(value, source: str = "target") -> complex:
+    """``complex(value)``, else ParseError: a target that is not a number
+    would otherwise fail untyped."""
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
         raise ParseError(
-            f"{source} must be a finite number >= 0, got {value!r}")
-    return value
+            f"{source} must be a complex number, got {value!r}") from None
 
 
 class MathRejection(RankRangeError):

@@ -37,8 +37,8 @@ from math import comb, inf
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import (EmptyRegion, ParseError, TooLarge, checked_rank,
-                     checked_tol)
+from .errors import (EmptyRegion, ParseError, TooLarge, checked_complex,
+                     checked_rank, checked_tol)
 from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
 from .spectra import EigenSystem
 
@@ -277,13 +277,18 @@ def contains(region: OmegaRegion, z: complex, tol: float = MEMBERSHIP_TOL) -> st
     on a larger one, both ``==``. The point constraints are visited only
     when the region has some and z passes the other two tests. A NaN or
     infinite z is outside, whatever margin either form reads: ``abs(z)``
-    is NaN or inf, so z fails the disk test. A negative or non-finite tol
-    raises ParseError.
+    is NaN or inf, so z fails the disk test. A z that ``complex()`` cannot
+    read, or a tol that is negative, non-finite or not a number, raises
+    ParseError.
     """
     tol = checked_tol(tol)
     # a numpy scalar z would run the plain-float loop in numpy's scalar
-    # arithmetic, about twice as slow (same values)
-    z = complex(z)
+    # arithmetic, about twice as slow (same values); the typed check is
+    # reached only when complex() fails, so the normal path pays nothing
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        z = checked_complex(z)   # raises ParseError
     hp_min = _least_halfplane_margin(region, z.real, z.imag)
     weak_ok = hp_min >= -tol and 1.0 - abs(z) >= -tol
     if weak_ok and region.point_constraints:

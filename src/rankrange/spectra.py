@@ -24,6 +24,22 @@ more than half the spectrum and is not one eigenvalue of sigma (its
 columns are not yet eigenvectors), the ``eigh`` is taken once more at
 alpha = SPLIT_ROTATION, where eigenvalues paired about HERMITIAN_ROTATION
 no longer share an eigenvalue of H.
+
+Each N x N step is taken once, in the layout its BLAS or LAPACK call
+reads. The unitarity residual comes from one ``zherk`` on the Fortran
+view A^T (``unitarity_residual``), half the flops of A^H A. H is formed
+in Fortran order, so ``eigh`` factors it in place. The first ``eigh``
+uses divide and conquer ("evd") below EVR_FROM_N and MRRR ("evr") from
+it up; the retry at SPLIT_ROTATION always uses "evd". Best of runs of
+one ``eigh`` of H, in ms, one BLAS thread, 2-vCPU x86-64 VM:
+
+    N      28     44     58    100    150    200    250    275    300    600
+    evr  0.118  0.297  0.578   2.09   5.22   9.81   16.0   21.0   24.7    153
+    evd  0.096  0.245  0.458   1.71   4.45   9.17   16.0   20.7   25.8    245
+
+From EVR_FROM_N up, H is bit for bit the matrix that the general product
+(R_0 + R_0^H) / 2 gives, so the phases and basis are those of that
+matrix's "evr" solve.
 """
 
 from __future__ import annotations
@@ -33,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import (EigensolveFailed, EmptySpectrum, MathRejection,
-                     NotUnitary, ShapeMismatch, checked_tol)
+                     NotUnitary, ParseError, ShapeMismatch, checked_tol)
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +70,10 @@ SPLIT_ROTATION = 2.0
 #: eigenvalues of H closer than this are one cluster, rotated by a Schur of
 #: its compression (see the module docstring for the error bound)
 CLUSTER_GAP = 1e-5
+#: the first eigh of a matrix uses MRRR ("evr") from this N up and divide
+#: and conquer ("evd") below it: the two cross between N = 275 and 300
+#: (the module docstring's table)
+EVR_FROM_N = 280
 
 
 def canonical_phase(z) -> np.ndarray:
@@ -122,14 +143,59 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _numbers(values, dtype, what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float or complex); ParseError
+    when an entry is not a number (a real one for float), ShapeMismatch
+    when rows differ in length."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise ShapeMismatch(f"{what} rows differ in length") from None
+    if a.dtype.kind == "O":
+        try:
+            a = a.astype(dtype)
+        except (TypeError, ValueError):
+            pass
+    if a.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise ParseError(f"{what} must hold "
+                         f"{'real ' if dtype is float else ''}numbers")
+    return a.astype(dtype, copy=False)
+
+
+def unitarity_residual(A: np.ndarray) -> float:
+    """||A^H A - I||_F of the square complex A.
+
+    One ``zherk`` on the Fortran view A^T fills the upper triangle of
+    C = conj(A^H A), half the flops of the general product, and leaves
+    the lower one 0. The norm is then sqrt(sum (c_ii - 1)^2 + 2 sum_{i<j}
+    |c_ij|^2), the diagonal read and zeroed first: subtracting sum
+    |c_ii|^2 (about N) from the total would lose the residual (about
+    1e-14) to rounding."""
+    C = scipy.linalg.blas.zherk(1.0, A.T)
+    d = C.diagonal().real - 1.0
+    dev = float(d @ d)
+    np.fill_diagonal(C, 0.0)
+    # C^T is C-contiguous, so vdot reads it in place
+    return float(np.sqrt(dev + 2.0 * np.vdot(C.T, C.T).real))
+
+
 def _rotated_eigh(A: np.ndarray, alpha: float, driver: str):
-    """An orthonormal eigenbasis V of H = (R + R^H) / 2, R = e^{-i alpha}
+    """An orthonormal eigenbasis V of H = R + R^H, R = (e^{-i alpha} / 2)
     A, from the LAPACK ``driver``; A V; the Rayleigh quotients
     diag(V^H A V); and the cluster cuts: 0, N and each position where
-    consecutive eigenvalues of H are CLUSTER_GAP or more apart."""
-    R = A * np.exp(-1j * alpha)
-    h, V = scipy.linalg.eigh(0.5 * (R + R.conj().T), overwrite_a=True,
-                             check_finite=False, driver=driver)
+    consecutive eigenvalues of H are CLUSTER_GAP or more apart.
+
+    Halving is exact, so H is bit for bit (R_0 + R_0^H) / 2, R_0 = e^{-i
+    alpha} A. It is formed as the transpose of conj(R) plus R, in
+    Fortran order, which is LAPACK's own layout: ``eigh`` factors it in
+    place with no transposing copy."""
+    R = A * (0.5 * np.exp(-1j * alpha))
+    H = np.conjugate(R).T
+    H += R
+    del R
+    h, V = scipy.linalg.eigh(H, overwrite_a=True, check_finite=False,
+                             driver=driver)
+    del H
     AV = A @ V
     evals = np.einsum("ij,ij->j", V.conj(), AV)
     cuts = np.r_[0, np.flatnonzero(np.diff(h) >= CLUSTER_GAP) + 1, A.shape[0]]
@@ -146,15 +212,17 @@ def _hermitian_eigensystem(A: np.ndarray):
     CLUSTER_GAP or more, q its Rayleigh quotient), the ``eigh`` is taken
     once more at SPLIT_ROTATION. Raises LinAlgError when LAPACK fails."""
     n = A.shape[0]
-    V, AV, evals, cuts = _rotated_eigh(A, HERMITIAN_ROTATION, "evr")
+    V, AV, evals, cuts = _rotated_eigh(
+        A, HERMITIAN_ROTATION, "evr" if n >= EVR_FROM_N else "evd")
     sizes = np.diff(cuts)
     g = int(sizes.argmax())
     lo, hi = int(cuts[g]), int(cuts[g + 1])
     if 2 * sizes[g] > n and np.abs(
             AV[:, lo:hi] - V[:, lo:hi] * evals[lo:hi]).max() >= CLUSTER_GAP:
         # the rotated spectrum still has multiplicities of up to n/2, on
-        # which divide and conquer is the faster driver: 267 against 521 ms
-        # for MRRR ("evr", scipy's default) at N = 600, two eigenvalues
+        # which divide and conquer is the faster driver at every N: 267
+        # against 521 ms for MRRR at N = 600, two eigenvalues
+        del V, AV
         V, AV, evals, cuts = _rotated_eigh(A, SPLIT_ROTATION, "evd")
     # only a group of two or more needs its Schur; singletons are skipped
     # without a Python step each
@@ -174,25 +242,30 @@ def _hermitian_eigensystem(A: np.ndarray):
 def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Validate a unitary matrix and produce its sorted eigensystem.
 
-    The eigensystem comes from the Hermitian part of e^{-i alpha} sigma (see
-    the module docstring): one N x N ``eigh`` (a second at SPLIT_ROTATION
+    The unitarity residual ||A^H A - I||_F comes from one ``zherk`` Gram
+    on the Fortran view A^T (``unitarity_residual``). The eigensystem
+    comes from the Hermitian part of e^{-i alpha} sigma, formed in Fortran
+    order (see the module docstring): one N x N ``eigh``, by "evd" below
+    EVR_FROM_N and "evr" from it up (a second, by "evd", at SPLIT_ROTATION
     when a cluster of more than N/2 is not one eigenvalue), the Rayleigh
     quotients diag(V^H sigma V) as eigenvalues, and a complex Schur of the
     m x m compression of each cluster of H-eigenvalues closer than
     CLUSTER_GAP, which makes the basis orthonormal even across degenerate
     eigenvalues.
     The error this leaves is ~2 eps ||H|| / CLUSTER_GAP in the
-    eigenresidual. The residual check reads the product A V formed for the
-    Rayleigh quotients, so no further N x N product is made for it. A
-    diagonal input keeps the standard basis vectors, sorted with its
-    phases. Raises
-    ParseError when tol is negative or not finite, NotUnitary when an
-    entry is not finite or ||A^H A - I||_F > tol, and EigensolveFailed
-    when LAPACK fails or the per-column residual contract
-    ||A v - e^{i theta} v|| <= tol is not met.
+    eigenresidual. The residual check subtracts in place from the product
+    A V formed for the Rayleigh quotients, so no further N x N product is
+    made for it. A diagonal input (as many nonzero entries as nonzero
+    diagonal ones) keeps the standard basis vectors, sorted with its
+    phases. Raises ParseError when an entry is not a number or tol is
+    negative, not finite or not a number, ShapeMismatch when rows differ
+    in length or the matrix is not square, NotUnitary when an entry is not
+    finite or ||A^H A - I||_F > tol, and EigensolveFailed when LAPACK
+    fails or the per-column residual contract ||A v - e^{i theta} v|| <=
+    tol is not met.
     """
     tol = checked_tol(tol)
-    A = np.asarray(matrix, dtype=complex)
+    A = _numbers(matrix, complex, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
@@ -201,26 +274,29 @@ def ingest_matrix(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     if not np.isfinite(A).all():
         # NaN would slip through the gate below: nan > tol is False
         raise NotUnitary("matrix has non-finite entries")
-    gram = A.conj().T @ A - np.eye(n)
-    unit_res = float(np.linalg.norm(gram))
+    unit_res = unitarity_residual(A)
     if unit_res > tol:
         raise NotUnitary(
             f"||A^H A - I||_F = {unit_res:.3e} exceeds tolerance {tol:.1e}")
 
-    offdiag = A - np.diag(np.diag(A))
-    if not offdiag.any():
-        # diagonal fast path: the standard basis is an exact eigenbasis
-        evals = np.diag(A)
-        basis, AV = np.eye(n, dtype=complex), A
+    if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
+        # diagonal fast path: the standard basis is an exact eigenbasis,
+        # and A e_j - e^{i theta_j} e_j is 0 but in its entry j
+        evals = A.diagonal()
+        phases = canonical_phase(evals)
+        basis = np.eye(n, dtype=complex)
+        eig_res = float(np.abs(evals - np.exp(1j * phases)).max())
     else:
         try:
             evals, basis, AV = _hermitian_eigensystem(A)
         except scipy.linalg.LinAlgError as exc:
             raise EigensolveFailed(str(exc)) from exc
-
-    phases = canonical_phase(evals)
-    # the largest entry does not depend on the column order
-    eig_res = float(np.abs(AV - basis * np.exp(1j * phases)[None, :]).max())
+        phases = canonical_phase(evals)
+        # in place on A V; its largest entry does not depend on the column
+        # order
+        AV -= basis * np.exp(1j * phases)
+        eig_res = float(np.abs(AV).max())
+        del AV
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     basis = basis[:, order]
@@ -237,8 +313,10 @@ def ingest_spectrum(phases) -> EigenSystem:
 
     It keeps only the sorted phases, in O(N) memory: its basis is the
     standard one (``EigenSystem.standard_basis``), and ``basis`` and
-    ``matrix`` are built only when first read."""
-    raw = np.asarray(phases, dtype=float).ravel()
+    ``matrix`` are built only when first read. Raises ParseError when a
+    phase is not a real number, ShapeMismatch when rows differ in length,
+    and EmptySpectrum when there is no phase or one is not finite."""
+    raw = _numbers(phases, float, "phases").ravel()
     if raw.size == 0:
         raise EmptySpectrum("spectrum must contain at least one phase")
     if not np.isfinite(raw).all():

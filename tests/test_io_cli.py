@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rankrange import ParseError, build_region, cli, ingest_spectrum
+from rankrange import (InvalidRank, ParseError, ShapeMismatch, build_region,
+                       cli, construct_projector, contains, ingest_matrix,
+                       ingest_spectrum, verify_projector)
 from rankrange import io as io_mod
 from rankrange.cli import run
 from rankrange.decomposition import Projector, VerificationReport
@@ -365,6 +367,57 @@ def test_matrix_input_fields_are_parsed(tmp_path, capsys, field, value):
     path.write_text(json.dumps(doc))
     assert run(["spectrum", str(path)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+def _pentagon_region():
+    return build_region(ingest_spectrum(2 * np.pi * np.arange(5) / 5), 2)
+
+
+def _cli_spectrum(phases):
+    """``rankrange spectrum`` on a document whose phases are ``phases``."""
+    def call(tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"phases": phases}))
+        return run(["spectrum", str(path)])
+    return call
+
+
+MALFORMED = {
+    "spectrum-string": (lambda _: ingest_spectrum(["a"]), ParseError),
+    "spectrum-complex": (lambda _: ingest_spectrum([1j]), ParseError),
+    "matrix-strings": (lambda _: ingest_matrix([["a", "b"], ["c", "d"]]),
+                       ParseError),
+    "matrix-ragged": (lambda _: ingest_matrix([[1, 0], [0]]), ShapeMismatch),
+    "matrix-tol-string": (lambda _: ingest_matrix(np.eye(2), tol="x"),
+                          ParseError),
+    "matrix-tol-none": (lambda _: ingest_matrix(np.eye(2), tol=None),
+                        ParseError),
+    "contains-tol-string": (lambda _: contains(_pentagon_region(), 0j, "x"),
+                            ParseError),
+    "contains-target-string": (lambda _: contains(_pentagon_region(), "x"),
+                               ParseError),
+    "construct-target-string": (lambda _: construct_projector(
+        ingest_spectrum([0.0, 2.0, 4.0]), 1, "x"), ParseError),
+    "verify-rank-string": (lambda _: verify_projector(
+        np.eye(2), np.eye(2), 1, "x"), InvalidRank),
+    "cli-mixed": (_cli_spectrum(["a", 1]), ParseError),
+    "cli-ragged": (_cli_spectrum([[1, 2], [3]]), ShapeMismatch),
+    "cli-string": (_cli_spectrum("abc"), ParseError),
+    "cli-object": (_cli_spectrum({"x": 1}), ParseError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_raises_typed_error(name, tmp_path, capsys):
+    # each of these escaped as a bare ValueError, TypeError or
+    # UFuncTypeError; a CLI document exits with its error's code instead
+    call, error = MALFORMED[name]
+    if name.startswith("cli-"):
+        assert call(tmp_path) == error.exit_code
+        assert f"error: {error.__name__}:" in capsys.readouterr().err
+    else:
+        with pytest.raises(error):
+            call(tmp_path)
 
 
 def test_cli_project_plan_output(pentagon_file, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from rankrange import (EigensolveFailed, EmptySpectrum, NotUnitary,
                        ParseError, canonical_phase, ingest_matrix,
                        ingest_spectrum, reflect_labels)
-from rankrange.spectra import DEFAULT_TOL, HERMITIAN_ROTATION
+from rankrange.spectra import (CLUSTER_GAP, DEFAULT_TOL, EVR_FROM_N,
+                               HERMITIAN_ROTATION, unitarity_residual)
 
 
 def random_unitary(rng, n):
@@ -196,6 +199,108 @@ def test_two_tight_groups_about_alpha_are_split(monkeypatch):
     assert sorted(seen["schur"]) == [n // 2, n // 2]
     assert es.eigen_residual <= DEFAULT_TOL
     assert circle_distance(es.phases, np.sort(phases)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 28, 150, 600])
+def test_unitarity_residual_matches_reference(n):
+    # the zherk Gram's residual is the general product's to rounding: both
+    # are a few ulps x N
+    rng = np.random.default_rng(n)
+    u = random_unitary(rng, n)
+    ref = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    assert abs(unitarity_residual(u) - ref) <= 4 * n * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 28, 150])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_not_unitary_fires_on_the_side_of_tol(n, scale):
+    # A = q (I + e E) with E = q + q^H is normal, so its eigenvectors are
+    # q's, and A^H A - I = 2 e E + O(e^2): its residual is scale * tol to a
+    # relative 1e-9
+    rng = np.random.default_rng([n, int(4 * scale)])
+    tol = DEFAULT_TOL
+    q = random_unitary(rng, n)
+    E = q + q.conj().T
+    u = q @ (np.eye(n) + scale * tol / (2 * np.linalg.norm(E)) * E)
+    ref = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    assert (ref > tol) == (scale > 1)
+    assert (unitarity_residual(u) > tol) == (scale > 1)
+    if scale > 1:
+        with pytest.raises(NotUnitary):
+            ingest_matrix(u, tol=tol)
+    else:
+        assert ingest_matrix(u, tol=tol).unitarity_residual <= tol
+
+
+def _recorded_drivers(monkeypatch):
+    """(column count, driver) of every scipy.linalg eigh call."""
+    seen = []
+
+    def record(a, *args, _eigh=scipy.linalg.eigh, **kwargs):
+        seen.append((a.shape[1], kwargs.get("driver")))
+        return _eigh(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigh", record)
+    return seen
+
+
+@pytest.mark.parametrize("n", [28, EVR_FROM_N - 1, EVR_FROM_N])
+def test_eigh_driver_is_chosen_by_size(monkeypatch, n):
+    u = random_unitary(np.random.default_rng(n), n)
+    seen = _recorded_drivers(monkeypatch)
+    es = ingest_matrix(u)
+    assert seen == [(n, "evr" if n >= EVR_FROM_N else "evd")]
+    assert es.eigen_residual <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n", [EVR_FROM_N - 2, EVR_FROM_N])
+def test_paired_spectrum_retry_keeps_evd(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    phases = np.repeat([ALPHA - 0.7, ALPHA + 0.7], n // 2)
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    seen = _recorded_drivers(monkeypatch)
+    ingest_matrix(u)
+    assert seen == [(n, "evr" if n >= EVR_FROM_N else "evd"), (n, "evd")]
+
+
+@pytest.mark.parametrize("n", [EVR_FROM_N, 600])
+def test_evr_ingest_equals_reference_eigh(n):
+    # from EVR_FROM_N up, the Fortran-ordered H is the reference's matrix
+    # bit for bit, so MRRR gives the same basis and Rayleigh quotients; the
+    # phases lie on one side of ALPHA, spaced so that H has no cluster and
+    # no Schur rotates the columns
+    rng = np.random.default_rng(n)
+    phases = ALPHA + np.linspace(0.05, np.pi - 0.05, n) + rng.uniform(
+        -0.2, 0.2, n) * np.pi / n
+    q = random_unitary(rng, n)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    R = u * np.exp(-1j * HERMITIAN_ROTATION)
+    h, V = scipy.linalg.eigh(0.5 * (R + R.conj().T), driver="evr")
+    assert np.diff(h).min() >= CLUSTER_GAP
+    phases = canonical_phase(np.einsum("ij,ij->j", V.conj(), u @ V))
+    order = np.argsort(phases, kind="stable")
+    es = ingest_matrix(u)
+    assert np.array_equal(es.phases, phases[order])
+    assert np.array_equal(es.basis, V[:, order])
+
+
+def test_ingest_peak_memory_at_n600():
+    # the Gram, H and the residual are formed without N x N temporaries
+    # beside them: the peak stays under 5.5 N x N complex arrays
+    n = 600
+    u = random_unitary(np.random.default_rng(600), n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ingest_matrix(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 5.5 * 16 * n * n
 
 
 def test_ingest_real_orthogonal():
