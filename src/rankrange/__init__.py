@@ -19,13 +19,13 @@ from .spectra import (EigenSystem, ReflectionMap, canonical_phase,
                       ingest_matrix, ingest_spectrum, reflect_labels)
 from .region import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                      ChordConstraint, OmegaRegion, boundary_samples,
-                     brute_force_contains, build_region, constraint_margins,
-                     contains, interior_point, region_margin)
+                     build_region, constraint_margins, contains,
+                     interior_point, region_margin)
 from .triangles import (BarycentricWeights, TriangleSpec, solve_barycentric,
                         triangle, validate_triangle)
 from .pairing import (PairParameters, SharedVertexProblem,
                       VectorCoefficients, discriminant_coeffs,
-                      gauge_parameters, solve_pair, vector_from_triangle)
+                      gauge_parameters, solve_pair)
 from .blocks import isotropic_pair, pair_isotropy_residual
 from .decomposition import (DecompositionPlan, Pairing, Projector,
                             VerificationReport, caratheodory_rank1,
@@ -47,14 +47,13 @@ __all__ = [
     "Projector",
     "RankRangeError", "ReflectionMap", "ShapeMismatch", "SharedVertexProblem",
     "TooLarge", "TriangleSpec", "UnsupportedDimension", "VectorCoefficients",
-    "VerificationReport", "boundary_samples", "brute_force_contains",
-    "build_region", "canonical_phase", "caratheodory_rank1",
-    "constraint_margins", "construct_projector",
-    "contains", "discriminant_coeffs", "gauge_parameters", "ingest_matrix",
-    "ingest_spectrum", "interior_point", "isotropic_pair",
+    "VerificationReport", "boundary_samples", "build_region",
+    "canonical_phase", "caratheodory_rank1", "constraint_margins",
+    "construct_projector", "contains", "discriminant_coeffs",
+    "gauge_parameters", "ingest_matrix", "ingest_spectrum",
+    "interior_point", "isotropic_pair",
     "pair_isotropy_residual", "plan", "reflect_labels", "region_margin",
     "solve_barycentric", "solve_pair", "subspectrum_margin",
     "three_k_minus_1_patterns", "three_k_minus_2_patterns",
-    "three_k_patterns", "triangle", "validate_triangle",
-    "vector_from_triangle", "verify_projector",
+    "three_k_patterns", "triangle", "validate_triangle", "verify_projector",
 ]

@@ -7,13 +7,14 @@ time field, which is reported for information only.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decomposition import construct_projector, verify_projector
-from .errors import MathRejection, RankRangeError
+from .errors import MathRejection, ParseError, RankRangeError
 from .region import build_region, interior_point
 from .spectra import EigenSystem, ingest_matrix, ingest_spectrum
 
@@ -108,9 +109,20 @@ def run_one(es: EigenSystem, k: int, case: str, conjugated: bool,
 def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
     """Deterministic instance stream covering every dimension case.
 
-    Yields ReportRecords; spectra whose region is empty are skipped with a
+    Returns ReportRecords; spectra whose region is empty are skipped with a
     note rather than failed. Alternates diagonal and conjugated inputs.
+    Raises ParseError unless seed is an integer >= 0 and repeats an integer
+    >= 1: a negative seed fails inside numpy, and no repeats would run the
+    crafted instances alone.
     """
+    try:
+        seed, repeats = operator.index(seed), operator.index(repeats)
+    except TypeError:
+        raise ParseError(f"seed and repeats must be integers, got "
+                         f"{seed!r} and {repeats!r}") from None
+    if seed < 0 or repeats < 1:
+        raise ParseError(f"need seed >= 0 and repeats >= 1, got {seed} "
+                         f"and {repeats}")
     records = []
     for pos, (case, n, k) in enumerate(sizes):
         for rep in range(repeats):
@@ -126,13 +138,3 @@ def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
     equilateral = ingest_spectrum([0.0, 2.0 * np.pi / 3, 4.0 * np.pi / 3])
     records.append(run_one(equilateral, 2, "empty_region", False, seed))
     return records
-
-
-def branch_counts(records) -> dict:
-    """The records that were not skipped, counted by (case, strategy)."""
-    out = {}
-    for r in records:
-        if r.skipped:
-            continue
-        out[(r.case, r.strategy)] = out.get((r.case, r.strategy), 0) + 1
-    return out

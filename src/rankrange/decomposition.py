@@ -62,6 +62,7 @@ never pays the pair solve.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -71,8 +72,8 @@ import numpy as np
 
 from . import blocks
 from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
-                     NoSolution, ShapeMismatch, UnsupportedDimension,
-                     checked_complex, checked_rank)
+                     NoSolution, ParseError, ShapeMismatch,
+                     UnsupportedDimension, checked_complex, checked_rank)
 from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
                      chord_ends, chord_margins, contains, successor)
 from .spectra import EigenSystem, ReflectionMap, reflect_labels
@@ -783,8 +784,8 @@ def verify_projector(P, sigma, lam: complex, k: int) -> VerificationReport:
     """Standalone recheck of an alleged projector against a matrix, each
     residual against its fixed bound in ``projector_thresholds``. Raises
     ShapeMismatch for a non-square P or one of another shape than sigma,
-    ParseError for a lam that ``complex()`` cannot read, and InvalidRank
-    unless k is an integer in 1..N."""
+    ParseError for a lam that ``complex()`` cannot read or that is not
+    finite, and InvalidRank unless k is an integer in 1..N."""
     P = np.asarray(P, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -792,7 +793,10 @@ def verify_projector(P, sigma, lam: complex, k: int) -> VerificationReport:
     if P.shape != sigma.shape:
         raise ShapeMismatch(
             f"projector {P.shape} does not match matrix {sigma.shape}")
-    residuals = projector_residuals(P, sigma, checked_complex(lam),
+    lam = checked_complex(lam)
+    if not cmath.isfinite(lam):
+        raise ParseError(f"target must be finite, got {lam!r}")
+    residuals = projector_residuals(P, sigma, lam,
                                     checked_rank(k, P.shape[0]))
     th = projector_thresholds()
     passed = all(residuals[key] <= th[key] for key in th)

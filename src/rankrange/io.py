@@ -52,11 +52,6 @@ def _as_matrix(doc) -> np.ndarray:
     return re + 1j * im
 
 
-def matrix_to_doc(A) -> dict:
-    A = np.asarray(A, dtype=complex)
-    return {"n": A.shape[0], "re": A.real.tolist(), "im": A.imag.tolist()}
-
-
 def read_json(path):
     """The JSON document at ``path``; ParseError if it is not JSON."""
     with open(path) as fh:

@@ -24,9 +24,8 @@ from math import atan2, cos, sin, sqrt
 
 import numpy as np
 
-from .errors import BothHeavy, DegenerateDenominator, NoSolution, checked_tol
+from .errors import BothHeavy, DegenerateDenominator, NoSolution, ParseError
 from .spectra import EigenSystem
-from .triangles import BarycentricWeights
 
 GRAM_TOL = 1e-10
 VALUE_TOL = 1e-10
@@ -47,23 +46,9 @@ class SharedVertexProblem:
     def __post_init__(self):
         t_set, r_set = set(self.t_weights), set(self.r_weights)
         if t_set & r_set:
-            raise ValueError(f"index sets overlap: {sorted(t_set & r_set)}")
+            raise ParseError(f"index sets overlap: {sorted(t_set & r_set)}")
         if self.shared_index in t_set | r_set:
-            raise ValueError("shared index also appears in a side set")
-
-    def validate(self, es: EigenSystem, tol: float = 1e-9):
-        tol = checked_tol(tol)
-        lam_v = es.eigenvalue(self.shared_index)
-        s1 = self.p1 + sum(self.t_weights.values())
-        s2 = self.q1 + sum(self.r_weights.values())
-        v1 = lam_v * self.p1 + sum(es.eigenvalue(j) * w
-                                   for j, w in self.t_weights.items())
-        v2 = lam_v * self.q1 + sum(es.eigenvalue(j) * w
-                                   for j, w in self.r_weights.items())
-        if abs(s1 - 1) > 1e-10 or abs(s2 - 1) > 1e-10:
-            raise ValueError("weights do not sum to 1")
-        if abs(v1 - self.target) > tol or abs(v2 - self.target) > tol:
-            raise ValueError("weighted sums do not reach the target")
+            raise ParseError("shared index also appears in a side set")
 
     def swapped(self) -> "SharedVertexProblem":
         return SharedVertexProblem(self.shared_index, self.q1, self.p1,
@@ -115,25 +100,17 @@ def _coeff_vector(es: EigenSystem, coeffs: dict, target: complex) -> VectorCoeff
                               compression_residual=float(abs(comp - target)))
 
 
-def vector_from_triangle(es: EigenSystem, w: BarycentricWeights,
-                         target: complex) -> VectorCoefficients:
-    """Square-root-of-weight coefficients at the triangle's vertexes."""
-    coeffs = {j: complex(sqrt(max(0.0, wi)))
-              for j, wi in zip(w.triangle.indices, w.weights)}
-    return _coeff_vector(es, coeffs, target)
-
-
-def discriminant_coeffs(p1: float, q1: float, alpha: float, beta: float):
-    """Coefficients (A, B) of the root equation x^2 + A x + B = 0."""
-    den = q1 + (1 - q1) * cos(beta)
-    if abs(den) <= 1e-12:
-        raise DegenerateDenominator(
-            "q1 + (1-q1) cos(beta) vanishes; choose a different beta")
+def discriminant_coeffs(p1: float, q1: float, alpha: float):
+    """Coefficients (A, B) of the root equation x^2 + A x + B = 0 in the
+    fixed gauge beta = 0, where the denominator q1 + (1-q1) cos(beta) is
+    q1 + (1-q1) and the sin(beta) term of A drops out. Raises
+    DegenerateDenominator unless p1*q1 > 0."""
     if p1 * q1 <= 0.0:
         raise DegenerateDenominator("p1*q1 must be positive")
-    A = ((p1 - 1) * sin(alpha) * den
-         + (q1 - 1) * sin(beta) * ((p1 - 1) * cos(alpha) - p1)) \
-        / (sqrt(p1 * q1) * den)
+    # can differ from 1 in the last bit; the sum keeps A and B bit for bit
+    # those of the general-beta formula at beta = 0
+    den = q1 + (1 - q1)
+    A = (p1 - 1) * sin(alpha) * den / (sqrt(p1 * q1) * den)
     B = (p1 + (1 - p1) * cos(alpha)) / den
     return A, B
 
@@ -147,7 +124,7 @@ def gauge_parameters(p1: float, q1: float) -> PairParameters:
     tau = atan2(root, sqrt(p1 * q1))
     y = tan_or_inf(tau)
     if p1 * q1 > DEGENERATE_PRODUCT:
-        A, B = discriminant_coeffs(p1, q1, alpha, 0.0)
+        A, B = discriminant_coeffs(p1, q1, alpha)
     else:
         A, B = 0.0, 0.0
     return PairParameters(alpha=alpha, beta=0.0, theta=0.0, tau=tau,
@@ -178,23 +155,23 @@ def solve_pair(problem: SharedVertexProblem, es: EigenSystem):
         return phi1, phi2
 
     params = gauge_parameters(problem.p1, problem.q1)
-    phi1, phi2 = _pair_from_parameters(problem, es, params.alpha,
-                                       params.beta, params.theta, params.tau)
+    phi1, phi2 = _pair_from_parameters(problem, es, params.alpha, params.tau)
     if _pair_ok(phi1, phi2):
         return phi1, phi2
     raise NoSolution("orthonormal pair construction failed")
 
 
-def _pair_from_parameters(problem, es, alpha, beta, theta, tau):
+def _pair_from_parameters(problem, es, alpha, tau):
+    """The pair in the fixed gauge beta = theta = 0: phi1 is sqrt(p1) at
+    the shared index and e^{i alpha} sqrt(w) on the T side, with no R-side
+    entries; phi2 is cos(tau) sqrt(p1) + i sin(tau) sqrt(q1) at the shared
+    index, cos(tau) sqrt(w) on the T side and sin(tau) sqrt(w) on R."""
     p1, q1 = problem.p1, problem.q1
     v = problem.shared_index
-    ct, st = cos(theta), sin(theta)
     cu, su = cos(tau), sin(tau)
-    c1 = {v: complex(sqrt(p1) * ct, sqrt(q1) * st)}
+    c1 = {v: complex(sqrt(p1), 0.0)}
     for j, w in problem.t_weights.items():
-        c1[j] = np.exp(1j * alpha) * ct * sqrt(max(0.0, w))
-    for j, w in problem.r_weights.items():
-        c1[j] = np.exp(1j * beta) * st * sqrt(max(0.0, w))
+        c1[j] = np.exp(1j * alpha) * sqrt(max(0.0, w))
     c2 = {v: complex(sqrt(p1) * cu, sqrt(q1) * su)}
     for j, w in problem.t_weights.items():
         c2[j] = complex(cu * sqrt(max(0.0, w)))

@@ -30,6 +30,7 @@ to cross-validate the chord semantics.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, inf
@@ -39,7 +40,7 @@ from scipy.optimize import linprog
 
 from .errors import (EmptyRegion, ParseError, TooLarge, checked_complex,
                      checked_rank, checked_tol)
-from .geometry import clip_polygon, convex_hull, line_margin, polygon_area
+from .geometry import clip_polygon, convex_hull, line_margin
 from .spectra import EigenSystem
 
 DEGENERATE_CHORD_TOL = 1e-9
@@ -371,12 +372,6 @@ class BruteForceOracle:
         return OUTSIDE
 
 
-def brute_force_contains(es: EigenSystem, k: int, z: complex,
-                         tol: float = MEMBERSHIP_TOL) -> str:
-    """One-shot oracle query; build a BruteForceOracle for batches."""
-    return BruteForceOracle(es, k).verdict(z, tol)
-
-
 def interior_point(region: OmegaRegion):
     """The deepest point of the region: the Chebyshev centre of its chord
     half-planes, one linear program over (x, y, r) that maximizes the
@@ -437,8 +432,6 @@ def boundary_polygon(region: OmegaRegion):
         return [a + lo * (b - a), a + hi * (b - a)]
     if len(poly) < 2:
         return poly
-    if polygon_area(poly) < 0:
-        poly = poly[::-1]
     for c in region.halfplanes():
         poly = clip_polygon(poly, c.endpoint_a, c.endpoint_b,
                             float(c.inward_sign))
@@ -450,7 +443,11 @@ def boundary_polygon(region: OmegaRegion):
 def boundary_samples(region: OmegaRegion, count: int = 64):
     """Points along the region boundary, counterclockwise, vertices included;
     each edge is sampled at uniform length. Raises EmptyRegion when there is
-    nothing to sample and ParseError when count is below 3."""
+    nothing to sample and ParseError unless count is an integer >= 3."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ParseError(f"count must be an integer, got {count!r}") from None
     if count < 3:
         raise ParseError(f"count must be at least 3, got {count!r}")
     poly = boundary_polygon(region)

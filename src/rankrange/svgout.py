@@ -17,7 +17,9 @@ def _pt(z) -> str:
     return f"{_CENTER + _R * z.real:.2f},{_CENTER - _R * z.imag:.2f}"
 
 
-def render_region(region: OmegaRegion, samples: int = 256) -> str:
+def render_region(region: OmegaRegion) -> str:
+    """The SVG document of the region: its boundary as 256 points of
+    ``boundary_samples``, or a comment when the region is empty."""
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -32,7 +34,7 @@ def render_region(region: OmegaRegion, samples: int = 256) -> str:
             f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" '
             f'stroke="#4a90d9" stroke-width="0.8" stroke-dasharray="4 3"/>')
     try:
-        pts = boundary_samples(region, samples)
+        pts = boundary_samples(region, 256)
         poly = " ".join(_pt(z) for z in pts)
         lines.append(
             f'<polyline points="{poly}" fill="#cfe8cf" fill-opacity="0.6" '

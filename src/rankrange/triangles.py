@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvexSolution
+from .errors import NoConvexSolution, ParseError
 from .spectra import EigenSystem
 
 WEIGHT_FLOOR = -1e-12
@@ -28,7 +28,7 @@ class TriangleSpec:
     def __post_init__(self):
         a, b, c = self.indices
         if not (1 <= a < b < c <= self.dim):
-            raise ValueError(f"indices {self.indices} not strictly increasing "
+            raise ParseError(f"indices {self.indices} not strictly increasing "
                              f"within 1..{self.dim}")
 
     @property

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
-from rankrange.battery import (branch_counts, demo_battery, pick_target,
-                               random_instance, run_one)
-from rankrange import build_region, ingest_spectrum, interior_point
+from rankrange.battery import (demo_battery, pick_target, random_instance,
+                               run_one)
+from rankrange import (ParseError, build_region, ingest_spectrum,
+                       interior_point)
 
 
 def test_battery_all_pass_and_covers_cases():
@@ -14,8 +16,15 @@ def test_battery_all_pass_and_covers_cases():
     # the crafted empty-region instance is skipped, not failed
     skipped = [r for r in records if r.skipped]
     assert any(r.skipped == "empty region" for r in skipped)
-    assert set(branch_counts(records)) == {
-        (r.case, r.strategy) for r in records if not r.skipped}
+
+
+@pytest.mark.parametrize("seed, repeats", [(1.5, 1), ("7", 1), (7, 1.0),
+                                           (7, None), (-1, 1), (7, 0)])
+def test_battery_reads_seed_and_repeats_typed(seed, repeats):
+    # a negative seed failed inside numpy, a non-integer one untyped, and
+    # no repeats ran the two crafted instances alone
+    with pytest.raises(ParseError):
+        demo_battery(seed=seed, repeats=repeats)
 
 
 def test_battery_deterministic_modulo_walltime():

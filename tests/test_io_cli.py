@@ -9,9 +9,15 @@ from rankrange import (InvalidRank, ParseError, ShapeMismatch, build_region,
 from rankrange import io as io_mod
 from rankrange.cli import run
 from rankrange.decomposition import Projector, VerificationReport
-from rankrange.io import (dump, ingest_document, matrix_to_doc,
-                          projector_from_doc, region_to_doc)
+from rankrange.io import (dump, ingest_document, projector_from_doc,
+                          region_to_doc)
 from rankrange.svgout import render_region
+
+
+def matrix_to_doc(A) -> dict:
+    """The matrix input document of A."""
+    A = np.asarray(A, dtype=complex)
+    return {"n": A.shape[0], "re": A.real.tolist(), "im": A.imag.tolist()}
 
 
 @pytest.fixture
@@ -130,6 +136,24 @@ def test_cli_project_verify_at_tol_zero(pentagon_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "pass"
     assert "compression: " in out and "(<= 1.0e-08)" in out
+
+
+@pytest.mark.parametrize("target", ["inf,0", "nan,0", "0,-inf"])
+def test_verify_non_finite_target_is_parse_error(pentagon_file, tmp_path,
+                                                 capsys, target):
+    # an infinite target read compression nan, FAIL and exit 3, the code of
+    # an internal failure, with a numpy warning on the way
+    proj_path = str(tmp_path / "p.json")
+    assert run(["project", pentagon_file, "--k", "2", "--lambda", "0,0",
+                "--out", proj_path]) == 0
+    capsys.readouterr()
+    assert run(["verify", pentagon_file, "--projector", proj_path,
+                "--lambda", target]) == 1
+    assert "ParseError" in capsys.readouterr().err
+    P, k, _, _ = projector_from_doc(io_mod.read_json(proj_path))
+    sigma = np.diag(np.exp(2j * np.pi * np.arange(5) / 5))
+    with pytest.raises(ParseError, match="target must be finite"):
+        verify_projector(P, sigma, cli._parse_complex(target), k)
 
 
 def test_cli_verify_takes_no_rank(pentagon_file, tmp_path, capsys):
@@ -341,6 +365,16 @@ def test_cli_demo_deterministic(tmp_path, capsys):
     records = [json.loads(line) for line in out1.read_text().splitlines()]
     assert any(r.get("skipped") == "empty region" for r in records)
     assert all(r["pass"] for r in records)
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--repeats", "0"],
+                                  ["--repeats", "-1"]], ids=" ".join)
+def test_cli_demo_bad_seed_or_repeats_is_parse_error(capsys, args):
+    # a negative seed escaped as numpy's ValueError; no repeats ran the two
+    # crafted instances alone and reported a pass
+    assert run(["demo", *args]) == 1
+    captured = capsys.readouterr()
+    assert "ParseError" in captured.err and captured.out == ""
 
 
 def test_dump_writes_file(tmp_path):

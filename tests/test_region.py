@@ -4,9 +4,8 @@ import pytest
 from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        EmptyRegion, InvalidRank, LambdaOutsideRegion,
                        ParseError, TooLarge, boundary_samples,
-                       brute_force_contains, build_region,
-                       construct_projector, contains, ingest_spectrum,
-                       interior_point, region_margin, subspectrum_margin)
+                       build_region, construct_projector, contains,
+                       ingest_spectrum, interior_point, region_margin, subspectrum_margin)
 
 from rankrange import region as region_module
 from rankrange.region import (SCALAR_CHORDS, chord_ends, chord_margins,
@@ -36,7 +35,7 @@ def test_pentagon_membership():
     mid = (PENTAGON.eigenvalue(1) + PENTAGON.eigenvalue(3)) / 2
     assert contains(region, mid) == BOUNDARY
     assert contains(region, 0.99 + 0j) == OUTSIDE
-    assert brute_force_contains(PENTAGON, 2, 0.99 + 0j) == OUTSIDE
+    assert BruteForceOracle(PENTAGON, 2).verdict(0.99 + 0j) == OUTSIDE
 
 
 def test_identity_spectrum_degenerate_point_region():
@@ -68,21 +67,21 @@ def test_two_coincident_plus_one():
 
 
 def test_brute_force_examples():
-    assert brute_force_contains(PENTAGON, 2, 0j) == INSIDE
+    assert BruteForceOracle(PENTAGON, 2).verdict(0j) == INSIDE
     # k = 1: single subset, hull of the full spectrum contains the mean
     es = ingest_spectrum([0.1, 1.0, 2.4, 4.0])
     mean = es.eigenvalues().mean()
-    assert brute_force_contains(es, 1, complex(mean)) == INSIDE
+    assert BruteForceOracle(es, 1).verdict(complex(mean)) == INSIDE
     # k = 2, three distinct phases: each eigenvalue is outside (the three
     # segments only share interior points if one lies on the others' chord)
     es3 = ingest_spectrum([0.2, 2.0, 4.4])
-    assert brute_force_contains(es3, 2, es3.eigenvalue(1)) == OUTSIDE
+    assert BruteForceOracle(es3, 2).verdict(es3.eigenvalue(1)) == OUTSIDE
 
 
 def test_brute_force_guard():
     es = ingest_spectrum(np.linspace(0, 6.0, 17))
     with pytest.raises(TooLarge):
-        brute_force_contains(es, 2, 0j)
+        BruteForceOracle(es, 2)
 
 
 def test_invalid_rank():
@@ -224,7 +223,7 @@ def test_interior_point_segment_region_empty():
     region = build_region(es, 1)
     assert interior_point(region) is None
     assert contains(region, 0j) == BOUNDARY
-    assert brute_force_contains(es, 1, 0j) == BOUNDARY
+    assert BruteForceOracle(es, 1).verdict(0j) == BOUNDARY
     assert contains(region, 0.1 + 0.1j) == OUTSIDE
 
 
@@ -237,7 +236,7 @@ def test_segment_region_is_sampled(phases, k):
     es = ingest_spectrum(phases)
     region = build_region(es, k)
     assert contains(region, 0j) == BOUNDARY
-    assert brute_force_contains(es, k, 0j) == BOUNDARY
+    assert BruteForceOracle(es, k).verdict(0j) == BOUNDARY
     samples = boundary_samples(region, 9)
     assert {samples[0], samples[-1]} == {-1 + 0j, 1 + 0j}
     np.testing.assert_allclose(np.array(samples).imag, 0.0, atol=1e-15)
@@ -257,8 +256,6 @@ def test_bad_membership_tolerance_is_parse_error(tol):
     assert oracle.verdict(0j) == INSIDE
     with pytest.raises(ParseError, match="tol must be a finite number"):
         oracle.verdict(0j, tol=tol)
-    with pytest.raises(ParseError, match="tol must be a finite number"):
-        brute_force_contains(PENTAGON, 2, 0j, tol=tol)
 
 
 @pytest.mark.parametrize("n,k", [(12, 4), (64, 21)])
@@ -281,6 +278,15 @@ def test_nan_or_infinite_z_is_outside(n, k, z):
 def test_boundary_samples_count_below_three_is_parse_error(count):
     with pytest.raises(ParseError, match="count must be at least 3"):
         boundary_samples(pentagon_region(), count)
+
+
+@pytest.mark.parametrize("count", [3.5, 4.0, "4", None])
+def test_boundary_samples_count_not_an_integer_is_parse_error(count):
+    # 3.5 gave 4 points and a divide-by-zero warning; "4" and None raised
+    # a bare TypeError
+    with pytest.raises(ParseError, match="count must be an integer"):
+        boundary_samples(pentagon_region(), count)
+    assert len(boundary_samples(pentagon_region(), np.int64(4))) == 4
 
 
 def test_boundary_samples_pentagon_vertices():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from itertools import combinations
 
 from rankrange import (BarycentricWeights, EmptyRegion, NoConvexSolution,
-                       boundary_samples, build_region, ingest_spectrum,
+                       ParseError, boundary_samples, build_region, ingest_spectrum,
                        solve_barycentric, triangle, validate_triangle)
 from rankrange.triangles import SUM_TOL, VALUE_TOL, WEIGHT_FLOOR
 
@@ -26,6 +26,14 @@ def test_validate_examples():
     assert validate_triangle(triangle(1, 3, 5, dim=5), 2)
     assert validate_triangle(triangle(1, 4, 9, dim=13), 5)
     assert not validate_triangle(triangle(1, 2, 5, dim=5), 2)
+
+
+@pytest.mark.parametrize("a, b, c, dim", [(1, 1, 2, 3), (1, 2, 9, 5),
+                                          (0, 1, 2, 3)])
+def test_bad_triangle_is_parse_error(a, b, c, dim):
+    # a repeated index or one outside 1..dim raised a bare ValueError
+    with pytest.raises(ParseError, match="not strictly increasing"):
+        triangle(a, b, c, dim=dim)
 
 
 def test_vertex_case():
