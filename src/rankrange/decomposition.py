@@ -24,7 +24,9 @@ It climbs one ladder of strategies and returns the first witness that
 passes the gates:
 
 1. ``eigenspace``: k eigenvalues at the target are their own witness;
-2. ``caratheodory`` for k = 1: the fan triangles of the hull solved in one
+2. ``caratheodory`` for k = 1: of the fan triangles (1, j, j+1) of the
+   hull, only the rows that a side test of the target against their two
+   diagonals cannot rule out, the fan window, solved in one
    ``solve_barycentric`` call;
 3. one block-first call (``_search_pieces``) for N = 3k, 3k-1 and 3k-2,
    once ``dimension_case`` has checked the dimension. At N = 3k it is the
@@ -43,7 +45,8 @@ passes the gates:
    score the remainder of every candidate whose block margin is at least
    BLOCK_FLOOR, REMAINDER_CHUNK entries at a time. The 3m indices left take
    the triangles (j, j+m, j+2m), which a positive rank-m margin of the
-   remainder makes feasible.
+   remainder makes feasible. The pieces stay index arrays, one (B, 5) of
+   pair blocks and one (T, 3) of triangles, from the search to the gates.
 
 When the call misses, the construction raises NoSolution. The witness is
 its own record: its ``strategy`` names the rung, and its pieces the
@@ -74,10 +77,11 @@ from . import blocks
 from .errors import (GramFailure, LambdaOutsideRegion, NoConvexSolution,
                      NoSolution, ParseError, ShapeMismatch,
                      UnsupportedDimension, checked_complex, checked_rank)
-from .region import (BOUNDARY, INSIDE, MEMBERSHIP_TOL, build_region,
+from .region import (BOUNDARY, FAR, INSIDE, MEMBERSHIP_TOL, build_region,
                      chord_ends, chord_margins, contains, successor)
 from .spectra import EigenSystem, ReflectionMap, reflect_labels
-from .triangles import solve_barycentric, triangle, validate_triangle
+from .triangles import (SUM_TOL, VALUE_TOL, solve_barycentric, triangle,
+                        validate_triangle)
 
 GRAM_GATE = 1e-9
 COMPRESSION_GATE = 1e-9
@@ -100,6 +104,19 @@ BLOCK_SHORTLIST = 64
 # remainder entries that a block-first step builds at once, so that its
 # arrays stay near 8 MB each at any N: about 2^20 / N remainders a chunk
 REMAINDER_CHUNK = 1 << 20
+
+# no weights that the triangle solver accepts place lam more than VALUE_TOL
+# + SUM_TOL outside the unit circle (they sum to at most 1 + SUM_TOL and
+# reconstruct lam within VALUE_TOL), nor does a vertex or hull edge within
+# MEMBERSHIP_TOL = VALUE_TOL; the rank-1 scan rejects a lam beyond twice
+# that reach at once, so no product of its arithmetic can overflow
+RANK1_REACH = 1.0 + 2 * (VALUE_TOL + SUM_TOL)
+# a fan row that the full solve passes places lam within VALUE_TOL + SUM_TOL
+# = 1.1e-9 of its triangle, and the edge pass within VALUE_TOL; lam's
+# signed distance from a diagonal is rounded by about 1e-15 at |lam| <=
+# RANK1_REACH, so the rank-1 scan's fan window keeps every row that lam is
+# within FAN_SLACK of, about 9 times that reach
+FAN_SLACK = 1e-8
 
 CASE_THREE_K = "three_k"
 CASE_THREE_K_MINUS_1 = "three_k_minus_1"
@@ -349,12 +366,21 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
 
     The sorted eigenvalues lie on the circle in convex position, so lam is
     an eigenvalue, on a cyclic hull edge (j, j+1), or in a triangle of the
-    fan (1, j, j+1), checked in that order. The N - 2 fan triangles are
-    solved in one ``solve_barycentric`` call, and the first in fan order
-    that has weights gives the support and weights; only the fan rows
-    before the first one that the full solve passes can come first, so
-    only those of them that it misses go on to the edge pass."""
+    fan (1, j, j+1), checked in that order. A lam beyond RANK1_REACH is
+    rejected before any arithmetic on it. Fan row r (0-based), the
+    triangle (1, r+2, r+3), lies left of the diagonal mu_1 -> mu_{r+2} and
+    right of mu_1 -> mu_{r+3}, so lam's signed distance from each diagonal
+    bounds its distance to the triangle: only the rows within FAN_SLACK
+    of both sides, the fan window, can have weights, and only they are
+    solved, in fan order, in one ``solve_barycentric`` call. The first
+    that has weights gives the support and weights, as the first of all
+    N - 2 rows would: each row of a stack is ``==`` to its solve alone,
+    and only the window's rows before the first one that the full solve
+    passes go on to the edge pass."""
     lam = complex(lam)
+    if not abs(lam) <= RANK1_REACH:
+        raise LambdaOutsideRegion(
+            f"{lam} is not in the convex hull of the spectrum")
     mu = es.mu
     n = es.dim
     hit = np.nonzero(np.abs(mu - lam) <= MEMBERSHIP_TOL)[0]
@@ -371,14 +397,23 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
             return (j + 1, j + 2), (1.0 - tj, tj)
         return (1, n), (tj, 1.0 - tj)
     if n >= 3:
-        # fan row r is the triangle (1, r+2, r+3)
-        w = solve_barycentric(es, np.stack(
-            [np.ones(n - 2, dtype=int), np.arange(2, n), np.arange(3, n + 1)],
-            axis=1), lam, first=True)
-        found = np.flatnonzero(~np.isnan(w[:, 0]))
-        if found.size:
-            r = int(found[0])
-            return (1, r + 2, r + 3), tuple(w[r].tolist())
+        # the cross product of diagonal i (mu_1 -> mu_{i+2}) with lam - mu_1
+        # is lam's signed distance from it times its length, so a diagonal
+        # of length zero (an eigenvalue at mu_1) keeps its rows
+        diag = mu[1:] - mu[0]
+        off = lam - mu[0]
+        cross = diag.real * off.imag - diag.imag * off.real
+        slack = FAN_SLACK * np.hypot(diag.real, diag.imag)
+        rows = np.flatnonzero((cross[:-1] >= -slack[:-1])
+                              & (cross[1:] <= slack[1:]))
+        if rows.size:
+            w = solve_barycentric(es, np.stack(
+                [np.ones_like(rows), rows + 2, rows + 3], axis=1), lam,
+                first=True)
+            found = np.flatnonzero(~np.isnan(w[:, 0]))
+            if found.size:
+                r = int(rows[found[0]])
+                return (1, r + 2, r + 3), tuple(w[found[0]].tolist())
     raise LambdaOutsideRegion(
         f"{lam} is not in the convex hull of the spectrum")
 
@@ -399,7 +434,8 @@ def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
     ``region.chord_margins``, which the pair-block scorer ``_block_scores``
     shares, so a sub-spectrum's margin is ``==`` to ``region_margin`` of
     the region built on it. A rank j above the sub-spectrum size gives
-    -inf; j < 1, or a j that is not an integer, raises InvalidRank.
+    -inf; j < 1, or a j that is not an integer, raises InvalidRank. A lam
+    beyond ``region.FAR`` reads its disk term, as ``region_margin`` does.
     """
     j = checked_rank(j)
     single = np.ndim(rows) == 1
@@ -408,8 +444,8 @@ def subspectrum_margin(es: EigenSystem, j: int, lam: complex, rows):
         out = np.full(rows.shape[0], -np.inf)
     else:
         ends = chord_ends(es, rows, successor(rows, j, es.dim))
-        out = np.minimum(1.0 - np.abs(lam),
-                         chord_margins(*ends, lam).min(axis=1))
+        out = np.minimum(1.0 - np.abs(lam), chord_margins(
+            *ends, 0j if abs(lam) > FAR else lam).min(axis=1))
     return float(out[0]) if single else out
 
 
@@ -423,24 +459,24 @@ def _try_pieces(es, lam, pieces):
     isotropic pairs (B, 5, 2), then its triangles, rows (T, 3) and the
     square roots of their barycentric weights (T, 3, 1).
 
-    Every triangle is solved first, in one ``solve_barycentric`` call, so
-    a candidate with a triangle that has no weights never pays
-    ``isotropic_pair``, which then solves all the pair blocks in one
-    stacked call. Each pair block arrives scored by the block-first step
-    that proposed it, at a rank-2 margin of at least BLOCK_FLOOR, and is
-    not scored again here."""
-    tris, blks = ([idx for kind, idx in pieces if kind == want]
-                  for want in ("tri", "block"))
+    ``pieces`` is the ``(blocks, triangles)`` pair of ``_search_pieces``:
+    index arrays (B, 5) and (T, 3), 1-based, each row ascending; an empty
+    one adds no stack. Every triangle is solved first, in one
+    ``solve_barycentric`` call, so a candidate with a triangle that has no
+    weights never pays ``isotropic_pair``, which then solves all the pair
+    blocks in one stacked call. Each pair block arrives scored by the
+    block-first step that proposed it, at a rank-2 margin of at least
+    BLOCK_FLOOR, and is not scored again here."""
+    blks, tris = pieces
     out = []
-    if tris:
-        tris = np.sort(tris, axis=1)
+    if len(tris):
         w = solve_barycentric(es, tris, lam)
         if np.isnan(w[:, 0]).any():
             return None
         out.append((tris - 1, np.sqrt(np.maximum(0.0, w))[:, :, None]
                     .astype(complex)))
-    if blks:
-        rows = np.sort(blks, axis=1) - 1
+    if len(blks):
+        rows = blks - 1
         try:
             coef = blocks.isotropic_pair(es.mu[rows] - lam)
         except NoSolution:
@@ -593,12 +629,18 @@ def _search_pieces(es, kk, lam, act):
     """Block-first pieces of the active indices ``act`` (1-based,
     ascending) for rank kk, or None: the one call of ``construct_projector``
     for N = 3kk (the leaf alone), 3kk-1 (one pair block) or 3kk-2 (two).
+    The pieces are one pair of index arrays, ``(blocks, triangles)``, of
+    shapes (B, 5) and (T, 3), each row ascending, that ``_try_pieces``
+    reads as they are.
 
     With 3kk indices left they take the triangles (j, j+m, j+2m): the
     rank-m region of 3m points is the intersection of those triangles (Li
     and Sze, Proc. AMS 136, 2008), so the remainder's positive margin makes
     each feasible; at N = 3kk these are the paper's triangles (m, kk+m,
-    2kk+m). Otherwise one step picks the pair block and recurses
+    2kk+m). The leaf's triangles are ``act`` read as 3 rows of m and
+    transposed, one (m, 3) view with no row built apart; with no index
+    left (the pentagon's leaf) it is empty. Otherwise one step picks the
+    pair block, one row of ``act``, and recurses
     once on its remainder, with no backtracking. It scores one chord table
     (``_block_scores``): every ``_spaced_blocks`` candidate's rank-2 margin
     is the min of 5 of its entries. Among the candidates whose block margin
@@ -612,7 +654,7 @@ def _search_pieces(es, kk, lam, act):
     if n == 3 * kk:
         # triangle j is (act[j], act[j + m], act[j + 2m]): column j of act
         # read as 3 rows of m
-        return [("tri", t) for t in map(tuple, act.reshape(3, -1).T.tolist())]
+        return act[:0].reshape(0, 5), act.reshape(3, -1).T
     table, m_blk = _block_scores(es, act, lam)
     good = np.nonzero(m_blk >= BLOCK_FLOOR)[0]
     for cand in (_shortlist(good, m_blk[good]), good):
@@ -625,7 +667,7 @@ def _search_pieces(es, kk, lam, act):
     tail = _search_pieces(es, kk - 2, lam, act[_remainders(n, five)[0]])
     if tail is None:
         return None
-    return [("block", tuple(act[five[0]].tolist()))] + tail
+    return np.concatenate([act[five], tail[0]]), tail[1]
 
 
 def _best_block(table, n, kk, cand, m_blk, lam):
@@ -693,13 +735,22 @@ def _assemble(es: EigenSystem, lam: complex, pieces,
 
 
 def projector_residuals(P, sigma, lam, k) -> dict:
+    """The four residuals of P against sigma and lam. A lam beyond
+    ``region.FAR`` is scaled out of the compression residual, s ||P sigma
+    P / s - (lam / s) P|| with s = |lam|, so that no product overflows;
+    the residual itself may read inf."""
     P = np.asarray(P, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    s = abs(lam)
+    if s > FAR:
+        comp = s * float(np.linalg.norm(P @ sigma @ P / s - (lam / s) * P))
+    else:
+        comp = float(np.linalg.norm(P @ sigma @ P - lam * P))
     return {
         "hermiticity": float(np.linalg.norm(P - P.conj().T)),
         "idempotency": float(np.linalg.norm(P @ P - P)),
         "trace": float(abs(np.trace(P) - k)),
-        "compression": float(np.linalg.norm(P @ sigma @ P - lam * P)),
+        "compression": comp,
     }
 
 

@@ -51,6 +51,13 @@ MEMBERSHIP_TOL = 1e-9
 #: 2-vCPU VM), the loop took 1.4 us at 9 chords, 3.6 at 32, 4.3 at 40 and
 #: 4.8 at 44, the kernel 4.5-4.8 us at every one of those sizes
 SCALAR_CHORDS = 40
+#: a point farther than FAR from the origin is outside every region by
+#: about its modulus: its margin from any chord, point constraint or hull of
+#: eigenvalues is within 2 of the disk term 1 - |z|, far below one ulp of
+#: it, so ``region_margin``, ``decomposition.subspectrum_margin`` and the
+#: oracle read the disk term there and form no product of z that could
+#: overflow
+FAR = 1e150
 
 INSIDE = "inside"
 BOUNDARY = "boundary"
@@ -235,12 +242,16 @@ def constraint_margins(region: OmegaRegion, z):
 def region_margin(region: OmegaRegion, z):
     """Overall signed margin: min of chord margins, the disk margin and
     (negated) distance to any point constraint. Positive only for points
-    with room inside every constraint."""
+    with room inside every constraint. A point beyond FAR reads its disk
+    term: the constraints score the origin in its place, whose every margin
+    is at least -1."""
     z = np.asarray(z, dtype=complex)
-    m = np.minimum(1.0 - np.abs(z),
-                   constraint_margins(region, z).min(axis=0, initial=np.inf))
+    disk = 1.0 - np.abs(z)
+    near = np.where(disk < 1.0 - FAR, 0j, z)
+    m = np.minimum(disk, constraint_margins(region, near).min(
+        axis=0, initial=np.inf))
     for p in region.point_constraints:
-        m = np.minimum(m, -np.abs(z - p))
+        m = np.minimum(m, -np.abs(near - p))
     return m
 
 
@@ -348,6 +359,10 @@ class BruteForceOracle:
                                 np.where(moved, length ** 2, 1.0)])
 
     def margin(self, z: complex) -> float:
+        """The least margin of z over the hulls; beyond FAR, where every
+        hull's is within 2 of it, the disk term 1 - |z|."""
+        if abs(z) > FAR:
+            return float(1.0 - abs(z))
         ax, ay, ex, ey, length, length2 = self._edges
         dx = z.real - ax
         dy = z.imag - ay

@@ -298,9 +298,9 @@ def clustered_blocks(sizes, kinds, seeds):
                                                       3 + kind, n))
                 for lam in scan_targets(es, k):
                     pieces = decomposition._search_pieces(
-                        es, k, lam, np.arange(1, n + 1)) or []
-                    rows = template_blocks(es, k, lam) + [
-                        idx for kind_, idx in pieces if kind_ == "block"]
+                        es, k, lam, np.arange(1, n + 1))
+                    rows = template_blocks(es, k, lam) + (
+                        [] if pieces is None else pieces[0].tolist())
                     out += [es.mu[np.array(idx) - 1] - lam for idx in rows]
     return np.unique(np.array(out), axis=0)
 

@@ -429,8 +429,10 @@ def test_rank1_outside_rejected():
 
 
 def test_rank1_scan_is_linear(monkeypatch):
-    # the scan solves the N - 2 fan triangles (1, j, j+1) in one
-    # solve_barycentric call of N - 2 rows, in its first-hit form
+    # the scan solves only the fan triangles (1, j, j+1) that lam's side
+    # test against their two diagonals cannot rule out, in one
+    # solve_barycentric call in its first-hit form: at an interior lam,
+    # the one triangle that holds it, of the N - 2 = 198
     n = 200
     es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
     lam = interior_point(build_region(es, 1))
@@ -444,7 +446,7 @@ def test_rank1_scan_is_linear(monkeypatch):
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     proj = construct_projector(es, 1, lam)
     assert proj.strategy == "caratheodory"
-    assert calls == [((n - 2, 3), {"first": True})]
+    assert calls == [((1, 3), {"first": True})]
     assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
 
 
@@ -482,16 +484,103 @@ def scalar_fan_support(es, lam):
     raise LambdaOutsideRegion(f"{lam} is not in the hull")
 
 
+def fan_rows(n):
+    """The N - 2 fan triangles (1, j, j+1) of the rank-1 scan, in fan
+    order."""
+    return np.stack([np.ones(n - 2, dtype=int), np.arange(2, n),
+                     np.arange(3, n + 1)], axis=1)
+
+
+def record_fan_windows(monkeypatch):
+    """A list that collects the fan rows (0-based) that each
+    ``solve_barycentric`` call of the rank-1 scan receives."""
+    windows = []
+    solve = decomposition.solve_barycentric
+
+    def recorded(es, t, lam, **kwargs):
+        windows.append(np.asarray(t)[:, 1] - 2)
+        return solve(es, t, lam, **kwargs)
+
+    monkeypatch.setattr(decomposition, "solve_barycentric", recorded)
+    return windows
+
+
+def fan_case(rng, case, seed, n, where):
+    """One rank-1 scan case: a uniform, 4-cluster (width 1e-7) or equally
+    spaced spectrum of n phases by ``case`` mod 3, and lam at random in the
+    disk (so in the hull or outside it), on a fan diagonal, on a hull edge,
+    within 1e-12 of an eigenvalue, or 3e-10 off a fan diagonal by
+    ``where``."""
+    kind = case % 3
+    if kind == 0:
+        phases = rng.uniform(0.0, 2 * np.pi, n)
+    elif kind == 1:
+        phases = clustered_phases([seed, case], 4, n, 1e-7)
+    else:
+        phases = 2 * np.pi * np.arange(n) / n + rng.uniform(0.0, 1.0)
+    es = ingest_spectrum(phases)
+    mu = es.eigenvalues()
+    j, s = int(rng.integers(1, n)), rng.uniform()
+    if where == 0:
+        lam = complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
+    elif where == 1:
+        lam = complex(s * mu[0] + (1 - s) * mu[j])
+    elif where == 2:
+        lam = complex(s * mu[j - 1] + (1 - s) * mu[j])
+    elif where == 3:
+        lam = complex(mu[j] + 1e-12 * np.exp(2j * np.pi * s))
+    else:
+        d = (mu[j] - mu[0]) / abs(mu[j] - mu[0])
+        lam = complex(s * mu[0] + (1 - s) * mu[j]
+                      + 3e-10j * d * (1 if rng.uniform() < 0.5 else -1))
+    return es, lam
+
+
+def test_fan_window_drops_only_rows_without_weights(monkeypatch):
+    # N 3-119 on the three spectrum kinds and five lam placements of
+    # fan_case: no fan row outside the window that the scan solves has
+    # weights in a solve of all N - 2 rows, and the support is the scalar
+    # scan's, or both find none
+    rng = np.random.default_rng(35)
+    windows = record_fan_windows(monkeypatch)
+    dropped = kept = outside = 0
+    for case in range(1000):
+        n = int(rng.integers(3, 120))
+        es, lam = fan_case(rng, case, 35, n, (case // 3) % 5)
+        windows.clear()
+        try:
+            want, _ = scalar_fan_support(es, lam)
+        except LambdaOutsideRegion:
+            outside += 1
+            with pytest.raises(LambdaOutsideRegion):
+                decomposition._caratheodory_support(es, lam)
+        else:
+            assert decomposition._caratheodory_support(es, lam) == want, \
+                (case, n, lam)
+        if not windows:         # an eigenvalue, a hull edge or no window
+            continue
+        (window,) = windows
+        assert (np.diff(window) > 0).all()
+        w = solve_barycentric(es, fan_rows(n), lam)
+        out = np.setdiff1d(np.arange(n - 2), window)
+        assert np.isnan(w[out]).all(), (case, n, lam)
+        dropped += out.size
+        kept += window.size
+    assert outside > 50 and dropped > 20 * kept
+
+
 def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
     # uniform, 4-cluster (width 1e-7) and equally spaced spectra, N 3-79;
     # lam at random in the disk (so in the hull or outside it), on a fan
     # diagonal, on a hull edge and within 1e-12 of an eigenvalue. The edge
-    # pass receives just the fan rows that the full solve misses before its
-    # first hit, or every fan row when it hits none
+    # pass receives just the rows of the fan window that the full solve
+    # misses before its first hit in it, or every row of the window when
+    # it hits none
     rng = np.random.default_rng(17)
     outside = 0
     stages = []
     sent, before, whole = [], [], []
+    windows = record_fan_windows(monkeypatch)
 
     def counted(pts, lam):
         sent[-1] += len(pts)
@@ -500,25 +589,10 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
     monkeypatch.setattr("rankrange.triangles._edge_or_vertex", counted)
     for case in range(1200):
         n = int(rng.integers(3, 80))
-        kind, where = case % 3, (case // 3) % 4
-        if kind == 0:
-            phases = rng.uniform(0.0, 2 * np.pi, n)
-        elif kind == 1:
-            phases = clustered_phases([17, case], 4, n, 1e-7)
-        else:
-            phases = 2 * np.pi * np.arange(n) / n + rng.uniform(0.0, 1.0)
-        es = ingest_spectrum(phases)
+        es, lam = fan_case(rng, case, 17, n, (case // 3) % 4)
         mu = es.eigenvalues()
-        j, s = int(rng.integers(1, n)), rng.uniform()
-        if where == 0:
-            lam = complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
-        elif where == 1:
-            lam = complex(s * mu[0] + (1 - s) * mu[j])
-        elif where == 2:
-            lam = complex(s * mu[j - 1] + (1 - s) * mu[j])
-        else:
-            lam = complex(mu[j] + 1e-12 * np.exp(2j * np.pi * s))
         sent.append(0)
+        windows.clear()
         try:
             want, stage = scalar_fan_support(es, lam)
         except LambdaOutsideRegion:
@@ -535,12 +609,11 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
             before.append(0)
             whole.append(0)
             continue
-        _, _, ok = _full_solves(
-            mu[np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1),
-                         np.arange(2, n)], axis=1)], lam)
-        hits = np.flatnonzero(ok)
-        before.append(int((~ok[:hits[0] if hits.size else n - 2]).sum()))
+        _, _, ok = _full_solves(mu[fan_rows(n) - 1], lam)
         whole.append(int((~ok).sum()))
+        ok = ok[windows[0]] if windows else ok[:0]
+        hits = np.flatnonzero(ok)
+        before.append(int((~ok[:hits[0] if hits.size else ok.size]).sum()))
     # the targets outside, fan weights from the full solve and fan weights
     # from an edge are all reached
     assert outside > 50
@@ -650,7 +723,7 @@ def test_lazy_frame_equals_dense_product():
 
 def test_overlapping_pieces_raise_gram_failure():
     found = decomposition._try_pieces(PENTAGON, 0j,
-                                      [("block", (1, 2, 3, 4, 5))])
+                                      as_pieces(blks=[(1, 2, 3, 4, 5)]))
     assert decomposition._assemble(PENTAGON, 0j, found,
                                    "blockwise").rank == 2
     # the same block twice, or a triangle on two of its rows: the gates of
@@ -798,6 +871,24 @@ def test_subspectrum_margin_rejects_rank_that_is_not_an_integer():
         assert subspectrum_margin(es, j, 0j, rows).tolist() == want.tolist()
 
 
+def piece_rows(pieces):
+    """The ``(blocks, triangles)`` arrays of ``_search_pieces`` as one list
+    of rows, ("block", row) then ("tri", row), the form of the pins and of
+    ``reference_search_pieces``; None stays None."""
+    if pieces is None:
+        return None
+    blks, tris = pieces
+    return [("block", tuple(r)) for r in blks.tolist()] + \
+        [("tri", tuple(r)) for r in tris.tolist()]
+
+
+def as_pieces(blks=(), tris=()):
+    """The ``(blocks, triangles)`` index arrays that ``_try_pieces`` reads,
+    from rows of 5 and of 3."""
+    return (np.array(blks, dtype=int).reshape(-1, 5),
+            np.array(tris, dtype=int).reshape(-1, 3))
+
+
 def reference_search_pieces(es, kk, lam, act, shortlist=True):
     """_search_pieces with the row-form scorer: one subspectrum_margin call
     over every candidate row, the shortlist by a full sort (none when
@@ -872,8 +963,8 @@ def test_search_pieces_equal_row_form_reference(monkeypatch):
         act = np.arange(1, es.dim + 1)
         got = decomposition._search_pieces(es, k, lam, act)
         assert got is not None, (es.dim, k, lam)
-        assert got == reference_search_pieces(es, k, lam, act, False), \
-            (es.dim, k, lam)
+        assert piece_rows(got) == \
+            reference_search_pieces(es, k, lam, act, False), (es.dim, k, lam)
     assert chunks.count(154) == 2 and chunks.count(149) == 1
 
 
@@ -914,7 +1005,7 @@ def test_search_tree_pinned(monkeypatch):
         es = ingest_spectrum(rng.uniform(0.0, 2 * np.pi, n))
         nodes.clear()
         got = decomposition._search_pieces(es, k, lam, np.arange(1, n + 1))
-        assert got == want, (n, k, seed)
+        assert piece_rows(got) == want, (n, k, seed)
         assert [a.size for a in nodes] == [n, n - 5, n - 10], (n, k, seed)
         assert decomposition._try_pieces(es, lam, got) is not None
 
@@ -1132,7 +1223,7 @@ def test_triangle_kernel_falls_back_per_row():
     assert np.isnan(got[1]).all() and not np.isnan(got[[0, 2]]).any()
     assert assert_kernel_rows(es, tris, 0.99 * lam) == 2
     assert decomposition._try_pieces(es, 0.99 * lam,
-                                     [("tri", (1, 2, 3))]) is None
+                                     as_pieces(tris=[(1, 2, 3)])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1462,8 +1553,8 @@ def test_blockwise_pieces_equal_row_form_scorer():
     cases = [(ingest_spectrum(phases), 6, lam) for phases, lam in GIVES_UP]
     for es, k, lam in cases + stream_cases(20):
         act = np.arange(1, es.dim + 1)
-        assert decomposition._search_pieces(es, k, lam, act) == \
-            reference_search_pieces(es, k, lam, act), (es.dim, k, lam)
+        assert piece_rows(decomposition._search_pieces(es, k, lam, act)) \
+            == reference_search_pieces(es, k, lam, act), (es.dim, k, lam)
 
 
 def test_blockwise_pentagon_has_no_remainder(monkeypatch):
@@ -1482,11 +1573,14 @@ def test_blockwise_pentagon_has_no_remainder(monkeypatch):
     monkeypatch.setattr(decomposition, "subspectrum_margin", counted)
     monkeypatch.setattr(decomposition, "chord_margins", counted_chords)
     pieces = decomposition._search_pieces(PENTAGON, 2, 0j, np.arange(1, 6))
-    assert pieces == [("block", (1, 2, 3, 4, 5))]
+    assert piece_rows(pieces) == [("block", (1, 2, 3, 4, 5))]
+    # the leaf is the empty (0, 3) triangle array, and adds no stack
+    assert pieces[1].shape == (0, 3)
     # one rank-2 scoring, from the block's 5 x 1 chord table; the empty
     # remainder is not scored: rank 0 would raise InvalidRank
     assert ranks == [] and tables == [(5, 1)]
     found = decomposition._try_pieces(PENTAGON, 0j, pieces)
+    assert [rows.shape for rows, _ in found] == [(1, 5)]
     proj = decomposition._assemble(PENTAGON, 0j, found, "blockwise")
     assert verify_projector(proj.matrix, PENTAGON.matrix, 0j, 2).passed
 
@@ -1496,9 +1590,10 @@ def test_blockwise_is_deterministic():
         es = random_instance(np.random.default_rng(2), n, False)
         lam = pick_target(es, k)
         act = np.arange(1, n + 1)
-        first = decomposition._search_pieces(es, k, lam, act)
+        first = piece_rows(decomposition._search_pieces(es, k, lam, act))
         assert first is not None
-        assert decomposition._search_pieces(es, k, lam, act) == first
+        assert piece_rows(decomposition._search_pieces(es, k, lam, act)) \
+            == first
         # 3k - n pair blocks and triangles that partition the indices
         assert [kind for kind, _ in first].count("block") == 3 * k - n
         assert sorted(j for _, idx in first for j in idx) == \

@@ -20,6 +20,14 @@ Two clustered (8,3) targets and one clustered (11,4) target once spent
 4 s to 9 s in failed pair solves, the (8,3) ones before ``NoSolution``;
 the closed-form pair solve closes their blocks, and each must now give a
 witness that verifies within 2 s.
+
+At N = 300,000 the 3k and rank-1 constructions held their triangles as
+Python tuples and solved all N - 2 fan triangles, and peaked at 79 and 112
+MiB of traced memory; each must now stay under its own bound.
+
+A finite target of huge modulus once overflowed in the rank-1 scan, the
+margins, the oracle and the verification, a warning that the tests turn
+into an untyped failure; each must now give its normal answer.
 """
 
 import dataclasses
@@ -28,9 +36,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankrange import (INSIDE, build_region, construct_projector,
-                       contains, decomposition, ingest_spectrum,
-                       interior_point, verify_projector)
+from rankrange import (INSIDE, OUTSIDE, BruteForceOracle,
+                       LambdaOutsideRegion, build_region, caratheodory_rank1,
+                       construct_projector, contains, decomposition,
+                       ingest_spectrum, interior_point, plan, region_margin,
+                       subspectrum_margin, verify_projector)
 
 from clustered import clustered_phases
 from deadline import deadline
@@ -168,3 +178,58 @@ def test_clustered_target_is_witness_at_once(phases, k, lam):
     with deadline(2.0):
         proj = construct_projector(es, k, lam)
         assert verify_projector(proj.matrix, es.matrix, lam, k).passed
+
+
+@pytest.mark.parametrize("k, lam, limit_mib", [
+    # traced peaks, change (parent): 59.9 (78.9) MiB, 55.2 (112.3) MiB;
+    # each bound is about 15% and 30% above the change's
+    (100_000, 0.01 + 0.02j, 69),
+    (1, 0.3 - 0.2j, 72),
+], ids=["3k", "rank1"])
+def test_construction_peak_at_n300000(k, lam, limit_mib):
+    # the 3k leaf keeps its triangles as one index array, and the rank-1
+    # scan solves only the fan rows that can hold lam; a first call fills
+    # the spectrum's own caches (its points and two turns), so that the
+    # traced call holds only what the construction makes
+    n = 300_000
+    es = ingest_spectrum(np.sort(
+        np.random.default_rng(0).uniform(0, 2 * np.pi, n)))
+    with deadline(10.0):
+        construct_projector(es, k, lam)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            proj = construct_projector(es, k, lam)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak <= limit_mib * 2**20, peak
+    assert proj.strategy == ("planned" if k > 1 else "caratheodory")
+    assert proj.rank == k
+
+
+HUGE = [1e308 + 1e308j, -1e308 + 0j, 1e308j]
+HUGE_IDS = ["diagonal", "negative-real", "imaginary"]
+
+
+@pytest.mark.parametrize("z", HUGE, ids=HUGE_IDS)
+def test_huge_target_leaves_the_rank1_hull(z):
+    es = ingest_spectrum(np.random.default_rng(0).uniform(0, 2 * np.pi, 9))
+    with pytest.raises(LambdaOutsideRegion):
+        caratheodory_rank1(es, z)
+    with pytest.raises(LambdaOutsideRegion):
+        plan(es, 1, z)
+
+
+@pytest.mark.parametrize("z", HUGE, ids=HUGE_IDS)
+def test_huge_target_is_outside_everywhere(z):
+    # a negative margin, outside, and a report that fails the compression
+    es = ingest_spectrum(np.random.default_rng(0).uniform(0, 2 * np.pi, 9))
+    region = build_region(es, 3)
+    assert region_margin(region, z) == 1.0 - abs(z)
+    assert subspectrum_margin(es, 3, z, np.arange(9)) == 1.0 - abs(z)
+    assert BruteForceOracle(es, 3).verdict(z) == OUTSIDE
+    proj = construct_projector(es, 3, interior_point(region))
+    report = verify_projector(proj.matrix, es.matrix, z, 3)
+    assert not report.passed
+    assert report.residuals["compression"] > 1e300
