@@ -145,7 +145,7 @@ class DecompositionPlan:
     rank1_support: tuple = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """A constructed witness, held as its pieces: P = W W^H.
 
@@ -615,9 +615,12 @@ def _remainder_scores(table, n, rest, lam):
 def _shortlist(good, m):
     """The BLOCK_SHORTLIST entries of ``good`` of largest margin ``m``,
     largest first, ties in the order of ``good``: ``==`` to
-    ``good[np.argsort(-m, kind="stable")[:BLOCK_SHORTLIST]]``. A partition
-    keeps every margin at least the BLOCK_SHORTLIST-th largest, ties
-    included, and only those are sorted."""
+    ``good[np.argsort(-m, kind="stable")[:BLOCK_SHORTLIST]]``. ``good`` is
+    in family order (``_spaced_blocks``: start by start, then pattern order
+    within a start), so among exactly equal margins the first in family
+    order comes first. A partition keeps every margin at least the
+    BLOCK_SHORTLIST-th largest, ties included, and only those are
+    sorted."""
     cut = m.size - BLOCK_SHORTLIST
     if cut > 0:
         keep = m >= np.partition(m, cut)[cut]
@@ -649,7 +652,11 @@ def _search_pieces(es, kk, lam, act):
     best (``_shortlist``), each chord one more gather from the table
     (``_remainder_scores``), and picks ``_best_block`` among them; only
     when that finds none, it scores the remainder of every candidate, in
-    family order."""
+    family order. Among exactly equal scores the first candidate in family
+    order wins (start by start, then pattern order within a start), save
+    that in the shortlist at kk > 2 a larger block margin comes first
+    (``_best_block``); one ulp in the margin arithmetic can still make or
+    break a tie."""
     n = act.size
     if n == 3 * kk:
         # triangle j is (act[j], act[j + m], act[j + 2m]): column j of act
@@ -674,9 +681,16 @@ def _best_block(table, n, kk, cand, m_blk, lam):
     """The position in ``cand`` of the pair block of one block-first step,
     or None: among the candidates whose remainder margin is at least
     FEASIBILITY_FLOOR, the largest min of the block margin ``m_blk`` and
-    the remainder margin, the first in the order of ``cand`` among equals.
-    The remainders are built REMAINDER_CHUNK entries at a time; at kk = 2
-    nothing is left, and the block margin alone decides."""
+    the remainder margin, the first in the order of ``cand`` among exactly
+    equal scores. The remainders are built REMAINDER_CHUNK entries at a
+    time; at kk = 2 nothing is left, and the block margin alone decides.
+
+    The tie rule: the full pass reads ``cand`` in family order, and the
+    shortlist by block margin, largest first, then family order
+    (``_shortlist``). So among equal scores the first in family order wins,
+    save that in the shortlist at kk > 2 a larger block margin comes before
+    it. One ulp in the margin arithmetic can still make or break a tie: at
+    ``search`` seed 5, (28,10) #13, 16 of 64 candidates tied."""
     if cand.size == 0:
         return None
     score = m_blk

@@ -80,11 +80,3 @@ def clip_polygon(poly, a: complex, b: complex, sign: float):
         dedup.pop()
     return dedup
 
-
-def polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    s = 0.0
-    for i in range(len(poly)):
-        s += cross(poly[i], poly[(i + 1) % len(poly)])
-    return 0.5 * s

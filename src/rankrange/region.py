@@ -15,8 +15,9 @@ is at most pi (k+1 coincident eigenvalues), and pins the region to its
 endpoint when the span is wider (the complementary N-k+1 eigenvalues
 coincide). The batched region queries (``constraint_margins``,
 ``region_margin``) and every sub-spectrum scorer (``chord_margins``) score
-live chords with one half-plane kernel, ``_halfplane_margins``; the region
-keeps its live chords in the rows that kernel reads, built once.
+live chords with one half-plane kernel, ``_halfplane_margins``. A region
+stores its live chords in the rows that kernel reads, built once, and
+forms its per-chord ``constraints`` from its eigensystem when first read.
 ``contains`` reads a region of more than SCALAR_CHORDS live chords with the
 same kernel, and a smaller one in a plain-float loop over one tuple per
 chord, built on the region's first such query: below the cut-over numpy's
@@ -88,59 +89,49 @@ class ChordConstraint:
                                               self.endpoint_b, z)
 
 
-@dataclass(frozen=True)
-class ChordTable:
-    """The N chords as arrays; entry i-1 belongs to start index i.
-
-    ``halfplanes`` holds the live chords in the rows that
-    ``_halfplane_margins`` reads: a tuple (ax, ay, ex, ey, length) of
-    read-only, contiguous arrays, one entry per live chord, holding the x
-    and y of endpoint_a, of the edge b - a, and the edge length.
-    ``contains`` reads them as they are above SCALAR_CHORDS live chords,
-    with no unpacking of a 2-D array or reshaping, and at or below it reads
-    ``OmegaRegion.halfplane_tuples``, the same values as one float tuple
-    per chord; ``constraint_margins`` reshapes them only to broadcast
-    against an array z.
-    """
-    endpoint_a: np.ndarray
-    endpoint_b: np.ndarray
-    inward_sign: np.ndarray
-    span: np.ndarray
-    live: np.ndarray
-    halfplanes: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaRegion:
-    """The full constraint set: N chords plus any point constraints.
-
-    Membership, margins and the interior point read the chords from
-    ``table``; the per-chord ``constraints`` are built from it only when
-    first read."""
+    """The rank-k region of one spectrum: k, dim, the point constraints,
+    the eigensystem ``es`` and ``rows``, the live chords as the read-only,
+    contiguous rows (ax, ay, ex, ey, length) that ``_halfplane_margins``
+    reads, one entry per live chord: the x and y of endpoint_a, of the edge
+    b - a, and the edge length. The queries read only ``rows`` and the
+    point constraints; the per-chord ``constraints`` and the
+    ``eigenvalues`` are formed from ``es`` when first read. Equality and
+    hash are by identity."""
     k: int
     dim: int
     point_constraints: tuple
-    eigenvalues: np.ndarray
-    table: ChordTable = field(repr=False, compare=False)
+    rows: tuple = field(repr=False)
+    es: EigenSystem = field(repr=False)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return self.es.eigenvalues()
 
     @functools.cached_property
     def constraints(self) -> tuple:
-        """One ChordConstraint per start index i = 1..N, from ``table``."""
-        t, n = self.table, self.dim
+        """One ChordConstraint per start index i = 1..N, from the chord
+        ends and rule that ``build_region`` reads."""
+        n = self.dim
+        start = np.arange(n)
+        t0, t1, a, b = chord_ends(self.es, start, successor(start, self.k, n))
+        _, _, live, pinned = chord_rule(t0, t1, a, b)
         return tuple(
             ChordConstraint(start_index=i + 1, end_index=(i + self.k) % n + 1,
                             endpoint_a=ca, endpoint_b=cb, inward_sign=s,
                             degenerate=not lv, span=sp)
             for i, (ca, cb, s, lv, sp) in enumerate(zip(
-                t.endpoint_a.tolist(), t.endpoint_b.tolist(),
-                t.inward_sign.tolist(), t.live.tolist(), t.span.tolist())))
+                a.tolist(), b.tolist(),
+                np.where(live | pinned, 1, -1).tolist(), live.tolist(),
+                (t1 - t0).tolist())))
 
     @functools.cached_property
     def halfplane_tuples(self) -> tuple:
-        """``table.halfplanes`` as one (ax, ay, ex, ey, length) tuple of
-        floats per live chord, the rows of ``contains``' plain-float loop;
-        built on its first read."""
-        return tuple(zip(*(r.tolist() for r in self.table.halfplanes)))
+        """``rows`` as one (ax, ay, ex, ey, length) tuple of floats per
+        live chord, the rows of ``contains``' plain-float loop; built on its
+        first read."""
+        return tuple(zip(*(r.tolist() for r in self.rows)))
 
     def halfplanes(self):
         return [c for c in self.constraints
@@ -175,24 +166,21 @@ def chord_ends(es: EigenSystem, start, end):
 
 
 def build_region(es: EigenSystem, k: int) -> OmegaRegion:
-    """The chord table, one chord per start index i = 1..N with end index
-    i+k cyclic, and the point constraints of its pinning chords, each
-    distinct endpoint once."""
+    """The region's rows, of the live chords among the N from start index
+    i = 1..N to end index i+k cyclic, and the point constraints of its
+    pinning chords, each distinct endpoint once."""
     n = es.dim
     k = checked_rank(k, n)
     start = np.arange(n)
     t0, t1, a, b = chord_ends(es, start, successor(start, k, n))
     edge, length, live, pinned = chord_rule(t0, t1, a, b)
     al, el = a[live], edge[live]
-    halfplanes = np.stack([al.real, al.imag, el.real, el.imag, length[live]])
-    halfplanes.setflags(write=False)      # and so every row view of it
-    table = ChordTable(endpoint_a=a, endpoint_b=b,
-                       inward_sign=np.where(live | pinned, 1, -1),
-                       span=t1 - t0, live=live, halfplanes=tuple(halfplanes))
+    rows = np.stack([al.real, al.imag, el.real, el.imag, length[live]])
+    rows.setflags(write=False)      # and so every row view of it
     return OmegaRegion(k=k, dim=n,
                        point_constraints=tuple(dict.fromkeys(
                            a[pinned].tolist())),
-                       eigenvalues=es.eigenvalues(), table=table)
+                       rows=tuple(rows), es=es)
 
 
 def _halfplane_margins(rows, x, y):
@@ -235,7 +223,7 @@ def constraint_margins(region: OmegaRegion, z):
     z = np.asarray(z, dtype=complex)
     lead = (1,) * z.ndim
     return _halfplane_margins([r.reshape(r.shape + lead)
-                               for r in region.table.halfplanes],
+                               for r in region.rows],
                               z.real, z.imag)
 
 
@@ -261,10 +249,11 @@ def _least_halfplane_margin(region: OmegaRegion, x, y):
     over ``region.halfplane_tuples`` computes each margin as ``((y - ay) *
     ex - (x - ax) * ey) / length``, the floating-point operations of
     ``_halfplane_margins`` in its order, so the least margin is ``==`` to
-    the kernel's; above it, one ``_halfplane_margins`` call on the table's
-    rows and one ``np.minimum.reduce``. A NaN margin never compares below
-    another, so the loop may skip one that the kernel would return."""
-    rows = region.table.halfplanes
+    the kernel's; above it, one ``_halfplane_margins`` call on
+    ``region.rows`` and one ``np.minimum.reduce``. A NaN margin never
+    compares below another, so the loop may skip one that the kernel would
+    return."""
+    rows = region.rows
     if len(rows[0]) > SCALAR_CHORDS:
         return np.minimum.reduce(_halfplane_margins(rows, x, y),
                                  initial=np.inf)
@@ -396,7 +385,7 @@ def interior_point(region: OmegaRegion):
     point or segment regions give None)."""
     if region.point_constraints:
         return None
-    ax, ay, ex, ey, length = region.table.halfplanes
+    ax, ay, ex, ey, length = region.rows
     # margin(x, y) >= r, rearranged into one row of A_ub @ (x, y, r) <= b_ub:
     # (ey x - ex y) / length + r <= (ey ax - ex ay) / length
     rows = np.stack([ey / length, -ex / length, np.ones_like(length)], axis=1)

@@ -1090,6 +1090,37 @@ def test_first_step_score_is_region_margin(monkeypatch):
     assert checked == 58
 
 
+def test_best_block_tie_goes_to_the_first_candidate():
+    # candidates in family order with exactly equal scores: the first of
+    # them wins, at kk = 2 on the block margin alone (nothing is left, and
+    # the table is not read) ...
+    cand = np.arange(4)
+    assert decomposition._best_block(
+        None, 5, 2, cand, np.array([0.1, 0.3, 0.2, 0.3]), 0j) == 1
+    # ... and at kk > 2 on the min of block and remainder margin: every
+    # remainder chord reads 0.25, below the disk term at lam = 0, so the
+    # last three candidates tie at 0.25 whatever their block margins
+    n = 8
+    table = np.full(n * decomposition._block_layout(n)[0].size, 0.25)
+    assert decomposition._best_block(
+        table, n, 3, cand, np.array([0.1, 0.5, 0.3, 0.5]), 0j) == 1
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # the generated == compared the array fields and raised ValueError,
+    # and hash raised TypeError
+    es = ingest_spectrum(np.sort(np.random.default_rng(3).uniform(
+        0, 2 * np.pi, 9)))
+    a, b = build_region(es, 3), build_region(es, 3)
+    other = build_region(ingest_spectrum(es.phases / 2), 3)
+    assert a == a and a != b and a != other
+    assert len({a, b, a}) == 2
+    lam = interior_point(a)
+    p, q = construct_projector(es, 3, lam), construct_projector(es, 3, lam)
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+
+
 @pytest.mark.parametrize("phases, lam", SCAN_PAST_SHORTLIST,
                          ids=["uniform", "clustered-a", "clustered-b"])
 def test_scan_targets_past_shortlist_are_blockwise(monkeypatch, phases, lam):

@@ -1,5 +1,5 @@
-"""The chord table and the oracle's edge table against the per-chord and
-per-hull code they replace.
+"""The region's half-plane rows and the oracle's edge table against the
+per-chord and per-hull code they replace.
 
 Each ``_old_*`` function below is a copy of the earlier implementation,
 kept here as the reference: margins must be ``==`` to it, verdicts
@@ -7,6 +7,7 @@ identical, and oracle margins within 1e-15. The interior point, now the
 exact Chebyshev centre, must be at least as deep as the old grid point.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -212,7 +213,7 @@ def _edge_queries(rows):
 
 
 # ---------------------------------------------------------------------------
-# the chord table
+# the region's rows and its per-chord constraints
 
 
 @pytest.mark.parametrize("phases,k", CASES)
@@ -225,7 +226,10 @@ def test_chord_constraints_equal_old(phases, k):
     assert got == rows
     assert [type(v) for v in got[0]] == [type(v) for v in rows[0]]
     assert region.point_constraints == points
-    assert region.table.live.tolist() == [not r[5] for r in rows]
+    live = [r for r in rows if not r[5]]
+    assert len(region.rows[0]) == len(live)
+    assert (region.rows[0] + 1j * region.rows[1]).tolist() == \
+        [r[2] for r in live]
 
 
 @pytest.mark.parametrize("phases,k", CASES)
@@ -280,7 +284,7 @@ def _near_chords(region, rng):
     """Points in the disk, and points 0 and +-1e-12 from the midpoints of
     about eight live chords along their inward normals."""
     zs = list(rng.uniform(-0.8, 0.8, 16) + 1j * rng.uniform(-0.8, 0.8, 16))
-    ax, ay, ex, ey, length = region.table.halfplanes
+    ax, ay, ex, ey, length = region.rows
     for i in range(0, len(ax), max(1, len(ax) // 8)):
         mid = complex(ax[i] + ex[i] / 2, ay[i] + ey[i] / 2)
         normal = 1j * complex(ex[i], ey[i]) / length[i]
@@ -315,7 +319,7 @@ def test_contains_form_follows_live_chord_count(monkeypatch):
             0, 2 * np.pi, n)))
         regions[n] = build_region(es[n], k)
     small, large = regions[12], regions[64]
-    assert small.table.live.sum() <= SCALAR_CHORDS < large.table.live.sum()
+    assert len(small.rows[0]) <= SCALAR_CHORDS < len(large.rows[0])
     zs = _near_chords(small, np.random.default_rng(1)) + [0j, 1.2j]
     # below the cut-over, the plain-float loop alone
     monkeypatch.setattr(region_module, "_halfplane_margins", refuse)
@@ -335,12 +339,31 @@ def test_contains_form_follows_live_chord_count(monkeypatch):
 
 def test_halfplane_rows_are_read_only():
     region = build_region(ingest_spectrum(2 * np.pi * np.arange(5) / 5), 2)
-    rows = region.table.halfplanes
+    rows = region.rows
     assert len(rows) == 5
     for row in rows:
         assert row.shape == (5,) and row.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 0.0
+
+
+def test_region_keeps_only_its_rows_at_n300000():
+    # the five float rows of the live chords are 5 x 8 x 300,000 bytes,
+    # 11.44 MiB; the earlier chord table and eigenvalue copy kept 30.04
+    es = ingest_spectrum(np.sort(np.random.default_rng(0).uniform(
+        0, 2 * np.pi, 300_000)))
+    es.mu, es.two_turns     # the eigensystem's arrays, not the region's
+    tracemalloc.start()
+    try:
+        region = build_region(es, 100_000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 13 * 2 ** 20, kept / 2 ** 20
+    assert "constraints" not in vars(region)
+    assert "eigenvalues" not in vars(region)
+    assert np.array_equal(region.eigenvalues, es.mu)
+    assert "eigenvalues" in vars(region)
 
 
 @pytest.mark.parametrize("n,k", [(9, 3), (12, 4), (64, 21), (600, 200)])
