@@ -20,19 +20,16 @@ import sys
 import numpy as np
 
 from rankrange import (SharedVertexProblem, ingest_spectrum, isotropic_pair,
-                       pair_isotropy_residual, solve_barycentric, solve_pair,
-                       triangle)
+                       pair_isotropy_residual, solve_barycentric, solve_pair)
 from rankrange.blocks import BLOCK_RESIDUAL_GATE
 
 es = ingest_spectrum([0.0, 1.1, 2.4, 3.9, 5.2])
 lam = 0.12 + 0.08j
 
-w1 = solve_barycentric(es, triangle(1, 3, 5, dim=5), lam)
-w2 = solve_barycentric(es, triangle(1, 2, 4, dim=5), lam)
-prob = SharedVertexProblem(
-    1, w1.weight_of(1), w2.weight_of(1),
-    {3: w1.weight_of(3), 5: w1.weight_of(5)},
-    {2: w2.weight_of(2), 4: w2.weight_of(4)}, lam)
+# the triangles (1, 3, 5) and (1, 2, 4) share vertex 1; one call solves both
+(p1, p3, p5), (q1, q2, q4) = solve_barycentric(
+    es, [[1, 3, 5], [1, 2, 4]], lam).tolist()
+prob = SharedVertexProblem(1, p1, q1, {3: p3, 5: p5}, {2: q2, 4: q4}, lam)
 
 sigma = np.diag(es.eigenvalues())
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from rankrange.cli import run
 
-workdir = Path(tempfile.mkdtemp(prefix="rankrange-demo-"))
 mismatches = []
 
 
@@ -29,43 +28,46 @@ def expect(code, args):
     return got
 
 
-spectrum = workdir / "octagon.json"
-spectrum.write_text(json.dumps(
-    {"phases": (2 * np.pi * np.arange(8) / 8).tolist()}))
+# the files live in a temporary directory, removed when the tour ends
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    spectrum = workdir / "octagon.json"
+    spectrum.write_text(json.dumps(
+        {"phases": (2 * np.pi * np.arange(8) / 8).tolist()}))
 
-print("== spectrum ==")
-expect(0, ["spectrum", str(spectrum)])
+    print("== spectrum ==")
+    expect(0, ["spectrum", str(spectrum)])
 
-print("== region (k = 3), with SVG ==")
-region_json = workdir / "region.json"
-svg = workdir / "region.svg"
-expect(0, ["region", str(spectrum), "--k", "3",
-           "--out", str(region_json), "--svg", str(svg)])
-print(f"wrote {region_json.name} and {svg.name}")
+    print("== region (k = 3), with SVG ==")
+    region_json = workdir / "region.json"
+    svg = workdir / "region.svg"
+    expect(0, ["region", str(spectrum), "--k", "3",
+               "--out", str(region_json), "--svg", str(svg)])
+    print(f"wrote {region_json.name} and {svg.name}")
 
-print("== membership, with oracle cross-check ==")
-expect(0, ["member", str(spectrum), "--k", "3", "--lambda", "0.1,0.1",
-           "--oracle"])
+    print("== membership, with oracle cross-check ==")
+    expect(0, ["member", str(spectrum), "--k", "3", "--lambda", "0.1,0.1",
+               "--oracle"])
 
-print("== projector construction and verification ==")
-proj = workdir / "projector.json"
-expect(0, ["project", str(spectrum), "--k", "3", "--out", str(proj)])
-matrix = workdir / "matrix.json"
-mat = np.diag(np.exp(2j * np.pi * np.arange(8) / 8))
-matrix.write_text(json.dumps(
-    {"n": 8, "re": mat.real.tolist(), "im": mat.imag.tolist()}))
-expect(0, ["verify", str(matrix), "--projector", str(proj)])
+    print("== projector construction and verification ==")
+    proj = workdir / "projector.json"
+    expect(0, ["project", str(spectrum), "--k", "3", "--out", str(proj)])
+    matrix = workdir / "matrix.json"
+    mat = np.diag(np.exp(2j * np.pi * np.arange(8) / 8))
+    matrix.write_text(json.dumps(
+        {"n": 8, "re": mat.real.tolist(), "im": mat.imag.tolist()}))
+    expect(0, ["verify", str(matrix), "--projector", str(proj)])
 
-print("== unsupported dimension is a clean exit 2 ==")
-seven = workdir / "seven.json"
-seven.write_text(json.dumps({"phases": np.linspace(0.1, 6.0, 7).tolist()}))
-code = expect(2, ["project", str(seven), "--k", "3"])
-print(f"exit code: {code}")
+    print("== unsupported dimension is a clean exit 2 ==")
+    seven = workdir / "seven.json"
+    seven.write_text(json.dumps({"phases": np.linspace(0.1, 6.0, 7).tolist()}))
+    code = expect(2, ["project", str(seven), "--k", "3"])
+    print(f"exit code: {code}")
 
-print("== the seeded demo battery ==")
-expect(0, ["demo", "--seed", "42", "--repeats", "1", "--out",
-           str(workdir / "records.jsonl")])
-print(f"artifacts in {workdir}")
+    print("== the seeded demo battery ==")
+    expect(0, ["demo", "--seed", "42", "--repeats", "1", "--out",
+               str(workdir / "records.jsonl")])
+    print("artifacts:", " ".join(sorted(p.name for p in workdir.iterdir())))
 
 for command, want, got in mismatches:
     print(f"{command}: exit code {got}, expected {want}", file=sys.stderr)

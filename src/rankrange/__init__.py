@@ -21,24 +21,23 @@ from .region import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                      ChordConstraint, OmegaRegion, boundary_samples,
                      build_region, constraint_margins, contains,
                      interior_point, region_margin)
-from .triangles import (BarycentricWeights, TriangleSpec, solve_barycentric,
-                        triangle, validate_triangle)
+from .triangles import (TriangleSpec, solve_barycentric, triangle,
+                        validate_triangle)
 from .pairing import (PairParameters, SharedVertexProblem,
                       VectorCoefficients, discriminant_coeffs,
                       gauge_parameters, solve_pair)
 from .blocks import isotropic_pair, pair_isotropy_residual
 from .decomposition import (DecompositionPlan, Pairing, Projector,
                             VerificationReport, caratheodory_rank1,
-                            construct_projector, plan, subspectrum_margin,
-                            three_k_minus_1_patterns,
-                            three_k_minus_2_patterns, three_k_patterns,
-                            verify_projector)
+                            construct_projector, plan,
+                            three_k_minus_1_patterns, three_k_minus_2_patterns,
+                            three_k_patterns, verify_projector)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BOUNDARY", "INSIDE", "OUTSIDE",
-    "BarycentricWeights", "BothHeavy", "BruteForceOracle", "ChordConstraint",
+    "BothHeavy", "BruteForceOracle", "ChordConstraint",
     "DecompositionPlan", "DegenerateDenominator",
     "EigenSystem", "EigensolveFailed", "EmptyRegion", "EmptySpectrum",
     "GramFailure", "InternalInvariantError", "InvalidRank",
@@ -53,7 +52,7 @@ __all__ = [
     "gauge_parameters", "ingest_matrix", "ingest_spectrum",
     "interior_point", "isotropic_pair",
     "pair_isotropy_residual", "plan", "reflect_labels", "region_margin",
-    "solve_barycentric", "solve_pair", "subspectrum_margin",
+    "solve_barycentric", "solve_pair",
     "three_k_minus_1_patterns", "three_k_minus_2_patterns",
     "three_k_patterns", "triangle", "validate_triangle", "verify_projector",
 ]

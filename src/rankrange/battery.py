@@ -106,8 +106,9 @@ def run_one(es: EigenSystem, k: int, case: str, conjugated: bool,
     return rec
 
 
-def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
-    """Deterministic instance stream covering every dimension case.
+def demo_battery(seed: int = 42, repeats: int = 3):
+    """Deterministic instance stream covering every dimension case, the
+    DEFAULT_SIZES instances ``repeats`` times each.
 
     Returns ReportRecords; spectra whose region is empty are skipped with a
     note rather than failed. Alternates diagonal and conjugated inputs.
@@ -124,7 +125,7 @@ def demo_battery(seed: int = 42, sizes=DEFAULT_SIZES, repeats: int = 3):
         raise ParseError(f"need seed >= 0 and repeats >= 1, got {seed} "
                          f"and {repeats}")
     records = []
-    for pos, (case, n, k) in enumerate(sizes):
+    for pos, (case, n, k) in enumerate(DEFAULT_SIZES):
         for rep in range(repeats):
             sub_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(pos, rep)).generate_state(1)[0])

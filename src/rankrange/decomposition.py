@@ -315,22 +315,11 @@ def _plan_template(case: str, k: int, n: int, pivot) -> DecompositionPlan:
     return out
 
 
-def _plan_three_k_minus_1(es: EigenSystem, k: int, lam: complex):
-    probe = triangle(1, k + 1, 2 * k + 1, dim=es.dim)
-    # if vertex 1 is heavy, vertex 2k+1 is necessarily weak; renumber so it
-    # plays vertex 1
-    heavy = solve_barycentric(es, probe, lam).weight_of(1) > 0.5
-    return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim,
-                          2 * k + 1 if heavy else None)
-
-
-def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
-    """Probe 1 and probe 2 in both labelings are solved in one call; only a
-    row that the branch reads must have weights."""
-    n = es.dim
-    refl = reflect_labels(es, k - 1)
-    probe2 = (k - 2, 2 * k - 2, 3 * k - 3)
-    rows = [(1, k - 1, 2 * k - 1), probe2, tuple(sorted(refl.indices(probe2)))]
+def _probe_weights(es: EigenSystem, rows, lam: complex):
+    """The weights of lam on the probe triangles ``rows``, all solved in one
+    call, as a reader: ``weight(r, j)`` is row r's weight on index j, and
+    raises NoConvexSolution for a row without weights, so only the rows
+    that a branch reads must have them."""
     w = solve_barycentric(es, np.array(rows), lam)
 
     def weight(row, index):
@@ -338,7 +327,24 @@ def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
             raise NoConvexSolution(f"no convex combination of triangle "
                                    f"{rows[row]} reaches {lam}")
         return w[row, rows[row].index(index)]
+    return weight
 
+
+def _plan_three_k_minus_1(es: EigenSystem, k: int, lam: complex):
+    # if vertex 1 is heavy, vertex 2k+1 is necessarily weak; renumber so it
+    # plays vertex 1
+    heavy = _probe_weights(es, [(1, k + 1, 2 * k + 1)], lam)(0, 1) > 0.5
+    return _plan_template(CASE_THREE_K_MINUS_1, k, es.dim,
+                          2 * k + 1 if heavy else None)
+
+
+def _plan_three_k_minus_2(es: EigenSystem, k: int, lam: complex):
+    """Probe 1 and probe 2 in both labelings are solved in one call."""
+    n = es.dim
+    refl = reflect_labels(es, k - 1)
+    probe2 = (k - 2, 2 * k - 2, 3 * k - 3)
+    weight = _probe_weights(es, [(1, k - 1, 2 * k - 1), probe2,
+                                 tuple(sorted(refl.indices(probe2)))], lam)
     if weight(0, 1) <= 0.5:
         refl, second = None, weight(1, 2 * k - 2)
     else:
@@ -374,9 +380,7 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
     of both sides, the fan window, can have weights, and only they are
     solved, in fan order, in one ``solve_barycentric`` call. The first
     that has weights gives the support and weights, as the first of all
-    N - 2 rows would: each row of a stack is ``==`` to its solve alone,
-    and only the window's rows before the first one that the full solve
-    passes go on to the edge pass."""
+    N - 2 rows would: each row of a stack is ``==`` to its solve alone."""
     lam = complex(lam)
     if not abs(lam) <= RANK1_REACH:
         raise LambdaOutsideRegion(
@@ -408,8 +412,7 @@ def _caratheodory_support(es: EigenSystem, lam: complex):
                               & (cross[1:] <= slack[1:]))
         if rows.size:
             w = solve_barycentric(es, np.stack(
-                [np.ones_like(rows), rows + 2, rows + 3], axis=1), lam,
-                first=True)
+                [np.ones_like(rows), rows + 2, rows + 3], axis=1), lam)
             found = np.flatnonzero(~np.isnan(w[:, 0]))
             if found.size:
                 r = int(rows[found[0]])

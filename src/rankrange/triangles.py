@@ -1,8 +1,9 @@
 """Triangles of eigenvalues: gap rules and barycentric weights.
 
 ``solve_barycentric`` is the one rule for which convex weights of a
-triangle of eigenvalues reach a target: one TriangleSpec, or a stack of
-index rows solved together, each row ``==`` to its solve alone.
+triangle of eigenvalues reach a target. It takes a stack of index rows,
+checked as a TriangleSpec checks its indices, solves them together and
+gives one row of weights for each, ``==`` to that row's solve alone.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvexSolution, ParseError
+from .errors import ParseError
 from .spectra import EigenSystem
 
 WEIGHT_FLOOR = -1e-12
@@ -55,16 +56,6 @@ def validate_triangle(t: TriangleSpec, k: int) -> bool:
     return t.max_gap() <= k
 
 
-@dataclass(frozen=True)
-class BarycentricWeights:
-    triangle: TriangleSpec
-    weights: tuple
-    residual: float
-
-    def weight_of(self, index: int) -> float:
-        return self.weights[self.triangle.indices.index(index)]
-
-
 def _distance(z, lam):
     """|z - lam| by ``np.hypot``, which rounds as Python's complex ``abs``
     (numpy's complex ``abs`` need not)."""
@@ -74,11 +65,11 @@ def _distance(z, lam):
 
 def _full_solves(pts, lam):
     """The 3 x 3 solve of lam over each triangle of vertices ``pts`` (T, 3)
-    in one stacked solve: the weights clipped into [0, 1], their
-    reconstruction residuals, and whether each row passes its gates
-    (WEIGHT_FLOOR, VALUE_TOL, SUM_TOL). An exactly singular row (the stack
-    then raises LinAlgError, and is solved again without its rows of zero
-    determinant) fails them."""
+    in one stacked solve: the weights clipped into [0, 1], and whether each
+    row passes its gates (WEIGHT_FLOOR, VALUE_TOL on the reconstruction
+    residual, SUM_TOL). An exactly singular row (the stack then raises
+    LinAlgError, and is solved again without its rows of zero determinant)
+    fails them."""
     A = np.ones((len(pts), 3, 3))
     A[:, 1], A[:, 2] = pts.real, pts.imag
     b = np.broadcast_to([1.0, lam.real, lam.imag], (len(pts), 3))[..., None]
@@ -96,7 +87,7 @@ def _full_solves(pts, lam):
     resid = _distance(w[:, 0] * pts[:, 0] + w[:, 1] * pts[:, 1]
                       + w[:, 2] * pts[:, 2], lam)
     ok &= (resid <= VALUE_TOL) & (np.abs(w.sum(axis=1) - 1.0) <= SUM_TOL)
-    return w, resid, ok
+    return w, ok
 
 
 def _first(hit):
@@ -108,8 +99,8 @@ def _first(hit):
 
 
 def _edge_or_vertex(pts, lam):
-    """Weights (M, 3) and residuals of lam over the triangles ``pts`` (M, 3)
-    from an edge, else a vertex, NaN where neither reaches it.
+    """Weights (M, 3) of lam over the triangles ``pts`` (M, 3) from an edge,
+    else a vertex, NaN where neither reaches it.
 
     Edge c runs from vertex (0, 0, 1)[c] to vertex (1, 2, 2)[c]; the three
     edges of every row are taken in one (M, 3) pass, and the first that
@@ -122,11 +113,8 @@ def _edge_or_vertex(pts, lam):
     float rounds it, where ``np.square`` may not."""
     x, y, lx, ly = pts.real, pts.imag, lam.real, lam.imag
     w = np.full(pts.shape, np.nan)
-    out = np.full(len(pts), np.nan)
-    vert = _distance(pts, lam)
-    rows, col = _first(vert <= VALUE_TOL)
+    rows, col = _first(_distance(pts, lam) <= VALUE_TOL)
     w[rows] = np.eye(3)[col]
-    out[rows] = vert[rows, col]
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
     ex, ey = x[:, j] - x[:, i], y[:, j] - y[:, i]
     L2 = np.float_power(np.hypot(ex, ey), 2.0)
@@ -144,40 +132,39 @@ def _edge_or_vertex(pts, lam):
         w[rows] = 0.0
         w[rows, i[col]] = 1.0 - t[rows, col]
         w[rows, j[col]] = t[rows, col]
-        out[rows] = resid[rows, col]
-    return w, out
+    return w
 
 
-def solve_barycentric(es: EigenSystem, t, lam: complex, first=False):
-    """Nonnegative convex weights expressing lam over triangle vertices.
+def solve_barycentric(es: EigenSystem, rows, lam: complex):
+    """Nonnegative convex weights expressing lam over triangles of
+    eigenvalues: weights (T, 3) for a (T, 3) stack of 1-based index rows,
+    or for one row read as T = 1, with a row of NaN where no weights reach
+    lam.
 
-    ``t`` is one TriangleSpec, which gives its BarycentricWeights or raises
-    NoConvexSolution, or a (T, 3) stack of ascending 1-based index rows,
-    which gives weights (T, 3), a row of NaN where no weights reach lam.
-    Every row goes through one stacked 3 x 3 solve (``_full_solves``);
-    only the rows that miss its gates go on to the edges and then the
-    vertices (``_edge_or_vertex``). Weights are clamped into [0, 1]; the
-    reconstruction residual is re-checked on every exit path.
-
-    With ``first``, a stack is solved only as far as the first row that
-    passes the full solve: only the misses before it go on to the edges,
-    and every row after it reads NaN. The rows up to it are those of the
-    whole stack, so its first row with weights is too.
+    Every row must be integers 1 <= a < b < c <= N, as a TriangleSpec
+    holds them; any other input raises ParseError. Every row goes through
+    one stacked 3 x 3 solve (``_full_solves``); only the rows that miss
+    its gates go on to the edges and then the vertices
+    (``_edge_or_vertex``), so each row is ``==`` to its solve alone.
+    Weights are clamped into [0, 1]; the reconstruction residual is
+    re-checked on every exit path.
     """
+    try:
+        rows = np.atleast_2d(rows)
+    except ValueError as exc:           # a ragged stack
+        raise ParseError(f"triangle rows must be rows of 3: {exc}") from None
+    if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[1] != 3:
+        raise ParseError(f"triangle rows must be integer rows of 3, got "
+                         f"{rows.dtype} of shape {rows.shape}")
+    a, b, c = rows.T
+    valid = (1 <= a) & (a < b) & (b < c) & (c <= es.dim)
+    if not valid.all():
+        raise ParseError(f"triangle row {rows[np.argmin(valid)].tolist()} "
+                         f"not strictly increasing within 1..{es.dim}")
     lam = complex(lam)
-    single = isinstance(t, TriangleSpec)
-    pts = es.mu[np.atleast_2d(t.indices if single else t) - 1]
-    w, resid, ok = _full_solves(pts, lam)
-    stop = len(ok)
-    if first and ok.any():
-        stop = int(np.argmax(ok))
-        w[stop + 1:] = np.nan
-    miss = np.flatnonzero(~ok[:stop])
+    pts = es.mu[rows - 1]
+    w, ok = _full_solves(pts, lam)
+    miss = np.flatnonzero(~ok)
     if miss.size:
-        w[miss], resid[miss] = _edge_or_vertex(pts[miss], lam)
-    if not single:
-        return w
-    if np.isnan(resid[0]):
-        raise NoConvexSolution(
-            f"no convex combination of triangle {t.indices} reaches {lam}")
-    return BarycentricWeights(t, tuple(w[0].tolist()), float(resid[0]))
+        w[miss] = _edge_or_vertex(pts[miss], lam)
+    return w

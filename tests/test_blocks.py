@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from rankrange import (NoSolution, blocks, build_region, decomposition,
                        ingest_spectrum, interior_point, isotropic_pair,
-                       pair_isotropy_residual, region_margin,
-                       subspectrum_margin)
+                       pair_isotropy_residual, region_margin)
+from rankrange.decomposition import subspectrum_margin
 
 from clustered import clustered_phases
 from deadline import deadline

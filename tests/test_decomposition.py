@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -11,11 +12,11 @@ from rankrange import (EigenSystem, GramFailure, InvalidRank,
                        caratheodory_rank1, construct_projector,
                        decomposition, ingest_matrix, ingest_spectrum,
                        interior_point, plan, region_margin,
-                       solve_barycentric, subspectrum_margin,
-                       three_k_minus_1_patterns, three_k_minus_2_patterns,
-                       three_k_patterns, triangle, validate_triangle,
-                       verify_projector)
+                       solve_barycentric, three_k_minus_1_patterns,
+                       three_k_minus_2_patterns, three_k_patterns, triangle,
+                       validate_triangle, verify_projector)
 from rankrange.battery import pick_target, random_instance
+from rankrange.decomposition import subspectrum_margin
 from rankrange.region import MEMBERSHIP_TOL, chord_rule
 from rankrange.spectra import TWO_PI
 from rankrange.triangles import _edge_or_vertex, _full_solves
@@ -91,14 +92,26 @@ def test_plan_pentagon_reflected_branch():
     # a target close to eigenvalue 1 makes vertex 1 heavy, vertex 5 weak
     lam = 0.8 * PENTAGON.eigenvalue(1) + 0.1 * PENTAGON.eigenvalue(3) \
         + 0.1 * PENTAGON.eigenvalue(5)
-    w = solve_barycentric(PENTAGON, triangle(1, 3, 5, dim=5), lam)
-    assert w.weight_of(1) > 0.5
+    assert solve_barycentric(PENTAGON, [1, 3, 5], lam)[0, 0] > 0.5
     pl = plan(PENTAGON, 2, lam)
     assert pl.branch == "reflected"
     assert pl.reflection_pivot == 5
     tris = {t.indices for t in pl.triangles}
     assert tris == {(1, 3, 5), (2, 4, 5)}
     assert pl.pairings[0].shared == 5
+
+
+@pytest.mark.parametrize("n, k, probe", [(5, 2, (1, 3, 5)),
+                                         (13, 5, (1, 4, 9))])
+def test_plan_target_outside_first_probe_has_no_convex_solution(n, k, probe):
+    # lam near eigenvalue 2, outside the first weak-vertex probe of the
+    # 3k-1 and of the 3k-2 family: the probe has no weights, and plan says
+    # so with a typed error
+    es = ingest_spectrum(2 * np.pi * np.arange(n) / n)
+    lam = 0.99 * es.eigenvalue(2)
+    assert np.isnan(solve_barycentric(es, probe, lam)).all()
+    with pytest.raises(NoConvexSolution, match=re.escape(f"triangle {probe}")):
+        plan(es, k, lam)
 
 
 def force_case_instance(k, want_case, seed0=0):
@@ -168,9 +181,9 @@ def test_plan_template_is_shared(monkeypatch):
     probes = []
     solve = decomposition.solve_barycentric
 
-    def counted(es, t, lam):
-        probes.append(len(np.atleast_2d(getattr(t, "indices", t))))
-        return solve(es, t, lam)
+    def counted(es, rows, lam):
+        probes.append(len(rows))
+        return solve(es, rows, lam)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     first = plan(PENTAGON, 2, 0j)
@@ -431,22 +444,22 @@ def test_rank1_outside_rejected():
 def test_rank1_scan_is_linear(monkeypatch):
     # the scan solves only the fan triangles (1, j, j+1) that lam's side
     # test against their two diagonals cannot rule out, in one
-    # solve_barycentric call in its first-hit form: at an interior lam,
-    # the one triangle that holds it, of the N - 2 = 198
+    # solve_barycentric call: at an interior lam, the one triangle that
+    # holds it, of the N - 2 = 198
     n = 200
     es = ingest_spectrum(np.random.default_rng(5).uniform(0.0, 2 * np.pi, n))
     lam = interior_point(build_region(es, 1))
     calls = []
     solve = decomposition.solve_barycentric
 
-    def counted(es, t, lam, **kwargs):
-        calls.append((np.shape(t), kwargs))
-        return solve(es, t, lam, **kwargs)
+    def counted(es, rows, lam):
+        calls.append(np.shape(rows))
+        return solve(es, rows, lam)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", counted)
     proj = construct_projector(es, 1, lam)
     assert proj.strategy == "caratheodory"
-    assert calls == [((1, 3), {"first": True})]
+    assert calls == [(1, 3)]
     assert verify_projector(proj.matrix, es.matrix, lam, 1).passed
 
 
@@ -480,7 +493,7 @@ def scalar_fan_support(es, lam):
                 es, triangle(1, j, j + 1, dim=n), lam)
         except NoConvexSolution:
             continue
-        return (w.triangle.indices, w.weights), stage
+        return ((1, j, j + 1), w), stage
     raise LambdaOutsideRegion(f"{lam} is not in the hull")
 
 
@@ -497,9 +510,9 @@ def record_fan_windows(monkeypatch):
     windows = []
     solve = decomposition.solve_barycentric
 
-    def recorded(es, t, lam, **kwargs):
-        windows.append(np.asarray(t)[:, 1] - 2)
-        return solve(es, t, lam, **kwargs)
+    def recorded(es, rows, lam):
+        windows.append(rows[:, 1] - 2)
+        return solve(es, rows, lam)
 
     monkeypatch.setattr(decomposition, "solve_barycentric", recorded)
     return windows
@@ -574,12 +587,11 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
     # lam at random in the disk (so in the hull or outside it), on a fan
     # diagonal, on a hull edge and within 1e-12 of an eigenvalue. The edge
     # pass receives just the rows of the fan window that the full solve
-    # misses before its first hit in it, or every row of the window when
-    # it hits none
+    # misses
     rng = np.random.default_rng(17)
     outside = 0
     stages = []
-    sent, before, whole = [], [], []
+    sent, missed, whole = [], [], []
     windows = record_fan_windows(monkeypatch)
 
     def counted(pts, lam):
@@ -606,19 +618,17 @@ def test_stacked_fan_scan_equals_scalar_loop(monkeypatch):
             assert got == want, (case, n, lam)
             assert [type(i) for i in got[0]] == [int] * len(want[0])
         if stage is None:       # an eigenvalue or a hull edge: no fan
-            before.append(0)
+            missed.append(0)
             whole.append(0)
             continue
-        _, _, ok = _full_solves(mu[fan_rows(n) - 1], lam)
+        _, ok = _full_solves(mu[fan_rows(n) - 1], lam)
         whole.append(int((~ok).sum()))
-        ok = ok[windows[0]] if windows else ok[:0]
-        hits = np.flatnonzero(ok)
-        before.append(int((~ok[:hits[0] if hits.size else ok.size]).sum()))
+        missed.append(int((~ok[windows[0]]).sum()) if windows else 0)
     # the targets outside, fan weights from the full solve and fan weights
     # from an edge are all reached
     assert outside > 50
     assert stages.count("full") > 100 and stages.count("edge") > 10
-    assert sent == before
+    assert sent == missed
     assert sum(sent) < sum(whole)
 
 
@@ -1193,7 +1203,7 @@ def assert_kernel_rows(es, tris, lam):
             continue
         solved += 1
         tol = 0.0 if stage == "full" else 2.3e-16
-        assert np.abs(got[i] - want.weights).max() <= tol, (row, lam, stage)
+        assert np.abs(got[i] - want).max() <= tol, (row, lam, stage)
     return solved
 
 

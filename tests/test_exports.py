@@ -11,5 +11,6 @@ def test_star_import_binds_the_export_list():
     namespace = {}
     exec("from rankrange import *", namespace)
     assert set(rankrange.__all__) <= set(namespace)
-    for name in ("brute_force_contains", "vector_from_triangle"):
+    for name in ("brute_force_contains", "vector_from_triangle",
+                 "BarycentricWeights", "subspectrum_margin"):
         assert name not in rankrange.__all__ and name not in namespace

@@ -40,7 +40,8 @@ from rankrange import (INSIDE, OUTSIDE, BruteForceOracle,
                        LambdaOutsideRegion, build_region, caratheodory_rank1,
                        construct_projector, contains, decomposition,
                        ingest_spectrum, interior_point, plan, region_margin,
-                       subspectrum_margin, verify_projector)
+                       verify_projector)
+from rankrange.decomposition import subspectrum_margin
 
 from clustered import clustered_phases
 from deadline import deadline

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankrange
 from rankrange import (InvalidRank, ParseError, ShapeMismatch, build_region,
                        cli, construct_projector, contains, ingest_matrix,
                        ingest_spectrum, verify_projector)
@@ -375,6 +380,23 @@ def test_cli_demo_bad_seed_or_repeats_is_parse_error(capsys, args):
     assert run(["demo", *args]) == 1
     captured = capsys.readouterr()
     assert "ParseError" in captured.err and captured.out == ""
+
+
+def test_cli_tour_demo_leaves_no_files(tmp_path):
+    # the CLI tour demo writes its files to a temporary directory that it
+    # removes, and prints only their names: two runs print the same and
+    # leave nothing in the temp folder
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_cli_tour.py"
+    src = str(Path(rankrange.__file__).resolve().parents[1])
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [subprocess.run([sys.executable, "-W", "error", str(demo)],
+                           env=env, capture_output=True, text=True,
+                           timeout=120) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert "records.jsonl" in runs[0].stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dump_writes_file(tmp_path):

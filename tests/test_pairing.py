@@ -3,7 +3,7 @@ import pytest
 
 from rankrange import (BothHeavy, ParseError, SharedVertexProblem,
                        discriminant_coeffs, gauge_parameters, ingest_spectrum,
-                       solve_barycentric, solve_pair, triangle)
+                       solve_barycentric, solve_pair)
 
 
 def dense(vec, n):
@@ -11,29 +11,37 @@ def dense(vec, n):
 
 
 def make_problem(es, tri1, tri2, lam):
-    """Shared-vertex problem from two triangles sharing exactly one index."""
+    """Shared-vertex problem from two ascending triangles sharing exactly
+    one index, solved in one call; None when either has no weights."""
     shared = set(tri1) & set(tri2)
     assert len(shared) == 1
     v = shared.pop()
-    w1 = solve_barycentric(es, triangle(*tri1, dim=es.dim), lam)
-    w2 = solve_barycentric(es, triangle(*tri2, dim=es.dim), lam)
-    t_weights = {j: w1.weight_of(j) for j in tri1 if j != v}
-    r_weights = {j: w2.weight_of(j) for j in tri2 if j != v}
-    return SharedVertexProblem(v, w1.weight_of(v), w2.weight_of(v),
+    w1, w2 = solve_barycentric(es, [tri1, tri2], lam).tolist()
+    if np.isnan(w1[0]) or np.isnan(w2[0]):
+        return None
+    t_weights = {j: w for j, w in zip(tri1, w1) if j != v}
+    r_weights = {j: w for j, w in zip(tri2, w2) if j != v}
+    return SharedVertexProblem(v, w1[tri1.index(v)], w2[tri2.index(v)],
                                t_weights, r_weights, lam)
 
 
+def r_side(es, lam):
+    """The weights of lam on the R side, triangle (1, 2, 4): the shared
+    vertex 1's, then {2: ..., 4: ...}."""
+    q1, q2, q4 = solve_barycentric(es, [1, 2, 4], lam)[0].tolist()
+    assert not np.isnan(q1), lam
+    return q1, {2: q2, 4: q4}
+
+
 def random_problem(rng):
-    """Random feasible shared-vertex problem with p1 <= 1/2."""
+    """Random feasible shared-vertex problem with p1 <= 1/2; a draw is
+    retried only when a triangle has no weights at it."""
     while True:
         phases = np.sort(rng.uniform(0, 2 * np.pi, 5))
         es = ingest_spectrum(phases)
         z = complex(*rng.uniform(-0.9, 0.9, 2))
-        try:
-            prob = make_problem(es, (1, 3, 5), (1, 2, 4), z)
-        except Exception:
-            continue
-        if prob.p1 > 0.5:
+        prob = make_problem(es, (1, 3, 5), (1, 2, 4), z)
+        if prob is None or prob.p1 > 0.5:
             continue
         return es, prob
 
@@ -83,10 +91,8 @@ def test_pair_half_weight_closed_form():
     lam = 0.5 * es.eigenvalue(v) + sum(w * es.eigenvalue(j)
                                        for j, w in pt.items())
     # build an R side reaching the same lam
-    w2 = solve_barycentric(es, triangle(1, 2, 4, dim=5), lam)
-    prob = SharedVertexProblem(v, 0.5, w2.weight_of(1),
-                               pt, {2: w2.weight_of(2), 4: w2.weight_of(4)},
-                               lam)
+    q1, r = r_side(es, lam)
+    prob = SharedVertexProblem(v, 0.5, q1, pt, r, lam)
     phi1, phi2 = solve_pair(prob, es)
     a, b = dense(phi1, 5), dense(phi2, 5)
     np.testing.assert_allclose(a[0], np.sqrt(0.5), atol=1e-12)
@@ -101,10 +107,8 @@ def test_pair_zero_shared_weight_disjoint_support():
     es = ingest_spectrum([0.0, 1.2, 2.1, 3.8, 5.0])
     # p1 = 0: lam on the segment through t-vertices
     lam = 0.5 * es.eigenvalue(3) + 0.5 * es.eigenvalue(5)
-    w2 = solve_barycentric(es, triangle(1, 2, 4, dim=5), lam)
-    prob = SharedVertexProblem(1, 0.0, w2.weight_of(1),
-                               {3: 0.5, 5: 0.5},
-                               {2: w2.weight_of(2), 4: w2.weight_of(4)}, lam)
+    q1, r = r_side(es, lam)
+    prob = SharedVertexProblem(1, 0.0, q1, {3: 0.5, 5: 0.5}, r, lam)
     phi1, phi2 = solve_pair(prob, es)
     assert all(j in (3, 5) for j, z in phi1.coefficients.items()
                if abs(z) > 1e-14)
@@ -145,18 +149,13 @@ def test_spurious_root_rejected():
 
 def test_continuity_toward_zero_shared_weight():
     es = ingest_spectrum([0.0, 1.2, 2.1, 3.8, 5.0])
-    lam = 0.5 * es.eigenvalue(3) + 0.5 * es.eigenvalue(5)
-    w2 = solve_barycentric(es, triangle(1, 2, 4, dim=5), lam)
-    r = {2: w2.weight_of(2), 4: w2.weight_of(4)}
 
     def pair_at(p1):
         t = {3: 0.5 * (1 - p1), 5: 0.5 * (1 - p1)}
         lam_p = p1 * es.eigenvalue(1) + sum(w * es.eigenvalue(j)
                                             for j, w in t.items())
-        w2p = solve_barycentric(es, triangle(1, 2, 4, dim=5), lam_p)
-        prob = SharedVertexProblem(
-            1, p1, w2p.weight_of(1), t,
-            {2: w2p.weight_of(2), 4: w2p.weight_of(4)}, lam_p)
+        q1, r = r_side(es, lam_p)
+        prob = SharedVertexProblem(1, p1, q1, t, r, lam_p)
         return solve_pair(prob, es)
 
     a1, a2 = pair_at(1e-6)

@@ -5,7 +5,8 @@ from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        EmptyRegion, InvalidRank, LambdaOutsideRegion,
                        ParseError, TooLarge, boundary_samples,
                        build_region, construct_projector, contains,
-                       ingest_spectrum, interior_point, region_margin, subspectrum_margin)
+                       ingest_spectrum, interior_point, region_margin)
+from rankrange.decomposition import subspectrum_margin
 
 from rankrange import region as region_module
 from rankrange.region import (SCALAR_CHORDS, chord_ends, chord_margins,

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from itertools import combinations
 
-from rankrange import (BarycentricWeights, EmptyRegion, NoConvexSolution,
-                       ParseError, boundary_samples, build_region, ingest_spectrum,
+from rankrange import (EmptyRegion, NoConvexSolution, ParseError,
+                       boundary_samples, build_region, ingest_spectrum,
                        solve_barycentric, triangle, validate_triangle)
 from rankrange.triangles import SUM_TOL, VALUE_TOL, WEIGHT_FLOOR
 
@@ -37,51 +37,61 @@ def test_bad_triangle_is_parse_error(a, b, c, dim):
 
 
 def test_vertex_case():
-    t = triangle(1, 3, 5, dim=5)
-    w = solve_barycentric(PENTAGON, t, PENTAGON.eigenvalue(1))
-    np.testing.assert_allclose(w.weights, (1.0, 0.0, 0.0), atol=1e-9)
+    # one row is read as a stack of one
+    w = solve_barycentric(PENTAGON, [1, 3, 5], PENTAGON.eigenvalue(1))
+    assert w.shape == (1, 3)
+    np.testing.assert_allclose(w[0], (1.0, 0.0, 0.0), atol=1e-9)
 
 
 def test_pentagon_origin_weights():
-    t = triangle(1, 3, 5, dim=5)
-    w = solve_barycentric(PENTAGON, t, 0j)
-    np.testing.assert_allclose(w.weights, (OUTER, APEX, OUTER), atol=1e-9)
+    row = (1, 3, 5)
+    (w,) = solve_barycentric(PENTAGON, [row], 0j)
+    np.testing.assert_allclose(w, (OUTER, APEX, OUTER), atol=1e-9)
     # independent reconstruction: weights against the actual eigenvalues
-    value = sum(wi * PENTAGON.eigenvalue(j)
-                for wi, j in zip(w.weights, t.indices))
+    value = sum(wi * PENTAGON.eigenvalue(j) for wi, j in zip(w, row))
     assert abs(value) <= 1e-12
     # the conjugate-symmetric triangle T{1,3,4} carries 1/sqrt(5) on vertex 1:
     # 0.4472*1 + 0.2764*(exp(4i pi/5) + exp(6i pi/5)) = 0
-    w134 = solve_barycentric(PENTAGON, triangle(1, 3, 4, dim=5), 0j)
-    np.testing.assert_allclose(w134.weights, (APEX, OUTER, OUTER), atol=1e-9)
+    (w134,) = solve_barycentric(PENTAGON, [[1, 3, 4]], 0j)
+    np.testing.assert_allclose(w134, (APEX, OUTER, OUTER), atol=1e-9)
 
 
 def test_equilateral_symmetric_weights():
     es = ingest_spectrum([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-    w = solve_barycentric(es, triangle(1, 2, 3, dim=3), 0j)
-    np.testing.assert_allclose(w.weights, (1 / 3, 1 / 3, 1 / 3), atol=1e-12)
+    (w,) = solve_barycentric(es, [[1, 2, 3]], 0j)
+    np.testing.assert_allclose(w, (1 / 3, 1 / 3, 1 / 3), atol=1e-12)
 
 
-def test_infeasible_raises():
-    t = triangle(1, 3, 5, dim=5)
+def test_infeasible_row_is_nan():
     # a point near the second root of unity, outside T{1,3,5}
-    with pytest.raises(NoConvexSolution):
-        solve_barycentric(PENTAGON, t, 0.99 * np.exp(2j * np.pi / 5))
+    w = solve_barycentric(PENTAGON, [[1, 3, 5]], 0.99 * np.exp(2j * np.pi / 5))
+    assert np.isnan(w).all()
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2]], [[-1, 1, 2]], [[1, 2, 6]], [[1, 3, 5], [2, 2, 4]],
+    [[3, 2, 1]], [[1.0, 3.0, 5.0]], [[1, 2, 3, 4]], [[1, 3, 5], [1, 2]],
+    [[[1, 3, 5]]], [], None], ids=repr)
+def test_bad_rows_are_parse_errors(rows):
+    # the rows are checked as a TriangleSpec checks its indices: index 0
+    # once read eigenvalue 5, -1 eigenvalue 4, and 6 raised an untyped
+    # IndexError, on the pentagon
+    with pytest.raises(ParseError):
+        solve_barycentric(PENTAGON, rows, 0.8)
 
 
 def test_degenerate_triangle_vertex_fallback():
     es = ingest_spectrum([0.0, 0.0, 0.0])
-    w = solve_barycentric(es, triangle(1, 2, 3, dim=3), 1 + 0j)
-    assert w.residual <= 1e-9
-    assert abs(sum(w.weights) - 1.0) <= 1e-10
+    (w,) = solve_barycentric(es, [[1, 2, 3]], 1 + 0j)
+    assert abs(w @ es.eigenvalues() - 1.0) <= 1e-9
+    assert abs(sum(w) - 1.0) <= 1e-10
 
 
 def test_degenerate_edge_fallback():
     es = ingest_spectrum([0.0, 0.0, np.pi / 2])
     lam = 0.5 + 0.5j  # midpoint of the segment from 1 to i
-    w = solve_barycentric(es, triangle(1, 2, 3, dim=3), lam)
-    value = sum(wi * es.eigenvalue(j)
-                for wi, j in zip(w.weights, w.triangle.indices))
+    (w,) = solve_barycentric(es, [[1, 2, 3]], lam)
+    value = sum(wi * es.eigenvalue(j) for wi, j in zip(w, (1, 2, 3)))
     assert abs(value - lam) <= 1e-9
 
 
@@ -116,10 +126,9 @@ def test_gap_rule_soundness_random():
 
 
 def test_determinism():
-    t = triangle(1, 3, 5, dim=5)
-    w1 = solve_barycentric(PENTAGON, t, 0.1 + 0.05j)
-    w2 = solve_barycentric(PENTAGON, t, 0.1 + 0.05j)
-    assert w1.weights == w2.weights and w1.residual == w2.residual
+    w1 = solve_barycentric(PENTAGON, [[1, 3, 5]], 0.1 + 0.05j)
+    w2 = solve_barycentric(PENTAGON, [[1, 3, 5]], 0.1 + 0.05j)
+    assert w1.tolist() == w2.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,13 +137,13 @@ def test_reconstruction_property(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = int(rng.integers(5, 12))
     es = ingest_spectrum(np.sort(rng.uniform(0, 2 * np.pi, n)))
-    idx = sorted(rng.choice(np.arange(1, n + 1), size=3, replace=False))
-    t = triangle(*(int(j) for j in idx), dim=n)
+    idx = sorted(int(j) for j in rng.choice(np.arange(1, n + 1), size=3,
+                                            replace=False))
     mix = rng.dirichlet(np.ones(3))
-    lam = sum(m * es.eigenvalue(j) for m, j in zip(mix, t.indices))
-    w = solve_barycentric(es, t, lam)
-    assert abs(sum(w.weights) - 1.0) <= 1e-10
-    value = sum(wi * es.eigenvalue(j) for wi, j in zip(w.weights, t.indices))
+    lam = sum(m * es.eigenvalue(j) for m, j in zip(mix, idx))
+    (w,) = solve_barycentric(es, [idx], lam)
+    assert abs(sum(w) - 1.0) <= 1e-10
+    value = sum(wi * es.eigenvalue(j) for wi, j in zip(w, idx))
     assert abs(value - lam) <= 1e-9
 
 
@@ -167,7 +176,7 @@ def _old_edge_solution(lam, pa, pb):
 
 def _old_solve_barycentric(es, t, lam):
     """The scalar solver, one triangle per call: the full 3 x 3 solve, then
-    each edge, then each vertex. Returns its BarycentricWeights and the
+    each edge, then each vertex. Returns its weights, a tuple, and the
     stage that gave them ("full", "edge" or "vertex"), or raises
     NoConvexSolution."""
     lam = complex(lam)
@@ -178,8 +187,7 @@ def _old_solve_barycentric(es, t, lam):
         w = np.clip(w, 0.0, 1.0)
         resid = abs(sum(wi * p for wi, p in zip(w, pts)) - lam)
         if resid <= VALUE_TOL and abs(w.sum() - 1.0) <= SUM_TOL:
-            return BarycentricWeights(t, tuple(float(x) for x in w),
-                                      float(resid)), "full"
+            return tuple(float(x) for x in w), "full"
 
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         sol = _old_edge_solution(lam, pts[i], pts[j])
@@ -189,14 +197,13 @@ def _old_solve_barycentric(es, t, lam):
         w[i], w[j] = sol
         resid = abs(sum(wi * p for wi, p in zip(w, pts)) - lam)
         if resid <= VALUE_TOL:
-            return BarycentricWeights(t, tuple(w), float(resid)), "edge"
+            return tuple(w), "edge"
 
     for i in range(3):
         if abs(pts[i] - lam) <= VALUE_TOL:
             w = [0.0, 0.0, 0.0]
             w[i] = 1.0
-            return BarycentricWeights(t, tuple(w),
-                                      float(abs(pts[i] - lam))), "vertex"
+            return tuple(w), "vertex"
 
     raise NoConvexSolution(
         f"no convex combination of triangle {t.indices} reaches {lam}")
@@ -259,32 +266,12 @@ def test_row_solve_matches_old_scalar_solver():
                     continue
                 stages[stage] += 1
                 if stage == "full":
-                    assert tuple(w) == want.weights, (row, lam)
+                    assert tuple(w) == want, (row, lam)
                 else:
-                    gap = np.abs(np.subtract(w, want.weights)).max()
+                    gap = np.abs(np.subtract(w, want)).max()
                     worst = max(worst, gap)
                     assert gap <= 2.3e-16, (row, lam, stage)
     assert sum(stages.values()) >= 100_000
     assert min(stages.values()) > 0, stages
     assert worst <= 2.3e-16
 
-
-def test_spec_and_row_forms_agree():
-    # one TriangleSpec gives the weights of its row in a stack, with the
-    # residual of the scalar solver; a row without weights raises
-    es = ingest_spectrum([0.0, 0.0, 0.0, 1.0, 2.5, 4.0])
-    mu = es.eigenvalues()
-    rows = np.array(list(combinations(range(1, 7), 3)))
-    for lam in (complex(mu[0]), complex((mu[0] + mu[3]) / 2),
-                complex(mu[3:].mean()), 1.1 + 0j):
-        stack = solve_barycentric(es, rows, lam)
-        for row, w in zip(rows.tolist(), stack.tolist()):
-            t = triangle(*row, dim=6)
-            if np.isnan(w).all():
-                with pytest.raises(NoConvexSolution):
-                    solve_barycentric(es, t, lam)
-                continue
-            got = solve_barycentric(es, t, lam)
-            want, _ = _old_solve_barycentric(es, t, lam)
-            assert got.weights == tuple(w)
-            assert got.residual == want.residual
