@@ -5,21 +5,24 @@ Subcommands: spectrum, region, member, project, verify, demo. Exit codes:
 target outside the region, unsupported dimension), 3 internal invariant
 failure (orthonormality assertion, oracle mismatch).
 
-One tolerance, 1e-9 by default, is read from the RANKRANGE_TOL
-environment variable or per invocation from --tol (not for demo). It is
-the unitarity tolerance of a matrix input and the membership tolerance of
-``member``; it must be a finite number >= 0, else the command exits 1.
+One tolerance, --tol (1e-9 by default; not for demo), is the unitarity
+tolerance of a matrix input and the membership tolerance of ``member``; it
+must be a finite number >= 0, else the command exits 1.
 ``project``'s construction decides membership at 1e-9 whatever the
 setting, and ``project`` and ``verify`` check a projector against fixed
 thresholds (``decomposition.projector_thresholds``). ``project`` exits 3
 without writing anything when its witness fails that check.
+
+The commands that write a document (spectrum, region, project, demo) write
+it to --out when one is given, else print it. A target is RE,IM, of either
+sign: ``--lambda -0.1,0.05`` reads as ``--lambda=-0.1,0.05``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 
 import numpy as np
@@ -34,23 +37,33 @@ from .region import BruteForceOracle, build_region, contains
 from .spectra import DEFAULT_TOL
 
 
-def _default_tol() -> float:
-    env = os.environ.get("RANKRANGE_TOL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ParseError(f"bad RANKRANGE_TOL value: {env!r}")
-        return checked_tol(value, "RANKRANGE_TOL")
-    return DEFAULT_TOL
-
-
 def _parse_complex(text: str) -> complex:
     try:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
+        real, imag = text.split(",")
+        return complex(float(real), float(imag))
     except ValueError:
         raise ParseError(f"expected a complex value as RE,IM, got {text!r}")
+
+
+def _glue_targets(argv: list) -> list:
+    """``--lambda -0.1,0.05`` as ``--lambda=-0.1,0.05``: argparse takes a
+    token that starts with a minus for an option unless it is a plain
+    number. A following option (``--lambda --oracle``) stays apart."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-\.?\d", arg):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
+def _emit(text: str, path) -> None:
+    """Write ``text`` to ``path`` when one is given, else print it."""
+    if path is None:
+        print(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,23 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "of unitary matrices")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_k=True):
+    def common(p, needs_k=True, writes=False):
         p.add_argument("input", help="matrix or spectrum JSON file")
         if needs_k:
             p.add_argument("--k", type=int, required=True,
                            help="rank parameter")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="unitarity tolerance of a matrix input and "
-                            "member's membership tolerance (default "
-                            "RANKRANGE_TOL, else 1e-9); project builds at "
-                            "1e-9 and verification thresholds are fixed")
-        p.add_argument("--out", default=None, help="output JSON path")
+                            "member's membership tolerance (default 1e-9); "
+                            "project builds at 1e-9 and verification "
+                            "thresholds are fixed")
+        if writes:
+            p.add_argument("--out", default=None, help="output JSON path")
 
     p = sub.add_parser("spectrum", help="print the sorted eigenphases")
-    common(p, needs_k=False)
+    common(p, needs_k=False, writes=True)
 
     p = sub.add_parser("region", help="emit the constraint set as JSON")
-    common(p)
+    common(p, writes=True)
     p.add_argument("--svg", default=None, help="also render an SVG here")
 
     p = sub.add_parser("member", help="membership verdict for a target")
@@ -87,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against the brute-force oracle")
 
     p = sub.add_parser("project", help="construct a compression projector")
-    common(p)
+    common(p, writes=True)
     p.add_argument("--lambda", dest="target", default=None,
                    help="target value as RE,IM (default: deep interior point)")
     p.add_argument("--plan", dest="plan_out", default=None,
@@ -109,21 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args, tol):
     es = io_mod.load_input(args.input, tol)
-    text = io_mod.dump({"phases": es.phases.tolist()}, args.out)
-    print(text)
+    _emit(io_mod.dump({"phases": es.phases.tolist()}), args.out)
     return 0
 
 
 def _cmd_region(args, tol):
     es = io_mod.load_input(args.input, tol)
     region = build_region(es, args.k)
-    doc = io_mod.region_to_doc(region)
-    text = io_mod.dump(doc, args.out)
+    _emit(io_mod.dump(io_mod.region_to_doc(region)), args.out)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(svgout.render_region(region))
-    if args.out is None:
-        print(text)
     return 0
 
 
@@ -165,9 +175,7 @@ def _cmd_project(args, tol):
                     "reflected": False} if proj.strategy == "eigenspace" \
             else io_mod.plan_to_doc(plan(es, args.k, lam))
     doc = io_mod.projector_to_doc(P, proj.rank, proj.target, report.residuals)
-    text = io_mod.dump(doc, args.out)
-    if args.out is None:
-        print(text)
+    _emit(io_mod.dump(doc), args.out)
     if args.plan_out:
         io_mod.dump(plan_doc, args.plan_out)
     for key, value in sorted(report.residuals.items()):
@@ -190,12 +198,8 @@ def _cmd_verify(args, tol):
 
 def _cmd_demo(args, tol):
     records = battery_mod.demo_battery(seed=args.seed, repeats=args.repeats)
-    out_lines = [json.dumps(r.to_doc(), sort_keys=True) for r in records]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
-    else:
-        print("\n".join(out_lines))
+    _emit("\n".join(json.dumps(r.to_doc(), sort_keys=True)
+                    for r in records), args.out)
     npass = sum(1 for r in records if r.passed and not r.skipped)
     nskip = sum(1 for r in records if r.skipped)
     nfail = sum(1 for r in records if not r.passed)
@@ -216,12 +220,12 @@ _HANDLERS = {
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_targets(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        tol = _default_tol() if getattr(args, "tol", None) is None \
-            else checked_tol(args.tol, "--tol")
+        tol = checked_tol(getattr(args, "tol", DEFAULT_TOL), "--tol")
         return _HANDLERS[args.command](args, tol)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

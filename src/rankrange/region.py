@@ -214,13 +214,24 @@ def chord_margins(t0, t1, a, b, z):
     return m
 
 
+def _points(z) -> np.ndarray:
+    """``z`` as a complex array, else ParseError: a string or a dict would
+    fail untyped, and None would read as NaN."""
+    a = np.asarray(z)
+    if a.dtype.kind not in "biufc":
+        raise ParseError(
+            f"points must be complex numbers, not {type(z).__name__}")
+    return a.astype(complex, copy=False)
+
+
 def constraint_margins(region: OmegaRegion, z):
     """Stacked inward margins of all half-plane constraints at z.
 
     Returns an array of shape (#halfplanes,) + shape(z); empty first axis
-    when every constraint is degenerate.
+    when every constraint is degenerate. Points that are not numbers raise
+    ParseError.
     """
-    z = np.asarray(z, dtype=complex)
+    z = _points(z)
     lead = (1,) * z.ndim
     return _halfplane_margins([r.reshape(r.shape + lead)
                                for r in region.rows],
@@ -232,8 +243,8 @@ def region_margin(region: OmegaRegion, z):
     (negated) distance to any point constraint. Positive only for points
     with room inside every constraint. A point beyond FAR reads its disk
     term: the constraints score the origin in its place, whose every margin
-    is at least -1."""
-    z = np.asarray(z, dtype=complex)
+    is at least -1. Points that are not numbers raise ParseError."""
+    z = _points(z)
     disk = 1.0 - np.abs(z)
     near = np.where(disk < 1.0 - FAR, 0j, z)
     m = np.minimum(disk, constraint_margins(region, near).min(
@@ -349,7 +360,9 @@ class BruteForceOracle:
 
     def margin(self, z: complex) -> float:
         """The least margin of z over the hulls; beyond FAR, where every
-        hull's is within 2 of it, the disk term 1 - |z|."""
+        hull's is within 2 of it, the disk term 1 - |z|. A z that
+        ``complex()`` cannot read raises ParseError."""
+        z = checked_complex(z)
         if abs(z) > FAR:
             return float(1.0 - abs(z))
         ax, ay, ex, ey, length, length2 = self._edges

@@ -300,15 +300,14 @@ def test_svg_render_degenerate():
     assert "empty region" in text
 
 
-def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
-    # a slightly non-unitary matrix passes under a loose global tolerance
+def test_tol_flag_loosens_unitarity(tmp_path, capsys):
+    # ||A^H A - I||_F = 1e-6: rejected at the default 1e-9, read at 1e-5
     mat = np.diag([1.0, 1.0 + 5e-7])
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_to_doc(mat)))
     assert run(["spectrum", str(path)]) == 2
     capsys.readouterr()
-    monkeypatch.setenv("RANKRANGE_TOL", "1e-5")
-    assert run(["spectrum", str(path)]) == 0
+    assert run(["spectrum", str(path), "--tol", "1e-5"]) == 0
 
 
 def test_cli_tol_zero_is_honoured(pentagon_file, capsys):
@@ -324,19 +323,66 @@ def test_cli_tol_zero_is_honoured(pentagon_file, capsys):
     assert capsys.readouterr().out.strip() == "inside"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
-def test_cli_bad_tolerance_is_parse_error(pentagon_file, monkeypatch,
-                                          capsys, source, value):
-    argv = ["member", pentagon_file, "--k", "2", "--lambda", "0,0"]
-    if source == "flag":
-        argv.append(f"--tol={value}")
-    else:
-        monkeypatch.setenv("RANKRANGE_TOL", value)
-    assert run(argv) == 1
+def test_cli_bad_tolerance_is_parse_error(pentagon_file, capsys, value):
+    assert run(["member", pentagon_file, "--k", "2", "--lambda", "0,0",
+                f"--tol={value}"]) == 1
     captured = capsys.readouterr()
     assert "ParseError" in captured.err
     assert captured.out == ""
+
+
+def test_cli_spectrum_out_writes_only_the_file(pentagon_file, tmp_path,
+                                               capsys):
+    out = tmp_path / "s.json"
+    assert run(["spectrum", pentagon_file, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["phases"]) == 5
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["member", "verify"])
+def test_cli_out_only_where_a_document_is_written(pentagon_file, tmp_path,
+                                                  capsys, command):
+    # member and verify print a verdict and write no document, so they
+    # take no --out; it was accepted and ignored
+    proj = tmp_path / "p.json"
+    assert run(["project", pentagon_file, "--k", "2", "--out",
+                str(proj)]) == 0
+    out = tmp_path / "x.json"
+    argv = {"member": ["member", pentagon_file, "--k", "2", "--lambda",
+                       "0,0"],
+            "verify": ["verify", pentagon_file, "--projector", str(proj)]}
+    assert run(argv[command] + ["--out", str(out)]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["member", "project", "verify"])
+def test_cli_negative_target(pentagon_file, tmp_path, capsys, command):
+    # argparse took "-0.1,-0.05" for an option, so only the "=" form parsed
+    proj = tmp_path / "p.json"
+    assert run(["project", pentagon_file, "--k", "2", "--lambda=-0.1,-0.05",
+                "--out", str(proj)]) == 0
+    capsys.readouterr()
+    argv = {"member": ["member", pentagon_file, "--k", "2", "--oracle"],
+            "project": ["project", pentagon_file, "--k", "2", "--out",
+                        str(proj)],
+            "verify": ["verify", pentagon_file, "--projector", str(proj)]}
+    assert run(argv[command] + ["--lambda", "-0.1,-0.05"]) == 0
+    out = capsys.readouterr().out
+    if command == "member":
+        assert out == "inside\noracle: inside\n"
+    elif command == "project":
+        assert json.loads(proj.read_text())["lambda"] == [-0.1, -0.05]
+    else:
+        assert out.splitlines()[-1] == "pass"
+
+
+def test_cli_target_followed_by_option_is_usage_error(pentagon_file,
+                                                      capsys):
+    assert run(["member", pentagon_file, "--k", "2", "--lambda",
+                "--oracle"]) == 1
+    assert "--lambda: expected one argument" in capsys.readouterr().err
 
 
 def test_parse_error_is_one_class():

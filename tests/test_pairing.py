@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rankrange import (BothHeavy, ParseError, SharedVertexProblem,
-                       discriminant_coeffs, gauge_parameters, ingest_spectrum,
-                       solve_barycentric, solve_pair)
+from rankrange import (BothHeavy, NoSolution, ParseError,
+                       SharedVertexProblem, discriminant_coeffs,
+                       gauge_parameters, ingest_spectrum, solve_barycentric,
+                       solve_pair)
 
 
 def dense(vec, n):
@@ -190,7 +191,7 @@ def test_swap_when_only_q_light():
         solve_pair(heavy, es)
     except BothHeavy:
         pytest.fail("swap branch not taken")
-    except Exception:
+    except NoSolution:
         pass  # weights are inconsistent by construction; only routing matters
 
 

@@ -4,8 +4,9 @@ import pytest
 from rankrange import (BOUNDARY, INSIDE, OUTSIDE, BruteForceOracle,
                        EmptyRegion, InvalidRank, LambdaOutsideRegion,
                        ParseError, TooLarge, boundary_samples,
-                       build_region, construct_projector, contains,
-                       ingest_spectrum, interior_point, region_margin)
+                       build_region, constraint_margins, construct_projector,
+                       contains, ingest_spectrum, interior_point,
+                       region_margin)
 from rankrange.decomposition import subspectrum_margin
 
 from rankrange import region as region_module
@@ -257,6 +258,19 @@ def test_bad_membership_tolerance_is_parse_error(tol):
     assert oracle.verdict(0j) == INSIDE
     with pytest.raises(ParseError, match="tol must be a finite number"):
         oracle.verdict(0j, tol=tol)
+
+
+@pytest.mark.parametrize("z", ["0,0", "x", None, {"a": 1}])
+def test_unreadable_point_is_parse_error(z):
+    # the oracle raised TypeError, region_margin and constraint_margins
+    # ValueError or TypeError, and region_margin read None as NaN
+    region = pentagon_region()
+    oracle = BruteForceOracle(PENTAGON, 2)
+    for query in (lambda: contains(region, z), lambda: oracle.verdict(z),
+                  lambda: oracle.margin(z), lambda: region_margin(region, z),
+                  lambda: constraint_margins(region, z)):
+        with pytest.raises(ParseError):
+            query()
 
 
 @pytest.mark.parametrize("n,k", [(12, 4), (64, 21)])
